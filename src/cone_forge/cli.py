@@ -258,17 +258,28 @@ def _cmd_spectra_index_change(args, cfg: RunConfig) -> int:
 
 
 def _read_rhs(path: str):
+    """(r, z) columns of an rhs CSV; only line 1 may be a header.
+
+    Blank lines are skipped.  Any other row that is short or does not parse,
+    and a file without data rows, is an input error.
+    """
     rs, zs = [], []
     with open(path) as fh:
-        for row in csv.reader(fh):
-            if len(row) < 2:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
                 continue
             try:
                 r, z = float(row[0]), float(row[1])
-            except ValueError:
-                continue  # header or comment row
+            except (IndexError, ValueError):
+                if reader.line_num == 1:
+                    continue  # header
+                raise ValueError(f"{path}: line {reader.line_num}: expected "
+                                 f"two numbers 'r,z', got {row!r}")
             rs.append(r)
             zs.append(z)
+    if not rs:
+        raise ValueError(f"{path}: no data rows")
     return np.array(rs), np.array(zs)
 
 

@@ -15,7 +15,9 @@ are pinned to zero.  The splitting captures the I-mode coefficient
 
     c = (1/|n|) int_0^1 K_mu(|n|s) z(s) ds/s
 
-(the Gamma-limit prefactor of the kernel is identically 1), bounds it by
+(the Gamma-limit prefactor of the kernel is identically 1), read off the
+solve's own tail integral int_r^1 K_mu(|n|s) z(s) ds/s at r = grid[0] (for
+n = 0, off the outer integral of the double quadrature at r = 1), bounds it by
 C |n|^(-dpp-2) ||z|| with C^2 = int_0^inf K_mu^2(s) s^(2 dpp + 4) ds/s, and
 enumerates the obstruction modes e^{in theta} built from (K_0, K_1) against
 a closed-and-coclosed link 2-form, two per nonzero Fourier mode.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -119,12 +121,15 @@ class ModeProblem:
         if np.any(z[g > self.support_max] != 0.0):
             raise ValueError("rhs does not vanish beyond its support record")
 
+    @cached_property
+    def _rhs_spline(self) -> CubicSpline:
+        return CubicSpline(np.log(self.grid), self.rhs)
+
     def rhs_at(self, s: np.ndarray) -> np.ndarray:
         if self.rhs_fn is not None:
             vals = np.asarray(self.rhs_fn(s), dtype=float)
         else:
-            spline = CubicSpline(np.log(self.grid), self.rhs)
-            vals = spline(np.log(s))
+            vals = self._rhs_spline(np.log(s))
         return np.where(s > self.support_max, 0.0, vals)
 
 
@@ -153,32 +158,56 @@ def _interval_nodes(grid: np.ndarray):
     return np.exp(nodes), weights
 
 
-def solve_mode(problem: ModeProblem) -> np.ndarray:
-    """Particular solution on the grid; homogeneous constants are zero."""
+def _rhs_nodes(problem: ModeProblem):
+    """Gauss nodes, weights and the rhs sampled there, shaped (intervals, 8)."""
+    s_nodes, w = _interval_nodes(problem.grid)
+    z_nodes = problem.rhs_at(s_nodes.ravel()).reshape(s_nodes.shape)
+    return s_nodes, w, z_nodes
+
+
+def _kz_sums(problem: ModeProblem, s_nodes, z_nodes, w) -> np.ndarray:
+    """Per-interval Gauss sums of K_mu(|n|s) z(s) ds/s."""
+    K_nodes = bessel_k(problem.mu, (abs(problem.n) * s_nodes).ravel())
+    return np.sum(K_nodes.reshape(s_nodes.shape) * z_nodes * w, axis=1)
+
+
+def _solve(problem: ModeProblem):
+    """(y, c, I_mu(|n| grid)): the solution, its captured coefficient, the I row.
+
+    c is the solve's tail integral at grid[0] over |n| for n != 0 and the
+    double quadrature's outer integral at r = 1 for n = 0 (no I row then).
+    """
     n, mu, grid = problem.n, problem.mu, problem.grid
     if n == 0 and mu == 0.0:
         raise UnsupportedMode("n = 0, mu = 0 is not invertible in this family")
-    s_nodes, w = _interval_nodes(grid)
-    z_nodes = problem.rhs_at(s_nodes.ravel()).reshape(s_nodes.shape)
+    s_nodes, w, z_nodes = _rhs_nodes(problem)
+    i_grid = None
     if n != 0:
         a = abs(n)
-        K_nodes = bessel_k(mu, (a * s_nodes).ravel()).reshape(s_nodes.shape)
+        kz = _kz_sums(problem, s_nodes, z_nodes, w)
         I_nodes = bessel_i(mu, (a * s_nodes).ravel()).reshape(s_nodes.shape)
-        kz = np.sum(K_nodes * z_nodes * w, axis=1)
         iz = np.sum(I_nodes * z_nodes * w, axis=1)
         # int_r^1 K z du at grid points (grid[-1] = support side)
         tail = np.concatenate([np.cumsum(kz[::-1])[::-1], [0.0]])
         head = np.concatenate([[0.0], np.cumsum(iz)])
-        y = (-bessel_i(mu, a * grid) * tail - bessel_k(mu, a * grid) * head)
+        i_grid = bessel_i(mu, a * grid)
+        y = (-i_grid * tail - bessel_k(mu, a * grid) * head)
+        c = tail[0] / a
     else:
         # inner G(s) = int_0^s t^mu z dt/t, then y = r^mu int_0^r G s^-2mu ds/s
         G_nodes, G_grid = _inner_cumulative(problem, s_nodes, z_nodes, w)
         hz = np.sum(G_nodes * s_nodes ** (-2.0 * mu) * w, axis=1)
         H = np.concatenate([[0.0], np.cumsum(hz)])
         y = grid ** mu * H
+        c = H[-1]
     if not np.all(np.isfinite(y)):
         raise QuadratureFailure("non-finite quadrature output")
-    return y
+    return y, float(c), i_grid
+
+
+def solve_mode(problem: ModeProblem) -> np.ndarray:
+    """Particular solution on the grid; homogeneous constants are zero."""
+    return _solve(problem)[0]
 
 
 def _inner_cumulative(problem: ModeProblem, s_nodes, z_nodes, w):
@@ -204,6 +233,11 @@ def _inner_cumulative(problem: ModeProblem, s_nodes, z_nodes, w):
     return G_grid[:-1, None] + seg, G_grid
 
 
+def _log_second_difference(y: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order (r d/dr)^2 y at y[2:-2] on a log grid of step h."""
+    return (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h * h)
+
+
 def operator_residual(problem: ModeProblem, y: np.ndarray) -> float:
     """max |((r d/dr)^2 - (n^2 r^2 + mu^2)) y - z| / (1 + sup|z|), interior.
 
@@ -213,20 +247,12 @@ def operator_residual(problem: ModeProblem, y: np.ndarray) -> float:
     h = u[1] - u[0]
     if np.max(np.abs(np.diff(u) - h)) > 1e-9 * h:
         raise ValueError("operator_residual requires a uniform log grid")
-    d2 = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h * h)
+    d2 = _log_second_difference(y, h)
     mid = slice(2, -2)
     r = problem.grid[mid]
     lhs = d2 - (problem.n ** 2 * r ** 2 + problem.mu ** 2) * y[mid]
     return float(np.max(np.abs(lhs - problem.rhs[mid])) /
                  (1.0 + np.max(np.abs(problem.rhs))))
-
-
-def _kz_integral(problem: ModeProblem) -> float:
-    """int_0^1 K_mu(|n|s) z(s) ds/s by per-interval Gauss-Legendre."""
-    s_nodes, w = _interval_nodes(problem.grid)
-    z_nodes = problem.rhs_at(s_nodes.ravel()).reshape(s_nodes.shape)
-    K_nodes = bessel_k(problem.mu, (abs(problem.n) * s_nodes).ravel())
-    return float(np.sum(K_nodes.reshape(s_nodes.shape) * z_nodes * w))
 
 
 def split_solution(problem: ModeProblem, delta_p: float,
@@ -242,40 +268,40 @@ def split_solution(problem: ModeProblem, delta_p: float,
     if not (-mu < delta_p < mu < delta_pp):
         raise WeightOrderViolation(
             f"need -mu < delta' < mu < delta'', got ({delta_p}, {mu}, {delta_pp})")
-    y = solve_mode(problem)
+    y, c_low, i_grid = _solve(problem)
     grid = problem.grid
     if problem.n != 0:
         a = abs(problem.n)
-        c_low = _kz_integral(problem) / a
-        y_low = -bessel_i(mu, a * grid) * smooth_cutoff(2.0 * a * grid) * a * c_low
+        y_low = -i_grid * smooth_cutoff(2.0 * a * grid) * a * c_low
         reg = (abs(problem.n + 0.5) / a) ** mu * c_low
     else:
-        s_nodes, w = _interval_nodes(grid)
-        z_nodes = problem.rhs_at(s_nodes.ravel()).reshape(s_nodes.shape)
-        G_nodes, _ = _inner_cumulative(problem, s_nodes, z_nodes, w)
-        c_low = float(np.sum(G_nodes * s_nodes ** (-2.0 * mu) * w))
         y_low = smooth_cutoff(2.0 * grid) * grid ** mu * c_low
         reg = 0.5 ** mu * c_low
     y_high = y - y_low
     shells = _shell_norms(grid, y_high, delta_pp)
-    return SplitSolution(y=y, c_low=float(c_low), y_high=y_high,
+    return SplitSolution(y=y, c_low=c_low, y_high=y_high,
                          delta_pp=delta_pp, c_low_regularized=float(reg),
                          shell_norms=shells)
+
+
+def _shell_norm(grid: np.ndarray, w: np.ndarray, vals: np.ndarray,
+                delta: float, lo: float, hi: float) -> float:
+    """delta-weighted L2 norm of vals on [lo, hi); w is the log-r weight."""
+    mask = (grid >= lo) & (grid < hi)
+    return math.sqrt(float(np.sum(
+        (grid[mask] ** (-delta) * vals[mask]) ** 2 * w[mask])))
 
 
 def _shell_norms(grid: np.ndarray, vals: np.ndarray, delta: float,
                  shells: int = 16) -> np.ndarray:
     """Weighted L2 norms on dyadic shells [2^-k-1, 2^-k] descending to 0."""
-    u = np.log(grid)
-    w = np.gradient(u)
+    w = np.gradient(np.log(grid))
     out = []
     for k in range(shells):
         lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
-        mask = (grid >= lo) & (grid < hi)
-        if not mask.any():
+        if not np.any((grid >= lo) & (grid < hi)):
             break
-        out.append(math.sqrt(float(np.sum(
-            (grid[mask] ** (-delta) * vals[mask]) ** 2 * w[mask]))))
+        out.append(_shell_norm(grid, w, vals, delta, lo, hi))
     return np.array(out)
 
 
@@ -299,10 +325,11 @@ def coefficient_bound_check(problem: ModeProblem,
     if 2.0 * delta_pp + 4.0 <= 2.0 * mu:
         raise DivergentConstant(
             f"2 dpp + 4 = {2 * delta_pp + 4} <= 2 mu = {2 * mu}")
-    c = abs(_kz_integral(problem)) / abs(problem.n)
+    s_nodes, w, z_nodes = _rhs_nodes(problem)
+    # the same sums, in the same order, as the solve's tail integral at grid[0]
+    kz = _kz_sums(problem, s_nodes, z_nodes, w)
+    c = abs(float(np.cumsum(kz[::-1])[-1])) / abs(problem.n)
     C2 = _bound_constant_sq(mu, delta_pp)
-    s_nodes, w = _interval_nodes(problem.grid)
-    z_nodes = problem.rhs_at(s_nodes.ravel()).reshape(s_nodes.shape)
     znorm = math.sqrt(float(np.sum(
         (s_nodes ** (-(delta_pp + 2.0)) * z_nodes) ** 2 * w)))
     bound = math.sqrt(C2) * abs(problem.n) ** (-delta_pp - 2.0) * znorm
@@ -330,8 +357,7 @@ class ObstructionMode:
 def _scaled_ode_residual(grid: np.ndarray, y: np.ndarray, a: float,
                          mu: float) -> float:
     u = np.log(grid)
-    h = u[1] - u[0]
-    d2 = (-y[:-4] + 16 * y[1:-3] - 30 * y[2:-2] + 16 * y[3:-1] - y[4:]) / (12 * h * h)
+    d2 = _log_second_difference(y, u[1] - u[0])
     r = grid[2:-2]
     coeff = a * a * r * r + mu * mu
     resid = d2 - coeff * y[2:-2]
@@ -391,13 +417,10 @@ def no_decaying_kernel_check(mu_hat: float, delta: float,
     weight = delta + 2.0  # hat-modes carry the built-in r^-2
     i_vals = bessel_i(order, grid)
     k_vals = bessel_k(order, grid)
-    u = np.log(grid)
-    w = np.gradient(u)
+    w = np.gradient(np.log(grid))
 
     def shell(vals, lo, hi):
-        mask = (grid >= lo) & (grid < hi)
-        return math.sqrt(float(np.sum(
-            (grid[mask] ** (-weight) * vals[mask]) ** 2 * w[mask])))
+        return _shell_norm(grid, w, vals, weight, lo, hi)
 
     top = [shell(i_vals, 2.0 ** k, 2.0 ** (k + 1)) for k in range(1, 5)]
     i_diverges = all(b > a for a, b in zip(top, top[1:])) and top[-1] > 10 * top[0]

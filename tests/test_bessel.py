@@ -142,6 +142,27 @@ def test_scipy_cross_check_sweep():
         assert np.max(np.abs(bs.bessel_k(mu, x) / special.kv(mu, x) - 1)) < 2e-11
 
 
+def test_k_pointwise_cutoff():
+    # the quadrature cutoff is chosen per binary octave, so a point's value
+    # does not depend on which other points share its batch
+    for mu in (0.0, 1.0, 0.7, 2.3):
+        x = np.geomspace(1e-8, bs.switchover(mu), 400, endpoint=False)
+        batch = bs.bessel_k(mu, x)
+        single = np.array([bs.bessel_k(mu, float(v)) for v in x])
+        assert np.max(np.abs(batch / single - 1.0)) <= 1e-15
+    # and stays within the scipy tolerance on the 16k Gauss nodes of the
+    # default 2048-point edge grid, scaled by |n|
+    u = np.log(np.geomspace(1e-8, 1.0, 2048))
+    gl, _ = np.polynomial.legendre.leggauss(8)
+    nodes = np.exp(0.5 * (u[1:] + u[:-1])[:, None]
+                   + 0.5 * np.diff(u)[:, None] * gl[None, :]).ravel()
+    for mu in (0.0, 1.0, 0.7, 2.3):
+        for n in (1, 50):
+            x = n * nodes
+            assert np.max(np.abs(bs.bessel_k(mu, x) / special.kv(mu, x)
+                                 - 1.0)) < 2e-11
+
+
 def test_integer_limit_matches_log_series_and_quadrature():
     # the two-sided eps-limit against the log-series oracle
     for x in (0.05, 0.2, 0.6, 0.9):

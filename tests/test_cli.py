@@ -171,3 +171,49 @@ def test_edge_solve_and_split_cli(tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["coefficient_bound"]["lhs"] <= doc["coefficient_bound"]["rhs"]
+
+
+EDGE_ARGS = {"solve": ["edge", "solve", "--n", "2", "--mu", "1.0"],
+             "split": ["edge", "split", "--n", "2", "--mu", "1.0",
+                       "--delta-p", "0.5", "--delta-pp", "1.5"]}
+
+
+def _rhs_rows():
+    from _manufactured import bump
+    grid = edge.log_grid(1e-6, 1.0, 512)
+    return [f"{r:.17g},{v:.17g}" for r, v in zip(grid, bump(0.25, 0.5)(grid))]
+
+
+def test_edge_rhs_without_data_rows_exits_2(tmp_path):
+    rhs = tmp_path / "rhs.csv"
+    rhs.write_text("r,z\n")
+    for cmd in ("solve", "split"):
+        code, out, err = run(EDGE_ARGS[cmd] + ["--rhs", str(rhs)])
+        assert code == 2
+        assert err.startswith("error:") and "no data rows" in err
+
+
+@pytest.mark.parametrize("bad", ["oops,1.0", "0.3", "r,z"])
+@pytest.mark.parametrize("cmd", ["solve", "split"])
+def test_edge_rhs_bad_row_after_line_1_exits_2(tmp_path, bad, cmd):
+    # a row after the header that is short or does not parse is an input
+    # error, never silently dropped
+    rows = _rhs_rows()
+    rows.insert(100, bad)
+    rhs = tmp_path / "rhs.csv"
+    rhs.write_text("r,z\n" + "\n".join(rows) + "\n")
+    code, out, err = run(EDGE_ARGS[cmd] + ["--rhs", str(rhs)])
+    assert code == 2
+    assert err.startswith("error:") and "line 102" in err
+
+
+def test_edge_rhs_header_optional(tmp_path):
+    rows = _rhs_rows()
+    with_header = tmp_path / "with.csv"
+    with_header.write_text("r,z\n" + "\n".join(rows) + "\n")
+    without = tmp_path / "without.csv"
+    without.write_text("\n".join(rows) + "\n")
+    a = run(EDGE_ARGS["solve"] + ["--rhs", str(with_header)])
+    b = run(EDGE_ARGS["solve"] + ["--rhs", str(without)])
+    assert a[0] == b[0] == 0
+    assert a[1] == b[1]

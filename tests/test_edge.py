@@ -180,6 +180,47 @@ def test_split_n0_variant():
     assert np.allclose(y_low[mask], COARSE[mask] ** mu * sol.c_low)
 
 
+@pytest.mark.parametrize("n,mu", [(1, 0.7), (2, 1.0), (-5, 1.5), (23, 2.3)])
+def test_captured_coefficient_matches_bound_check(n, mu):
+    # c_low comes from the solve's tail integral; the bound check's |c| is
+    # the same integral and must agree with it
+    prob = make_problem(n, mu, bump(0.2, 0.7), support=0.7)
+    sol = edge.split_solution(prob, 0.5 * mu, mu + 0.5)
+    c, _ = edge.coefficient_bound_check(prob, mu + 0.5)
+    assert c > 0.0
+    assert abs(sol.c_low) == pytest.approx(c, rel=1e-12)
+
+
+def test_rhs_sampled_once_per_call(monkeypatch):
+    # the rhs callable is sampled once at the Gauss nodes per bound check,
+    # and a sampled rhs is fitted by one spline per problem
+    calls = []
+    zf = bump(0.25, 0.5)
+
+    def zfn(x):
+        calls.append(np.size(x))
+        return zf(x)
+
+    prob = make_problem(3, 1.0, zfn, support=0.5)
+    calls.clear()
+    edge.coefficient_bound_check(prob, 1.5)
+    assert calls == [(COARSE.size - 1) * 8]
+
+    fits = []
+    real = edge.CubicSpline
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(edge, "CubicSpline", counting)
+    sampled = edge.ModeProblem(n=3, mu=1.0, grid=COARSE, rhs=zf(COARSE),
+                               support_max=0.5)
+    edge.split_solution(sampled, 0.5, 1.5)
+    edge.coefficient_bound_check(sampled, 1.5)
+    assert len(fits) == 1
+
+
 def test_coefficient_bound_zero():
     prob = make_problem(2, 1.0, lambda x: np.zeros_like(np.asarray(x)),
                         support=0.5)
