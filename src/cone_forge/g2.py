@@ -1,8 +1,7 @@
 """Constant-coefficient exterior algebra on R^7 for 3-form geometry.
 
 A k-form is stored as a coefficient vector over the increasing k-tuples of
-{0,...,6} in lexicographic order (the index convention for JSON output uses
-the same order with 1-based triples).  The distinguished 3-form
+{0,...,6} in lexicographic order.  The distinguished 3-form
 
     phi0 = e123 + e145 + e167 + e246 - e257 - e347 - e356
 
@@ -14,7 +13,6 @@ pure functions of dense numpy arrays.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,8 +39,6 @@ __all__ = [
     "linearization_residual",
     "g2_lie_algebra_basis",
     "random_unit_3form",
-    "form_to_json",
-    "form_from_json",
 ]
 
 
@@ -310,7 +306,9 @@ def g2_lie_algebra_basis() -> np.ndarray:
     rows = np.stack([wedge(np.eye(21)[c], 2, star_phi, 4) for c in range(21)])
     _, s, vt = np.linalg.svd(rows.T, full_matrices=True)
     null = vt[np.sum(s > 1e-10):]
-    assert null.shape[0] == 14
+    if null.shape[0] != 14:
+        raise RuntimeError(f"g2 null space has dimension {null.shape[0]}, "
+                           "not 14")
     return null
 
 
@@ -326,16 +324,3 @@ def two_form_to_matrix(a: np.ndarray) -> np.ndarray:
 def random_unit_3form(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(35)
     return v / np.linalg.norm(v)
-
-
-def form_to_json(coeffs: np.ndarray) -> str:
-    """Serialize as a JSON array over increasing index tuples (lex order)."""
-    return json.dumps([float(x) for x in coeffs])
-
-
-def form_from_json(text: str, k: int = 3) -> np.ndarray:
-    arr = np.asarray(json.loads(text), dtype=float)
-    if arr.shape != (form_dim(k),):
-        raise ValueError(f"expected {form_dim(k)} coefficients for a "
-                         f"{k}-form, got {arr.shape}")
-    return arr

@@ -13,16 +13,24 @@ certify the two Diophantine obstructions of the handcrafted gluing: the
 (-2)-class system reduces to -36 b^2 + 4 c^2 = -2 (impossible mod 4) and the
 elliptic-class system forces 4c = 2 (no integer solution).
 
-Everything runs on Python integers (exact, arbitrary size); rationals enter
-only through span computations and are carried as Fraction.
+Everything is exact and runs on two cores.  Integer systems go through one
+row Hermite form H = U [M^T | I] (Cohen, *A Course in Computational
+Algebraic Number Theory*, section 2.4): forward substitution on its echelon
+rows decides M x = d over Z and gives a particular solution, its remaining
+rows are a saturated kernel basis in echelon form, and the same routine
+decides M x = d mod m for the linear certificates.  Rational questions
+(determinant, signature, a positive-square direction) go through one
+symmetric congruence diagonalization P^T G P = diag carried as Fraction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -86,54 +94,58 @@ class GramLattice:
         return all(self.gram[i, i] % 2 == 0 for i in range(self.rank))
 
     def determinant(self) -> int:
-        return _bareiss_det(self.gram)
+        """Product of the diagonalization pivots; 0 when one is missing."""
+        pivots = self._pivots
+        return int(math.prod(pivots)) if len(pivots) == self.rank else 0
 
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia by exact rational diagonalization."""
-        n = self.rank
-        A = [[Fraction(int(self.gram[i, j])) for j in range(n)] for i in range(n)]
-        pos = neg = 0
-        for k in range(n):
-            if A[k][k] == 0:
+        pos = sum(p > 0 for p in self._pivots)
+        return pos, len(self._pivots) - pos
+
+    @cached_property
+    def _pivots(self) -> list:
+        # determinant and signature share one diagonalization per lattice
+        return [piv for piv, _ in _congruence_diagonalization(self.gram)]
+
+
+def _congruence_diagonalization(G):
+    """Yield (pivot, column of P) for each nonzero pivot of P^T G P = diag.
+
+    A zero diagonal entry is swapped for a later nonzero one; only when every
+    remaining diagonal entry is zero is a row and column j with A[k][j] != 0
+    added, which makes the pivot 2 A[k][j].  A step whose remaining row is
+    zero has no pivot.  Swaps, additions and eliminations have determinant
+    +-1, so det G is the product of the pivots when all n are present.
+    """
+    n = len(G)
+    A = [[Fraction(int(x)) for x in row] for row in G]
+    P = [[Fraction(int(i == j)) for i in range(n)]  # P[j] is column j
+         for j in range(n)]
+    for k in range(n):
+        if A[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if A[j][j] != 0), None)
+            if j is not None:
+                A[k], A[j] = A[j], A[k]
+                for row in A:
+                    row[k], row[j] = row[j], row[k]
+                P[k], P[j] = P[j], P[k]
+            else:
                 j = next((j for j in range(k + 1, n) if A[k][j] != 0), None)
                 if j is None:
                     continue
-                for i in range(n):  # symmetric row/col addition fixes the pivot
-                    A[k][i] += A[j][i]
-                for i in range(n):
-                    A[i][k] += A[i][j]
-                if A[k][k] == 0:
-                    continue
-            piv = A[k][k]
-            pos, neg = (pos + 1, neg) if piv > 0 else (pos, neg + 1)
-            for i in range(k + 1, n):
-                f = A[i][k] / piv
-                if f == 0:
-                    continue
-                for j in range(n):
-                    A[i][j] -= f * A[k][j]
-                for j in range(n):
-                    A[j][i] -= f * A[j][k]
-        return pos, neg
-
-
-def _bareiss_det(M: np.ndarray) -> int:
-    n = M.shape[0]
-    A = [[int(M[i, j]) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
-            if swap is None:
-                return 0
-            A[k], A[swap] = A[swap], A[k]
-            sign = -sign
+                A[k] = [a + b for a, b in zip(A[k], A[j])]
+                for row in A:
+                    row[k] += row[j]
+                P[k] = [a + b for a, b in zip(P[k], P[j])]
+        piv, Ak = A[k][k], A[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+            f = A[i][k] / piv
+            if f:  # Schur complement: the trailing block stays symmetric
+                A[i][k + 1:] = [a - f * b for a, b in
+                                zip(A[i][k + 1:], Ak[k + 1:])]
+                P[i] = [a - f * b for a, b in zip(P[i], P[k])]
+        yield piv, P[k]
 
 
 def build_k3_lattice() -> GramLattice:
@@ -149,9 +161,10 @@ def build_k3_lattice() -> GramLattice:
         g[at:at + k, at:at + k] = b
         at += k
     L = GramLattice(gram=g)
-    assert L.rank == 22 and L.is_even()
-    assert abs(L.determinant()) == 1
-    assert L.signature() == (3, 19)
+    if not (L.rank == 22 and L.is_even() and abs(L.determinant()) == 1
+            and L.signature() == (3, 19)):
+        raise RuntimeError("2(-E8) + 3U fails rank 22, evenness, "
+                           "|det| = 1 or signature (3, 19)")
     return L
 
 
@@ -202,7 +215,8 @@ def matching_embedding(L: GramLattice | None = None) -> EmbeddingRecord:
     expected = _as_object_matrix([[-2, 1, 0], [1, 4, 0], [0, 0, 4]])
     got = np.array([[pairing(L, a, b) for b in images] for a in images],
                    dtype=object)
-    assert (got == expected).all(), "embedding Gram mismatch"
+    if not (got == expected).all():
+        raise RuntimeError("embedding Gram mismatch")
     return EmbeddingRecord(source_gram=expected, images=images,
                            labels=("pi", "kplus", "kminus"))
 
@@ -224,130 +238,64 @@ class SearchResult:
     reduced_quadratic: tuple  # (Q, linear, constant) in the free variables
 
 
-def _solve_linear_system(M, d):
-    """Integer solutions of M x = d: (particular, kernel basis) or a modulus
-    certificate when none exist."""
-    M = [[int(x) for x in row] for row in M]
-    d = [int(x) for x in d]
-    rows, cols = len(M), len(M[0]) if M else 0
-    # rational RREF for a particular solution
-    A = [[Fraction(M[i][j]) for j in range(cols)] + [Fraction(d[i])]
-         for i in range(rows)]
-    piv_cols = []
-    rr = 0
-    for c in range(cols):
-        piv = next((i for i in range(rr, rows) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[rr], A[piv] = A[piv], A[rr]
-        A[rr] = [x / A[rr][c] for x in A[rr]]
-        for i in range(rows):
-            if i != rr and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[rr])]
-        piv_cols.append(c)
-        rr += 1
-    for i in range(rr, rows):
-        if A[i][cols] != 0:
-            return None, None, _linear_unsat_modulus(M, d)
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = A[i][cols]
-    if any(xi.denominator != 1 for xi in x):
-        # rational but non-integral particular solution in RREF coordinates:
-        # integrality must be decided on the solution lattice itself
-        part = _integral_particular(M, d)
-        if part is None:
-            return None, None, _linear_unsat_modulus(M, d)
-        x = [Fraction(v) for v in part]
-    kernel = integer_kernel(_as_object_matrix(M) if rows else
-                            np.zeros((0, cols), dtype=object))
-    return [int(v) for v in x], kernel, None
+def _solve_linear_system(M: np.ndarray, d):
+    """Integer solutions of M x = d: (particular or None, kernel basis).
+
+    One Hermite form H = U [M^T | I].  Writing x^T = y^T U turns the system
+    into y^T E = d^T with E = U M^T in echelon form, so forward substitution
+    on E's pivot rows fixes y there; an inexact division or a nonzero
+    remainder means no integer solution.  The rows of U beside E's zero rows
+    are a saturated kernel basis, in echelon form.
+    """
+    r, k = M.shape
+    H = _hermite_form(np.concatenate([M.T, np.eye(k, dtype=object)], axis=1))
+    rank = sum(1 for row in H if any(row[:r]))
+    kernel = [row[r:].copy() for row in H[rank:]]
+    rest = [int(v) for v in d]
+    x = np.zeros(k, dtype=object)
+    for row in H[:rank]:
+        c = next(c for c in range(r) if row[c] != 0)
+        q, rem = divmod(rest[c], int(row[c]))
+        if rem:
+            return None, kernel
+        rest = [a - q * int(b) for a, b in zip(rest, row[:r])]
+        x += q * row[r:]
+    return (None if any(rest) else x), kernel
 
 
-def _integral_particular(M, d):
-    """Integer particular solution by bounded search (ranks here are <= 3)."""
-    rows, cols = len(M), len(M[0])
-    if cols <= 3:
-        for cand in _box(range(-8, 9), cols):
-            if all(sum(M[i][j] * cand[j] for j in range(cols)) == d[i]
-                   for i in range(rows)):
-                return list(cand)
-    return None
+def _hermite_form(A: np.ndarray) -> np.ndarray:
+    """Row echelon form U A, U unimodular, by Euclidean row steps.
 
-
-def _box(rng, k):
-    if k == 1:
-        for a in rng:
-            yield (a,)
-    else:
-        for a in rng:
-            for rest in _box(rng, k - 1):
-                yield (a,) + rest
-
-
-def _linear_unsat_modulus(M, d, max_mod: int = 64):
-    """Smallest modulus certifying M x = d unsolvable, by enumeration."""
-    cols = len(M[0]) if M else 0
-    for m in range(2, max_mod + 1):
-        ok = False
-        for cand in _box(range(m), cols):
-            if all(sum(M[i][j] * cand[j] for j in range(cols)) % m
-                   == d[i] % m for i in range(len(M))):
-                ok = True
-                break
-        if not ok:
-            return m
-    return None
-
-
-def _hermite_form(A: np.ndarray):
-    """Row Hermite normal form H = U A with U unimodular (integer rows)."""
+    Pivots are made positive; entries above a pivot are not reduced.
+    """
     A = A.copy()
     rows, cols = A.shape
-    U = np.eye(rows, dtype=object)
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if A[i, c] != 0:
-                piv = i
-                break
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if A[i, c] != 0), None)
         if piv is None:
             continue
         A[[r, piv]] = A[[piv, r]]
-        U[[r, piv]] = U[[piv, r]]
         while True:
             nz = [i for i in range(r + 1, rows) if A[i, c] != 0]
             if not nz:
                 break
             for i in nz:
-                q = A[i, c] // A[r, c]
-                A[i] = A[i] - q * A[r]
-                U[i] = U[i] - q * U[r]
+                A[i] = A[i] - (A[i, c] // A[r, c]) * A[r]
                 if A[i, c] != 0 and abs(A[i, c]) < abs(A[r, c]):
                     A[[r, i]] = A[[i, r]]
-                    U[[r, i]] = U[[i, r]]
         if A[r, c] < 0:
             A[r] = -A[r]
-            U[r] = -U[r]
         r += 1
-        if r == rows:
-            break
-    return A, U
+    return A
 
 
 def integer_kernel(A: np.ndarray) -> list[np.ndarray]:
     """Saturated basis of {x integer : A x = 0}, via HNF of [A^T | I]."""
     A = _as_object_matrix(A)
-    m, n = A.shape
-    stacked = np.concatenate([A.T, np.eye(n, dtype=object)], axis=1)
-    H, _ = _hermite_form(stacked)
-    kernel = []
-    for row in H:
-        if all(x == 0 for x in row[:m]) and any(x != 0 for x in row[m:]):
-            kernel.append(row[m:].copy())
-    return kernel
+    return _solve_linear_system(A, [0] * A.shape[0])[1]
 
 
 def orthogonal_complement(L: GramLattice, vectors) -> list[np.ndarray]:
@@ -356,8 +304,9 @@ def orthogonal_complement(L: GramLattice, vectors) -> list[np.ndarray]:
         return [row.copy() for row in np.eye(L.rank, dtype=object)]
     rows = [(_as_vector(v, L.rank) @ L.gram) for v in vectors]
     basis = integer_kernel(np.array(rows, dtype=object))
-    for b in basis:
-        assert all((_as_vector(v, L.rank) @ L.gram @ b) == 0 for v in vectors)
+    if any((_as_vector(v, L.rank) @ L.gram @ b) != 0
+           for b in basis for v in vectors):
+        raise RuntimeError("complement basis vector pairs nonzero")
     return basis
 
 
@@ -369,7 +318,9 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
     Substitutes the linear constraints into the quadratic exactly, tries
     modulus certificates up to max_modulus, and enumerates coefficient
     tuples with |coeff| <= bound.  When a certificate is found the
-    enumeration is guaranteed empty; both are reported.
+    enumeration is guaranteed empty; both are reported.  Linear constraints
+    without an integer solution give the smallest m <= max_modulus with none
+    mod m, or modulus 0 when every such m has one.
     """
     if L is None:
         L = build_k3_lattice()
@@ -378,27 +329,26 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
     span = [_as_vector(v, L.rank) for v in span]
     k = len(span)
     Q = [[int(pairing(L, a, b)) for b in span] for a in span]
-    M = [[int(pairing(L, s, _as_vector(w, L.rank))) for s in span]
-         for w, _ in dot_constraints]
+    M = np.array([[int(pairing(L, s, _as_vector(w, L.rank))) for s in span]
+                  for w, _ in dot_constraints],
+                 dtype=object).reshape(len(dot_constraints), k)
     d = [int(val) for _, val in dot_constraints]
 
-    if M:
-        part, kernel, bad_mod = _solve_linear_system(M, d)
-        if part is None:
-            cert = UnsatCertificate(
-                modulus=bad_mod if bad_mod is not None else 0,
-                lhs_residues=(), rhs_residue=0,
-                reduced_form="linear constraints unsolvable over Z")
-            return SearchResult(solutions=(), certificate=cert,
-                                reduced_quadratic=((), (), 0))
-    else:
-        part = [0] * k
-        kernel = [row.copy() for row in np.eye(k, dtype=object)]
+    x0, kernel = _solve_linear_system(M, d)
+    if x0 is None:
+        eye = np.eye(len(d), dtype=object)
+        modulus = next((m for m in range(2, max_modulus + 1)
+                        if _solve_linear_system(np.concatenate(
+                            [M, m * eye], axis=1), d)[0] is None), 0)
+        cert = UnsatCertificate(
+            modulus=modulus, lhs_residues=(), rhs_residue=0,
+            reduced_form="linear constraints unsolvable over Z")
+        return SearchResult(solutions=(), certificate=cert,
+                            reduced_quadratic=((), (), 0))
 
     f = len(kernel)
     Z = np.array(kernel, dtype=object).T if f else np.zeros((k, 0), dtype=object)
     Qm = np.array(Q, dtype=object)
-    x0 = np.array(part, dtype=object)
     Qr = (Z.T @ Qm @ Z) if f else np.zeros((0, 0), dtype=object)
     lin = (2 * (x0 @ Qm @ Z)) if f else np.zeros(0, dtype=object)
     const = int(x0 @ Qm @ x0)
@@ -406,7 +356,7 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
     cert = None
     for m in range(2, max_modulus + 1):
         attainable = set()
-        for t in _box(range(m), f) if f else [()]:
+        for t in itertools.product(range(m), repeat=f):
             val = const
             for i in range(f):
                 val += lin[i] * t[i]
@@ -421,8 +371,9 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
             break
 
     solutions = tuple(_enumerate(Qm, x0, Z, Qr, lin, const, square, bound))
-    if cert is not None:
-        assert not solutions
+    if cert is not None and solutions:
+        raise RuntimeError(f"mod-{cert.modulus} certificate contradicts "
+                           f"the found solution {solutions[0]}")
     return SearchResult(solutions=solutions, certificate=cert,
                         reduced_quadratic=(Qr, lin, const))
 
@@ -461,10 +412,16 @@ def _enumerate(Qm, x0, Z, Qr, lin, const, square, bound):
         if int(x @ Qm @ x) == square and all(abs(int(c)) <= bound for c in x):
             yield tuple(int(c) for c in x)
         return
-    # conservative per-variable ranges from an invertible f x f minor of Z
-    rowsel = _independent_rows(Z)
-    sub = np.array([[Fraction(int(Z[i, j])) for j in range(f)] for i in rowsel])
-    inv = _fraction_inv(sub)
+    # Z's columns are echelon kernel rows, so the rows of Z at their pivots
+    # form a lower-triangular f x f minor T; with t = T^-1 (x - x0) on those
+    # rows, |t_i| <= sum_j |T^-1_ij| (bound + max |x0|) bounds each variable
+    pivots = [next(i for i in range(k) if Z[i, j] != 0) for j in range(f)]
+    T = [[Fraction(int(Z[p, j])) for j in range(f)] for p in pivots]
+    inv = [[Fraction(0)] * f for _ in range(f)]
+    for a in range(f):  # forward substitution on T inv = I
+        for j in range(a + 1):
+            inv[a][j] = ((a == j) - sum(T[a][b] * inv[b][j]
+                                        for b in range(j, a))) / T[a][a]
     max_x0 = max(abs(int(v)) for v in x0) if k else 0
     lim = [int(sum(abs(inv[i][j]) for j in range(f)) * (bound + max_x0)) + 1
            for i in range(f)]
@@ -486,16 +443,22 @@ def _enumerate(Qm, x0, Z, Qr, lin, const, square, bound):
     head_lim = max(lim[:-1])
     if (2 * head_lim + 1) ** (f - 1) > 5e7:
         raise ValueError("enumeration box too large; lower the bound")
-    for head in _box(range(-head_lim, head_lim + 1), f - 1):
+    # itertools.product stores its ranges as tuples, so the first head
+    # variable, whose range can hold 1e6 values, is looped lazily
+    rng = range(-head_lim, head_lim + 1)
+    tails = list(itertools.product(rng, repeat=f - 2))
+    Qi = [[int(v) for v in row] for row in Qr]
+    li = [int(v) for v in lin]
+    a = Qi[f - 1][f - 1]
+    for head in ((h,) + tail for h in rng for tail in tails):
         if any(abs(h) > lim[i] for i, h in enumerate(head)):
             continue
-        a = int(Qr[f - 1, f - 1])
-        b = int(lin[f - 1]) + sum(int(Qr[f - 1, j] + Qr[j, f - 1]) * head[j]
-                                  for j in range(f - 1))
-        c0 = const - square + sum(int(lin[j]) * head[j] for j in range(f - 1))
+        b = li[f - 1] + sum((Qi[f - 1][j] + Qi[j][f - 1]) * head[j]
+                            for j in range(f - 1))
+        c0 = const - square + sum(li[j] * head[j] for j in range(f - 1))
         for i in range(f - 1):
             for j in range(f - 1):
-                c0 += int(Qr[i, j]) * head[i] * head[j]
+                c0 += Qi[i][j] * head[i] * head[j]
         for t_last in _quad_int_roots(a, b, c0, lim[f - 1]):
             ok, x = coeffs_ok(head + (t_last,))
             if ok:
@@ -517,56 +480,6 @@ def _quad_int_roots(a, b, c, lim):
         if num % (2 * a) == 0 and abs(num // (2 * a)) <= lim:
             out.append(num // (2 * a))
     return sorted(set(out))
-
-
-def _independent_rows(Z):
-    f = Z.shape[1]
-    chosen = []
-    rows = []
-    for i in range(Z.shape[0]):
-        cand = rows + [[Fraction(int(x)) for x in Z[i]]]
-        if _fraction_rank(cand) == len(cand):
-            rows = cand
-            chosen.append(i)
-            if len(chosen) == f:
-                break
-    return chosen
-
-
-def _fraction_rank(rows):
-    A = [row[:] for row in rows]
-    m = len(A)
-    if m == 0:
-        return 0
-    n = len(A[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c] != 0), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        A[r] = [x / A[r][c] for x in A[r]]
-        for i in range(m):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        r += 1
-    return r
-
-
-def _fraction_inv(A: np.ndarray):
-    n = A.shape[0]
-    M = [[A[i][j] for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if M[i][c] != 0)
-        M[c], M[piv] = M[piv], M[c]
-        M[c] = [x / M[c][c] for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [row[n:] for row in M]
 
 
 @dataclass(frozen=True)
@@ -593,13 +506,14 @@ def generic_direction(L: GramLattice, T_basis, avoid, seed: int = 0,
         if all((t @ L.gram @ C) == 0 for t in T):
             raise UnavoidableHyperplane(
                 "an avoid-vector is orthogonal to the whole subspace")
-    # deterministic positive direction from exact diagonalization
+    # deterministic positive direction: the P column of the first positive
+    # pivot of the exact diagonalization
     G = np.array([[int(a @ L.gram @ b) for b in T] for a in T], dtype=object)
-    base = _positive_combination(G)
+    base = next((col for piv, col in _congruence_diagonalization(G)
+                 if piv > 0), None)
     if base is None:
         raise ValueError("span contains no positive-square vector")
     rng = random.Random(seed)
-    f = len(T)
     for trial in range(max_tries):
         scale = 1 + trial // 10
         t = [int(round(scale * 4 * c)) for c in base] if trial == 0 else [
@@ -621,37 +535,3 @@ def generic_direction(L: GramLattice, T_basis, avoid, seed: int = 0,
                                 t_coefficients=tuple(t),
                                 square=Fraction(sq), normalized=False)
     raise RuntimeError("no generic direction found; avoid set too dense?")
-
-
-def _positive_combination(G: np.ndarray):
-    """Rational coefficients c with c^T G c > 0, from Jacobi diagonalization."""
-    n = G.shape[0]
-    A = [[Fraction(int(G[i, j])) for j in range(n)] for i in range(n)]
-    # transform accumulates the congruence: diag = P^T G P, columns of P
-    P = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        if A[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if A[k][j] != 0), None)
-            if j is None:
-                continue
-            for i in range(n):
-                A[k][i] += A[j][i]
-            for i in range(n):
-                A[i][k] += A[i][j]
-            for i in range(n):
-                P[i][k] += P[i][j]
-        if A[k][k] == 0:
-            continue
-        for i in range(k + 1, n):
-            f = A[i][k] / A[k][k]
-            if f == 0:
-                continue
-            for j in range(n):
-                A[i][j] -= f * A[k][j]
-            for j in range(n):
-                A[j][i] -= f * A[j][k]
-            for j in range(n):
-                P[j][i] -= f * P[j][k]
-        if A[k][k] > 0:
-            return [P[i][k] for i in range(n)]
-    return None

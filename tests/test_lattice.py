@@ -1,8 +1,16 @@
+import itertools
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+import sympy
+from hypothesis import example, given, settings, strategies as hst
 
 from cone_forge import lattice as lat
 
@@ -18,7 +26,41 @@ def embedding(L):
 
 
 def test_e8_determinant():
-    assert lat._bareiss_det(lat.e8_cartan()) == 1
+    assert lat.GramLattice(gram=lat.e8_cartan()).determinant() == 1
+
+
+def _sympy_inertia(rows):
+    coeffs = [int(c) for c in sympy.Matrix(rows).charpoly().all_coeffs()]
+    n = len(rows)
+    mirrored = [c * (-1) ** (n - i) for i, c in enumerate(coeffs)]
+
+    def sign_changes(cs):
+        cs = [c for c in cs if c != 0]
+        return sum(a * b < 0 for a, b in zip(cs, cs[1:]))
+
+    # a symmetric matrix has only real eigenvalues, so Descartes' rule of
+    # signs counts the positive and the negative ones exactly
+    return sign_changes(coeffs), sign_changes(mirrored)
+
+
+@hst.composite
+def _symmetric_mostly_zero_diagonal(draw):
+    n = draw(hst.integers(1, 6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(hst.sampled_from([0, 0, 0, 0, 1, -1, 2, -2]))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(hst.integers(-3, 3))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_mostly_zero_diagonal())
+@example([[0, 1], [1, -2]])
+def test_determinant_and_signature_match_sympy(rows):
+    G = lat.GramLattice(gram=rows)
+    assert G.determinant() == int(sympy.Matrix(rows).det())
+    assert G.signature() == _sympy_inertia(rows)
 
 
 def test_k3_lattice_invariants(L):
@@ -129,6 +171,125 @@ def test_search_integral_solutions_behind_fractional_reduction(L):
         assert 2 * a + 3 * b == 1 and abs(a) <= 7 and abs(b) <= 7
 
 
+def _unit(i):
+    v = np.zeros(22, dtype=object)
+    v[i] = 1
+    return v
+
+
+def test_search_solutions_outside_small_box(L):
+    # 2a + 35b = 1 on the isotropic span {2 C1, 35 C1}: every integer
+    # solution has a coefficient outside [-8, 8]
+    res = lat.constrained_class_search([2 * _unit(17), 35 * _unit(17)], 0,
+                                       [(_unit(16), 1)], bound=40, L=L)
+    assert res.certificate is None
+    assert sorted(res.solutions) == [(-17, 1), (18, -1)]
+
+
+def test_search_odd_pi_constraint(embedding, L):
+    res = lat.constrained_class_search(list(embedding.images), 616,
+                                       [(embedding.images[0], -37)],
+                                       bound=20, L=L)
+    assert res.certificate is None
+    assert (19, 1, 18) in res.solutions
+    assert sorted(res.solutions) == [(10, -17, 0), (18, -1, -18),
+                                     (18, -1, 18), (19, 1, -18), (19, 1, 18)]
+
+
+def _heger_invariants(A):
+    """Rank and gcd of the maximal nonzero minors of an integer matrix."""
+    A = sympy.Matrix(A)
+    r = A.rank()
+    g = 0
+    for rows in itertools.combinations(range(A.rows), r):
+        for cols in itertools.combinations(range(A.cols), r):
+            g = math.gcd(g, int(A.extract(list(rows), list(cols)).det()))
+    return r, g
+
+
+# span and dot vectors are small combinations of pi, kplus, kminus, B1, C1
+_POOL = [np.array(v, dtype=object) for v in lat.matching_embedding().images]
+_POOL += [_unit(16), _unit(17)]
+_combination = hst.lists(hst.integers(-2, 2), min_size=5, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(span=hst.lists(_combination, min_size=1, max_size=3),
+       dots=hst.lists(_combination, max_size=3),
+       planted=hst.lists(hst.integers(-20, 20), min_size=3, max_size=3),
+       square_shift=hst.sampled_from([0, 0, 1, 2, -3]),
+       dot_shift=hst.sampled_from([0, 0, 0, 1]),
+       bound=hst.integers(1, 8))
+def test_search_matches_brute_force(L, span, dots, planted, square_shift,
+                                    dot_shift, bound):
+    """A planted solution is always found; a certificate always holds."""
+    span = [sum(c * v for c, v in zip(cs, _POOL)) for cs in span]
+    dots = [sum(c * v for c, v in zip(cs, _POOL)) for cs in dots]
+    k = len(span)
+    x = np.array(planted[:k], dtype=object)
+    Q = np.array([[int(lat.pairing(L, a, b)) for b in span] for a in span],
+                 dtype=object)
+    M = np.array([[int(lat.pairing(L, s, w)) for s in span] for w in dots],
+                 dtype=object).reshape(len(dots), k)
+    square = int(x @ Q @ x) + square_shift
+    d = [int(v) + dot_shift for v in M @ x]
+    res = lat.constrained_class_search(
+        span, square, list(zip(dots, d)), bound=bound, L=L, max_modulus=12)
+
+    def box(values):
+        """Points of values^k with their squares and constraint residuals."""
+        P = np.array(list(itertools.product(values, repeat=k)),
+                     dtype=np.int64)
+        return (P, np.einsum("pi,ij,pj->p", P, Q.astype(np.int64), P),
+                P @ M.astype(np.int64).T - np.array(d, dtype=np.int64))
+
+    P, sq, lin = box(range(-bound, bound + 1))
+    want = P[(sq == square) & (lin == 0).all(axis=1)]
+    assert sorted(res.solutions) == sorted(tuple(map(int, p)) for p in want)
+    if not (square_shift or dot_shift) and max(map(abs, x)) <= bound:
+        assert tuple(x) in res.solutions and res.certificate is None
+    cert = res.certificate
+    if cert is None:
+        return
+    assert res.solutions == ()
+    m = cert.modulus
+    if not cert.lhs_residues:  # the linear constraints alone are unsolvable
+        if m:
+            _, _, lin = box(range(m))
+            assert not (lin % m == 0).all(axis=1).any()
+        else:
+            aug = np.concatenate([M, np.array(d, dtype=object)[:, None]], 1)
+            assert _heger_invariants(M) != _heger_invariants(aug)
+        return
+    # the residues are those of the reduced form, so every integer point
+    # meeting the constraints has its square among them and the target not
+    _, sq, lin = box(range(-2 * m, 2 * m + 1))
+    assert square % m not in cert.lhs_residues
+    assert set((sq[(lin == 0).all(axis=1)] % m).tolist()) <= set(
+        cert.lhs_residues)
+
+
+def test_invariant_breach_raises_under_optimize():
+    # the certificate/solution consistency check must survive python -O
+    script = textwrap.dedent("""
+        from cone_forge import lattice as lat
+        lat._enumerate = lambda *args: iter([(1, 0, 0)])
+        L = lat.build_k3_lattice()
+        images = list(lat.matching_embedding(L).images)
+        try:
+            lat.constrained_class_search(images, -2, [(images[1], 0)],
+                                         bound=5, L=L)
+        except RuntimeError as exc:
+            print("raised:", exc)
+        """)
+    src = str(Path(lat.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "raised: mod-4 certificate contradicts" in out.stdout
+
+
 def test_orthogonal_complement_rank(embedding, L):
     basis = lat.orthogonal_complement(L, list(embedding.images))
     assert len(basis) == 19
@@ -193,6 +354,16 @@ def test_generic_direction_unavoidable(L, embedding):
     basis = lat.orthogonal_complement(L, list(embedding.images))
     with pytest.raises(lat.UnavoidableHyperplane):
         lat.generic_direction(L, basis, [embedding.images[0]], seed=0)
+
+
+def test_generic_direction_after_zero_pivot():
+    # first diagonal entry 0, and adding row 2 to row 1 would cancel it
+    toy = lat.GramLattice(gram=[[0, 1], [1, -2]])
+    gd = lat.generic_direction(toy, [np.array([1, 0], dtype=object),
+                                     np.array([0, 1], dtype=object)], [],
+                               seed=0)
+    vec = np.array(list(gd.coords), dtype=object)
+    assert gd.square > 0 and lat.pairing(toy, vec, vec) > 0
 
 
 def test_generic_direction_normalizes_square_one():
