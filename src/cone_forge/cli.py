@@ -42,8 +42,6 @@ class RunConfig:
     stenzel_smoothing_tol: float = 1e-3
     stenzel_steps: int = 2000
     stenzel_wmax: float = 20.0
-    edge_points: int = 2048
-    edge_rmin: float = 1e-8
     kernel_tol: float = 1e-8
     seed: int = 0
     format: str = "csv"
@@ -63,6 +61,9 @@ class RunConfig:
                ("g2_tol", "g2_step", "stenzel_cone_tol",
                 "stenzel_smoothing_tol", "kernel_tol")):
             raise ValueError("tolerances must be positive")
+        if cfg.format not in ("csv", "json"):
+            raise ValueError(f"format must be 'csv' or 'json', "
+                             f"not {cfg.format!r}")
         return cfg
 
 
@@ -144,8 +145,16 @@ def _cmd_stenzel_profile(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _parse_eps(text: str) -> complex:
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"expected 're' or 're,im', "
+                                         f"got {text!r}")
+    return complex(*map(float, parts))
+
+
 def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> int:
-    eps = complex(*args.eps) if args.eps else 0.0
+    eps = args.eps if args.eps is not None else 0.0
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     if eps == 0:
         potential = _stenzel.cone_potential_fn(3)
@@ -283,12 +292,8 @@ def _read_rhs(path: str):
     return np.array(rs), np.array(zs)
 
 
-def _mode_problem(args, cfg: RunConfig) -> _edge.ModeProblem:
-    if args.rhs:
-        grid, z = _read_rhs(args.rhs)
-    else:
-        grid = _edge.log_grid(cfg.edge_rmin, 1.0, cfg.edge_points)
-        z = np.zeros_like(grid)
+def _mode_problem(args) -> _edge.ModeProblem:
+    grid, z = _read_rhs(args.rhs)
     support = args.support
     if support is None:
         nz = np.nonzero(z)[0]
@@ -299,7 +304,7 @@ def _mode_problem(args, cfg: RunConfig) -> _edge.ModeProblem:
 
 
 def _cmd_edge_solve(args, cfg: RunConfig) -> int:
-    prob = _mode_problem(args, cfg)
+    prob = _mode_problem(args)
     y = _edge.solve_mode(prob)
     _emit_rows(("r", "y"), [(f"{r:.12g}", f"{v:.12g}")
                             for r, v in zip(prob.grid, y)], cfg.format)
@@ -311,7 +316,7 @@ def _cmd_edge_solve(args, cfg: RunConfig) -> int:
 
 
 def _cmd_edge_split(args, cfg: RunConfig) -> int:
-    prob = _mode_problem(args, cfg)
+    prob = _mode_problem(args)
     sol = _edge.split_solution(prob, args.delta_p, args.delta_pp)
     lhs, rhs = (None, None)
     if prob.n != 0:
@@ -503,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_stenzel_profile)
     q = stp.add_parser("ma-check")
-    q.add_argument("--eps", type=lambda s: tuple(float(x) for x in s.split(",")))
+    q.add_argument("--eps", type=_parse_eps, help="re or re,im")
     q.add_argument("--points", type=int, default=50)
     q.add_argument("--seed", type=int)
     q.add_argument("--verify", action="store_true")

@@ -12,6 +12,7 @@ pure functions of dense numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,8 +189,6 @@ def _phi0() -> np.ndarray:
 PHI0 = _phi0()
 PHI0.setflags(write=False)
 
-_E7 = np.eye(7)
-
 
 def induced_metric(phi: np.ndarray, tol: float = 1e-12) -> Metric7:
     """Metric and volume from  B_ij e^{1..7} = (1/6)(e_i . phi)^(e_j . phi)^phi.
@@ -241,33 +240,35 @@ def _inner_3(metric: Metric7) -> np.ndarray:
     return _compound(np.linalg.inv(metric.g), 3)
 
 
-def project_3form(phi: np.ndarray, gamma: np.ndarray) -> FormDecomposition:
-    """Split gamma into the 1-, 7-, 27-dimensional pieces determined by phi."""
+def projector_matrices(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three 35x35 projector matrices (ranks 1, 7, 27): P1 and P7 are the
+    orthogonal projections onto phi and onto the span W of the e_i . *phi."""
     metric = induced_metric(phi)
     M = _inner_3(metric)
-    pi1 = (phi @ M @ gamma) / (phi @ M @ phi) * phi
-    star_phi = hodge_star(metric, phi, 3)
-    W = np.stack([contract(_E7[i], star_phi, 4) for i in range(7)], axis=1)
-    coeffs = np.linalg.solve(W.T @ M @ W, W.T @ M @ gamma)
-    pi7 = W @ coeffs
-    return FormDecomposition(pi1=pi1, pi7=pi7, pi27=gamma - pi1 - pi7)
-
-
-def projector_matrices(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three 35x35 projector matrices (ranks 1, 7, 27)."""
-    P1 = np.empty((35, 35))
-    P7 = np.empty((35, 35))
-    eye = np.eye(35)
-    for c in range(35):
-        dec = project_3form(phi, eye[c])
-        P1[:, c] = dec.pi1
-        P7[:, c] = dec.pi7
+    P1 = np.outer(phi, phi @ M) / (phi @ M @ phi)
+    W = np.einsum("iab,b->ai", _CONTRACT[4], hodge_star(metric, phi, 3))
+    P7 = W @ np.linalg.solve(W.T @ M @ W, W.T @ M)
     return P1, P7, np.eye(35) - P1 - P7
 
 
-_METRIC0 = Metric7(g=np.eye(7), vol=1.0)
+def project_3form(phi: np.ndarray, gamma: np.ndarray) -> FormDecomposition:
+    """Split gamma into the 1-, 7-, 27-dimensional pieces determined by phi."""
+    P1, P7, _ = projector_matrices(phi)
+    pi1, pi7 = P1 @ gamma, P7 @ gamma
+    return FormDecomposition(pi1=pi1, pi7=pi7, pi27=gamma - pi1 - pi7)
+
+
 _STAR0_3 = np.zeros((35, 35))
 _STAR0_3[_STAR_PERM[3], np.arange(35)] = _STAR_SIGN[3]
+
+
+@functools.cache
+def _linearization_matrix() -> np.ndarray:
+    """*0 ((4/3) P1 + P7 - P27) at PHI0, built on first use."""
+    P1, P7, P27 = projector_matrices(PHI0)
+    L = _STAR0_3 @ ((4.0 / 3.0) * P1 + P7 - P27)
+    L.setflags(write=False)
+    return L
 
 
 def linearization_candidate(gamma: np.ndarray) -> np.ndarray:
@@ -276,8 +277,7 @@ def linearization_candidate(gamma: np.ndarray) -> np.ndarray:
     The star acts by the flat metric of phi0; this is the 4-form-valued
     derivative of theta at phi0.
     """
-    dec = project_3form(PHI0, gamma)
-    return _STAR0_3 @ ((4.0 / 3.0) * dec.pi1 + dec.pi7 - dec.pi27)
+    return _linearization_matrix() @ gamma
 
 
 def linearization_residual(gamma: np.ndarray, h: float = 1e-4) -> float:
@@ -302,7 +302,7 @@ def g2_lie_algebra_basis() -> np.ndarray:
     Exponentials of the corresponding antisymmetric matrices preserve phi0.
     Returns an array of shape (14, 21).
     """
-    star_phi = hodge_star(_METRIC0, PHI0, 3)
+    star_phi = _STAR0_3 @ PHI0
     rows = np.stack([wedge(np.eye(21)[c], 2, star_phi, 4) for c in range(21)])
     _, s, vt = np.linalg.svd(rows.T, full_matrices=True)
     null = vt[np.sum(s > 1e-10):]

@@ -13,6 +13,12 @@ and for eps = 0 the cone potential
 Both satisfy, in the chart that solves for the last coordinate, the
 Monge-Ampere identity  det(d^2 u / dz_j dzbar_k) * |z_last|^2 = 1  (n = 3),
 which monge_ampere_residual checks by finite differences.
+
+solve_profile runs its quadrature as array passes over the whole grid: one
+10-point Gauss-Legendre rule per segment for F = int_0^w sinh^{n-1}, on a
+(steps, 10) node array, whose cumulative sum gives F on the grid; then the
+same rule for f = int f', where f' at each node x is (n F(x))^(1/n) with
+F(x) = F(w_k) + the rule over [w_k, x], a (steps, 10, 10) array.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ __all__ = [
     "QuadricPoint",
     "solve_profile",
     "cone_potential",
-    "smoothing_potential",
     "stenzel_potential_fn",
     "cone_potential_fn",
     "monge_ampere_residual",
@@ -103,58 +108,50 @@ class QuadricPoint:
         if res > 1e-12 * (1.0 + float(np.sum(np.abs(z) ** 2))):
             raise ValueError(f"constraint residual {res:.3e} too large")
 
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.z) ** 2))
-
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
 
 
-def _segment_integral(fn, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
+def _gauss_legendre(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """10-point Gauss-Legendre rules on [a, b]; fn gets a.shape+(10,) nodes."""
     half = 0.5 * (b - a)
-    return half * float(np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES)))
+    nodes = half[..., None] * _GL_NODES
+    nodes += (0.5 * (a + b))[..., None]
+    vals = fn(nodes)
+    vals *= _GL_WEIGHTS
+    return half * np.sum(vals, axis=-1)
 
 
 def solve_profile(n: int, w_max: float, steps: int,
                   ode_tol: float = 1e-3) -> RadialProfile:
     """Solve (f'^n)' = n sinh^{n-1} w with f(0) = f'(0) = 0 by quadrature.
 
-    f'(w) = (n * int_0^w sinh^{n-1} s ds)^(1/n), then f by cumulative
-    Gauss-Legendre quadrature of f'.  Raises GridTooCoarse when the central
-    difference of f'^n misses n sinh^{n-1} w by more than ode_tol relative.
+    f' = (n * int_0^w sinh^{n-1})^(1/n), then f = int f'.  Raises
+    GridTooCoarse when the central difference of f'^n misses n sinh^{n-1} w
+    by more than ode_tol relative.
     """
     if n < 2:
         raise ValueError("complex dimension n must be >= 2")
     if w_max <= 0 or steps < 100:
         raise ValueError("need w_max > 0 and steps >= 100")
     w = np.linspace(0.0, w_max, steps + 1)
-
-    sinh_pow = lambda s: np.sinh(s) ** (n - 1)
+    a, b = w[:-1], w[1:]
+    sinh_pow = lambda s: np.power(np.sinh(s, out=s), n - 1, out=s)
     F = np.zeros(steps + 1)
-    for k in range(steps):
-        F[k + 1] = F[k] + _segment_integral(sinh_pow, w[k], w[k + 1])
-
-    def fprime_at(ws, base_idx, base_val):
-        # F at arbitrary points inside segment base_idx, then (n F)^(1/n)
-        vals = np.array([base_val + _segment_integral(sinh_pow, w[base_idx], x)
-                         for x in np.atleast_1d(ws)])
-        return (n * vals) ** (1.0 / n)
-
+    np.cumsum(_gauss_legendre(sinh_pow, a, b), out=F[1:])
     fprime = (n * F) ** (1.0 / n)
+    # f' at the (steps, 10) nodes x: F(w_k) plus the rule over [w_k, x]
+    fprime_nodes = lambda x: (n * (F[:-1, None] + _gauss_legendre(
+        sinh_pow, a[:, None], x))) ** (1.0 / n)
     f = np.zeros(steps + 1)
-    for k in range(steps):
-        f[k + 1] = f[k] + _segment_integral(
-            lambda x: fprime_at(x, k, F[k]), w[k], w[k + 1])
+    np.cumsum(_gauss_legendre(fprime_nodes, a, b), out=f[1:])
 
-    profile = RadialProfile(n=n, w=w, f=f, fprime=fprime)
-    rhs = n * sinh_pow(w[1:-1])
+    rhs = n * np.sinh(w[1:-1]) ** (n - 1)
     lhs = ((fprime[2:] ** n) - (fprime[:-2] ** n)) / (w[2] - w[0])
     resid = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))
     if resid > ode_tol:
         raise GridTooCoarse(f"ODE residual {resid:.3e} > {ode_tol:.1e}")
-    return profile
+    return RadialProfile(n=n, w=w, f=f, fprime=fprime)
 
 
 def cone_potential(n: int, z) -> float:
@@ -166,37 +163,23 @@ def cone_potential(n: int, z) -> float:
     return (n / (n - 1.0)) ** ((n + 1.0) / n) * s ** ((n - 1.0) / n)
 
 
-def smoothing_potential(n: int, eps: complex, z, profile: RadialProfile,
-                        _spline=None) -> float:
-    """|eps|^((n-1)/n) * f(arccosh(|z|^2/|eps|)) with interpolated f."""
+def stenzel_potential_fn(profile: RadialProfile, eps: complex):
+    """Closure evaluating |eps|^((n-1)/n) * f(arccosh(|z|^2/|eps|)) on raw
+    coordinate arrays, with f interpolated and n the profile's dimension."""
     if eps == 0:
         raise ValueError("eps = 0 is the cone; use cone_potential")
-    zz = z.z if isinstance(z, QuadricPoint) else np.asarray(z, dtype=complex)
-    s = float(np.sum(np.abs(zz) ** 2))
-    ratio = s / abs(eps)
-    if ratio < 1.0 - 1e-12:
-        raise BelowVertex(f"|z|^2 = {s:.6g} below |eps| = {abs(eps):.6g}")
-    wval = math.acosh(max(ratio, 1.0))
-    if wval > profile.w_max:
-        raise OutOfProfileRange(f"arccosh argument {wval:.4g} beyond grid")
-    spline = _spline if _spline is not None else profile.interpolator()
-    return abs(eps) ** ((n - 1.0) / n) * float(spline(wval))
-
-
-def stenzel_potential_fn(profile: RadialProfile, eps: complex):
-    """Closure evaluating the smoothing potential on raw coordinate arrays."""
     spline = profile.interpolator()
-    n = profile.n
+    scale = abs(eps) ** ((profile.n - 1.0) / profile.n)
 
     def u(zarr: np.ndarray) -> float:
         s = float(np.sum(np.abs(zarr) ** 2))
         ratio = s / abs(eps)
         if ratio < 1.0 - 1e-12:
-            raise BelowVertex(f"|z|^2 = {s:.6g} below |eps|")
+            raise BelowVertex(f"|z|^2 = {s:.6g} below |eps| = {abs(eps):.6g}")
         wval = math.acosh(max(ratio, 1.0))
         if wval > profile.w_max:
-            raise OutOfProfileRange(f"w = {wval:.4g} beyond grid")
-        return abs(eps) ** ((n - 1.0) / n) * float(spline(wval))
+            raise OutOfProfileRange(f"arccosh argument {wval:.4g} beyond grid")
+        return scale * float(spline(wval))
 
     return u
 
@@ -205,17 +188,21 @@ def cone_potential_fn(n: int = 3):
     return lambda zarr: cone_potential(n, zarr)
 
 
+def _assemble(w: np.ndarray, root: complex, chart: int) -> np.ndarray:
+    """The point with z[chart] = root and the free coordinates w in order."""
+    z = np.empty(4, dtype=complex)
+    z[:chart] = w[:chart]
+    z[chart] = root
+    z[chart + 1:] = w[chart:]
+    return z
+
+
 def _chart_embed(w: np.ndarray, eps: complex, chart: int, base: complex):
     """Lift chart coordinates to the quadric, branch fixed near base."""
-    s2 = eps - np.sum(w * w)
-    root = np.sqrt(s2)
+    root = np.sqrt(eps - np.sum(w * w))
     if abs(root - base) > abs(-root - base):
         root = -root
-    z = np.empty(4, dtype=complex)
-    free = [i for i in range(4) if i != chart]
-    z[free] = w
-    z[chart] = root
-    return z
+    return _assemble(w, root, chart)
 
 
 def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
@@ -234,39 +221,28 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
         raise BranchCut(f"|z[{chart}]| = {abs(z0[chart]):.3g} < 10h")
     eps = point.eps
     base = complex(z0[chart])
-    w0 = np.array([z0[i] for i in range(4) if i != chart], dtype=complex)
+    x0 = np.delete(z0, chart).view(float)  # Re w1, Im w1, ..., Im w3
 
     def u_real(x: np.ndarray) -> float:
         w = x[0::2] + 1j * x[1::2]
         return potential(_chart_embed(w, eps, chart, base))
 
-    x0 = np.empty(6)
-    x0[0::2] = w0.real
-    x0[1::2] = w0.imag
-
     def hessian(step: float) -> np.ndarray:
         d2 = np.empty((6, 6))
+        e = step * np.eye(6)
+        u0 = u_real(x0)
         for a in range(6):
-            ea = np.zeros(6)
-            ea[a] = step
-            for b in range(a, 6):
-                if a == b:
-                    d2[a, a] = (u_real(x0 + ea) - 2.0 * u_real(x0)
-                                + u_real(x0 - ea)) / step**2
-                else:
-                    eb = np.zeros(6)
-                    eb[b] = step
-                    d2[a, b] = d2[b, a] = (
-                        u_real(x0 + ea + eb) - u_real(x0 + ea - eb)
-                        - u_real(x0 - ea + eb) + u_real(x0 - ea - eb)
-                    ) / (4.0 * step**2)
-        H = np.empty((3, 3), dtype=complex)
-        for j in range(3):
-            for k in range(3):
-                xx = d2[2 * j, 2 * k] + d2[2 * j + 1, 2 * k + 1]
-                xy = d2[2 * j, 2 * k + 1] - d2[2 * j + 1, 2 * k]
-                H[j, k] = 0.25 * (xx + 1j * xy)
-        return H
+            d2[a, a] = (u_real(x0 + e[a]) - 2.0 * u0
+                        + u_real(x0 - e[a])) / step**2
+            for b in range(a + 1, 6):
+                d2[a, b] = d2[b, a] = (
+                    u_real(x0 + e[a] + e[b]) - u_real(x0 + e[a] - e[b])
+                    - u_real(x0 - e[a] + e[b]) + u_real(x0 - e[a] - e[b])
+                ) / (4.0 * step**2)
+        # d^2u/dw_j dwbar_k from the real Hessian in (Re w, Im w) pairs
+        xx = d2[0::2, 0::2] + d2[1::2, 1::2]
+        xy = d2[0::2, 1::2] - d2[1::2, 0::2]
+        return 0.25 * (xx + 1j * xy)
 
     H1 = hessian(h)
     if not richardson:
@@ -290,9 +266,5 @@ def random_chart_point(eps: complex, rng: np.random.Generator,
         if abs(s2) < (min_last * scale) ** 2:
             continue
         root = np.sqrt(s2) * (1 if rng.random() < 0.5 else -1)
-        z = np.empty(4, dtype=complex)
-        free = [i for i in range(4) if i != chart]
-        z[free] = w
-        z[chart] = root
-        return QuadricPoint(z=z, eps=eps)
+        return QuadricPoint(z=_assemble(w, root, chart), eps=eps)
     raise RuntimeError("could not sample a chart-valid point")

@@ -99,6 +99,36 @@ def test_bad_config_exits_2(tmp_path):
     assert run(["--config", str(cfgf), "lattice", "build"])[0] == 2
 
 
+def test_config_format_must_be_csv_or_json(tmp_path):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"format": "xml"}))
+    code, out, err = run(["--config", str(cfgf), "g2", "lincheck",
+                          "--samples", "1"])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "xml" in err
+    # the edge grid fields are gone: no command read them
+    for key in ("edge_points", "edge_rmin"):
+        cfgf.write_text(json.dumps({key: 1}))
+        code, out, err = run(["--config", str(cfgf), "lattice", "build"])
+        assert code == 2 and "unknown config key" in err
+
+
+def test_edge_empty_rhs_path_exits_2():
+    for cmd in ("solve", "split"):
+        code, out, err = run(EDGE_ARGS[cmd] + ["--rhs", ""])
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("eps", ["1,2,3", "1,", "a", ""])
+def test_stenzel_ma_check_bad_eps_exits_2(eps):
+    code, out, err = run(["stenzel", "ma-check", "--eps", eps,
+                          "--points", "1"])
+    assert code == 2
+    assert out == ""
+    assert "error: argument --eps" in err and "Traceback" not in err
+
+
 def test_stenzel_profile_out_file(tmp_path):
     out_file = tmp_path / "profile.csv"
     code, out, err = run(["stenzel", "profile", "--n", "3", "--wmax", "5",

@@ -215,6 +215,22 @@ def test_projector_ranks_and_identities():
     assert np.allclose(P1 + P7 + P27, np.eye(35), atol=1e-10)
 
 
+def test_projector_ranks_and_identities_near_phi0():
+    rng = np.random.default_rng(11)
+    phi = g2.PHI0 + 0.1 * rng.standard_normal(35)
+    M = g2._inner_3(g2.induced_metric(phi))
+    P1, P7, P27 = g2.projector_matrices(phi)
+    assert [np.linalg.matrix_rank(P) for P in (P1, P7, P27)] == [1, 7, 27]
+    for A in (P1, P7, P27):
+        assert np.allclose(A @ A, A, atol=1e-10)
+        # orthogonal in the metric phi induces: M P is symmetric
+        assert np.allclose(M @ A, (M @ A).T, atol=1e-10)
+    for A, B in ((P1, P7), (P1, P27), (P7, P27)):
+        assert np.allclose(A @ B, 0, atol=1e-10)
+        assert np.allclose(B @ A, 0, atol=1e-10)
+    assert np.allclose(P1 @ phi, phi, atol=1e-10)
+
+
 def test_projection_reconstruction_random():
     rng = np.random.default_rng(6)
     phi = g2.PHI0 + 0.1 * rng.standard_normal(35)

@@ -21,6 +21,50 @@ def test_profile_matches_closed_form(profile):
     assert np.max(rel) <= 1e-8
 
 
+@pytest.mark.parametrize("n, w_max", [(2, 14.0), (4, 12.0)])
+def test_profile_matches_closed_form_n2_n4(n, w_max):
+    # n = 2: f' = 2 sinh(w/2); n = 4: f'^4 = (4/3)(cosh w - 1)^2 (cosh w + 2)
+    p = st.solve_profile(n, w_max, 1500)
+    w = p.w[1:]
+    if n == 2:
+        closed = 2.0 * np.sinh(w / 2.0)
+    else:
+        c1 = 2.0 * np.sinh(w / 2.0) ** 2
+        closed = ((4.0 / 3.0) * c1 * c1 * (np.cosh(w) + 2.0)) ** 0.25
+    assert np.max(np.abs(p.fprime[1:] - closed) / closed) <= 1e-8
+
+
+def _profile_by_segments(n, w_max, steps):
+    """Reference: the same Gauss-Legendre rules, one segment at a time."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+
+    def rule(fn, a, b):
+        half = 0.5 * (b - a)
+        return half * float(np.sum(weights * fn(0.5 * (a + b) + half * nodes)))
+
+    sinh_pow = lambda s: np.sinh(s) ** (n - 1)
+    w = np.linspace(0.0, w_max, steps + 1)
+    F, f = np.zeros(steps + 1), np.zeros(steps + 1)
+    for k in range(steps):
+        F[k + 1] = F[k] + rule(sinh_pow, w[k], w[k + 1])
+    for k in range(steps):
+        fp = lambda xs: (n * np.array([F[k] + rule(sinh_pow, w[k], x)
+                                       for x in xs])) ** (1.0 / n)
+        f[k + 1] = f[k] + rule(fp, w[k], w[k + 1])
+    return w, f, (n * F) ** (1.0 / n)
+
+
+@pytest.mark.parametrize("n, w_max, steps", [(2, 14.0, 150), (3, 5.0, 200),
+                                             (4, 12.0, 300)])
+def test_profile_equals_segment_loop(n, w_max, steps):
+    # the array pass does the per-segment arithmetic in the same order
+    p = st.solve_profile(n, w_max, steps, ode_tol=1.0)
+    w, f, fprime = _profile_by_segments(n, w_max, steps)
+    assert np.array_equal(p.w, w)
+    assert np.array_equal(p.f, f)
+    assert np.array_equal(p.fprime, fprime)
+
+
 def test_profile_initial_conditions(profile):
     assert profile.f[0] == 0.0
     assert profile.fprime[0] == 0.0
@@ -85,14 +129,14 @@ def test_quadric_point_constraint():
 
 def test_smoothing_potential_vertex_and_consistency(profile):
     eps = 1.0
+    u = st.stenzel_potential_fn(profile, eps)
     z = np.array([1.0 + 0j, 0.0, 0.0, 0.0])
-    assert st.smoothing_potential(3, eps, z, profile) == pytest.approx(0.0,
-                                                                       abs=1e-12)
+    assert u(z) == pytest.approx(0.0, abs=1e-12)
     big = math.cosh(20.0)
     # |z|^2 = cosh(20) exactly: a^2 - b^2 = eps, a^2 + b^2 = cosh(20)
     z = np.array([math.sqrt((big + 1) / 2), 1j * math.sqrt((big - 1) / 2),
                   0, 0])
-    val = st.smoothing_potential(3, eps, z, profile)
+    val = u(z)
     assert val == pytest.approx(abs(eps) ** (2 / 3) * profile.f[-1], rel=1e-9)
     assert val / st.cone_potential(3, z) == pytest.approx(1.0, abs=1e-3)
 
@@ -100,23 +144,28 @@ def test_smoothing_potential_vertex_and_consistency(profile):
 def test_smoothing_potential_so4_invariance(profile):
     rng = np.random.default_rng(1)
     eps = 0.7
+    u = st.stenzel_potential_fn(profile, eps)
     pt = st.random_chart_point(eps, rng)
-    base = st.smoothing_potential(3, eps, pt.z, profile)
+    base = u(pt.z)
     for _ in range(5):
         A, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         rotated = A @ pt.z
-        assert st.smoothing_potential(3, eps, rotated, profile) == \
-            pytest.approx(base, abs=1e-10 * (1 + abs(base)))
+        assert u(rotated) == pytest.approx(base, abs=1e-10 * (1 + abs(base)))
 
 
 def test_smoothing_potential_errors(profile):
     with pytest.raises(st.BelowVertex):
-        st.smoothing_potential(3, 4.0, np.array([0.1 + 0j, 0, 0, 0]), profile)
+        st.stenzel_potential_fn(profile, 4.0)(np.array([0.1 + 0j, 0, 0, 0]))
     huge = math.cosh(25.0)
     z = np.array([math.sqrt(huge / 2.0), 0, 0, 0], dtype=complex)
     z[3] = np.sqrt(1.0 - z[0] ** 2)
     with pytest.raises(st.OutOfProfileRange):
-        st.smoothing_potential(3, 1.0, z, profile)
+        st.stenzel_potential_fn(profile, 1.0)(z)
+    # eps = 0 is the cone: refused when the closure is built
+    with pytest.raises(ValueError, match="cone"):
+        st.stenzel_potential_fn(profile, 0.0)
+    with pytest.raises(ValueError, match="cone"):
+        st.stenzel_potential_fn(profile, 0j)
 
 
 def test_monge_ampere_symbolic_oracle():
@@ -157,6 +206,20 @@ def test_monge_ampere_smoothing_points(profile):
         for _ in range(8):
             pt = st.random_chart_point(eps, rng)
             assert st.monge_ampere_residual(u, pt, h=1e-3) <= 1e-3
+
+
+def test_monge_ampere_potential_calls_per_point(profile):
+    # two Hessians (h, h/2): 12 axis pairs and 60 mixed stencil values each,
+    # plus the centre value once per Hessian
+    calls = []
+    u = st.stenzel_potential_fn(profile, 1.0)
+    counted = lambda z: calls.append(1) or u(z)
+    pt = st.random_chart_point(1.0, np.random.default_rng(5))
+    st.monge_ampere_residual(counted, pt, h=1e-3)
+    assert len(calls) == 146
+    calls.clear()
+    st.monge_ampere_residual(counted, pt, h=1e-3, richardson=False)
+    assert len(calls) == 73
 
 
 def test_monge_ampere_negative_control():
