@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -56,11 +57,20 @@ class RunConfig:
             for key, val in doc.items():
                 if not hasattr(cfg, key):
                     raise ValueError(f"unknown config key {key!r}")
-                setattr(cfg, key, type(getattr(cfg, key))(val))
-        if any(getattr(cfg, k) <= 0 for k in
-               ("g2_tol", "g2_step", "stenzel_cone_tol",
-                "stenzel_smoothing_tol", "kernel_tol")):
-            raise ValueError("tolerances must be positive")
+                kind = type(getattr(cfg, key))
+                # an int key takes a JSON integer only, so 1.9 is refused
+                # rather than truncated; bool is an int subclass, refused too
+                if isinstance(val, bool) or not isinstance(
+                        val, (int, float) if kind is float else kind):
+                    raise ValueError(f"config key {key!r} must be "
+                                     f"{kind.__name__}, not {val!r}")
+                setattr(cfg, key, kind(val))
+        for key in ("g2_tol", "g2_step", "stenzel_cone_tol",
+                    "stenzel_smoothing_tol", "kernel_tol", "stenzel_steps",
+                    "stenzel_wmax"):
+            if not 0 < getattr(cfg, key) < math.inf:
+                raise ValueError(f"config key {key!r} must be positive and "
+                                 f"finite, not {getattr(cfg, key)!r}")
         if cfg.format not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', "
                              f"not {cfg.format!r}")

@@ -21,6 +21,16 @@ rows are a saturated kernel basis in echelon form, and the same routine
 decides M x = d mod m for the linear certificates.  Rational questions
 (determinant, signature, a positive-square direction) go through one
 symmetric congruence diagonalization P^T G P = diag carried as Fraction.
+
+The two search loops use numpy int64 where no value can overflow.  The
+modulus certificates tabulate the reduced form, its coefficients taken mod
+m, over all of (Z/m)^f.  The enumeration sweeps the heads (every free
+variable but the last) in chunks and keeps those whose discriminant in the
+last variable is a perfect square; it first bounds every value of the sweep
+below 2^62 in Python integers, and stays on Python integers when it cannot
+or when the last variable enters only linearly.
+numpy only filters candidates: each kept head is solved, and each reported
+solution checked, in exact Python integers.
 """
 
 from __future__ import annotations
@@ -355,18 +365,10 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
 
     cert = None
     for m in range(2, max_modulus + 1):
-        attainable = set()
-        for t in itertools.product(range(m), repeat=f):
-            val = const
-            for i in range(f):
-                val += lin[i] * t[i]
-                for j in range(f):
-                    val += Qr[i, j] * t[i] * t[j]
-            attainable.add(int(val) % m)
+        attainable = _attainable_residues(Qr, lin, const, m)
         if square % m not in attainable:
             cert = UnsatCertificate(
-                modulus=m, lhs_residues=tuple(sorted(attainable)),
-                rhs_residue=square % m,
+                modulus=m, lhs_residues=attainable, rhs_residue=square % m,
                 reduced_form=_format_quadratic(Qr, lin, const))
             break
 
@@ -376,6 +378,31 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
                            f"the found solution {solutions[0]}")
     return SearchResult(solutions=solutions, certificate=cert,
                         reduced_quadratic=(Qr, lin, const))
+
+
+def _attainable_residues(Qr, lin, const, m):
+    """Sorted residues mod m of const + lin . t + t^T Qr t, t in (Z/m)^f.
+
+    The coefficients are reduced mod m first, and each of the 1 + f +
+    f(f-1)/2 tables added over the (Z/m)^f grid holds residues, so their
+    int64 sum stays below (f + 1)^2 m.
+    """
+    f = len(lin)
+    r = np.arange(m, dtype=np.int64)
+    rr = np.multiply.outer(r, r) % m
+    val = np.full((m,) * f, int(const) % m, dtype=np.int64)
+    for i in range(f):
+        axes = [1] * f
+        axes[i] = m
+        val += ((int(lin[i]) % m * r + int(Qr[i, i]) % m * rr.diagonal())
+                % m).reshape(axes)
+        for j in range(i + 1, f):
+            axes[j] = m
+            val += (int(Qr[i, j] + Qr[j, i]) % m * rr % m).reshape(axes)
+            axes[j] = 1
+    seen = np.zeros(m, dtype=bool)
+    seen[val % m] = True
+    return tuple(np.flatnonzero(seen).tolist())
 
 
 def _format_quadratic(Qr, lin, const):
@@ -403,18 +430,24 @@ def _int_sqrt(n):
     return r if r * r == n else None
 
 
-def _enumerate(Qm, x0, Z, Qr, lin, const, square, bound):
-    """All x = x0 + Z t with every span coefficient in [-bound, bound]."""
-    k = len(x0)
-    f = Z.shape[1]
-    if f == 0:
-        x = x0
-        if int(x @ Qm @ x) == square and all(abs(int(c)) <= bound for c in x):
-            yield tuple(int(c) for c in x)
-        return
-    # Z's columns are echelon kernel rows, so the rows of Z at their pivots
-    # form a lower-triangular f x f minor T; with t = T^-1 (x - x0) on those
-    # rows, |t_i| <= sum_j |T^-1_ij| (bound + max |x0|) bounds each variable
+# heads per int64 chunk of the enumeration sweep: its temporaries stay at
+# 64 kB each, whatever the box size, and the certified 1e6 search sweeps
+# faster than with 2^12 or 2^16 heads per chunk
+_SWEEP_CHUNK = 1 << 13
+_INT64_SAFE = 1 << 62
+
+
+def _enumeration_limits(x0, Z, bound):
+    """Interval (lo, hi) of each free variable t over the search box.
+
+    An interval with lo > hi holds no integer, and the box no solution.
+
+    Z's columns are echelon kernel rows, so the rows of Z at their pivots
+    form a lower-triangular f x f minor T, and t = T^-1 (x_p - x0_p) on those
+    rows.  With x_p in [-bound, bound]^f, t_i lies within
+    sum_j |T^-1_ij| bound of the centre -(T^-1 x0_p)_i.
+    """
+    k, f = Z.shape
     pivots = [next(i for i in range(k) if Z[i, j] != 0) for j in range(f)]
     T = [[Fraction(int(Z[p, j])) for j in range(f)] for p in pivots]
     inv = [[Fraction(0)] * f for _ in range(f)]
@@ -422,62 +455,134 @@ def _enumerate(Qm, x0, Z, Qr, lin, const, square, bound):
         for j in range(a + 1):
             inv[a][j] = ((a == j) - sum(T[a][b] * inv[b][j]
                                         for b in range(j, a))) / T[a][a]
-    max_x0 = max(abs(int(v)) for v in x0) if k else 0
-    lim = [int(sum(abs(inv[i][j]) for j in range(f)) * (bound + max_x0)) + 1
-           for i in range(f)]
+    limits = []
+    for row in inv:
+        centre = -sum(c * int(x0[p]) for c, p in zip(row, pivots))
+        radius = bound * sum(abs(c) for c in row)
+        limits.append((math.ceil(centre - radius),
+                       math.floor(centre + radius)))
+    return limits
 
-    def coeffs_ok(t):
-        x = x0 + Z @ np.array(t, dtype=object)
-        return (all(abs(int(c)) <= bound for c in x), x)
 
-    if f == 1:
-        a = int(Qr[0, 0])
-        b = int(lin[0])
-        c0 = const - square
-        for t0 in _quad_int_roots(a, b, c0, lim[0]):
-            ok, x = coeffs_ok((t0,))
-            if ok:
-                yield tuple(int(v) for v in x)
+def _enumerate(Qm, x0, Z, Qr, lin, const, square, bound):
+    """All x = x0 + Z t with every span coefficient in [-bound, bound].
+
+    The last free variable solves a quadratic whose coefficients depend on
+    the others, the head.  Heads go in ascending order; a head can give an
+    integer root only when its discriminant is a perfect square, and
+    `_square_discriminant_heads` finds those in guarded int64 chunks.  Each
+    kept head is solved, and its solutions checked, in Python integers.
+    """
+    f = Z.shape[1]
+    if f == 0:
+        x = x0
+        if int(x @ Qm @ x) == square and all(abs(int(c)) <= bound for c in x):
+            yield tuple(int(c) for c in x)
         return
-    # loop the first f-1 variables, solve the quadratic in the last
-    head_lim = max(lim[:-1])
-    if (2 * head_lim + 1) ** (f - 1) > 5e7:
+    limits = _enumeration_limits(x0, Z, bound)
+    if any(lo > hi for lo, hi in limits):
+        return
+    g = f - 1
+    heads = limits[:g]
+    if math.prod(hi - lo + 1 for lo, hi in heads) > 5e7:
         raise ValueError("enumeration box too large; lower the bound")
-    # itertools.product stores its ranges as tuples, so the first head
-    # variable, whose range can hold 1e6 values, is looped lazily
-    rng = range(-head_lim, head_lim + 1)
-    tails = list(itertools.product(rng, repeat=f - 2))
     Qi = [[int(v) for v in row] for row in Qr]
     li = [int(v) for v in lin]
-    a = Qi[f - 1][f - 1]
-    for head in ((h,) + tail for h in rng for tail in tails):
-        if any(abs(h) > lim[i] for i, h in enumerate(head)):
-            continue
-        b = li[f - 1] + sum((Qi[f - 1][j] + Qi[j][f - 1]) * head[j]
-                            for j in range(f - 1))
-        c0 = const - square + sum(li[j] * head[j] for j in range(f - 1))
-        for i in range(f - 1):
-            for j in range(f - 1):
+    c_shift = const - square
+    a = Qi[g][g]
+    if heads and a and _int64_sweep_safe(Qi, li, c_shift, heads):
+        candidates = _square_discriminant_heads(Qi, li, c_shift, heads)
+    else:
+        candidates = _box_heads(heads)
+    for head in candidates:
+        b = li[g] + sum((Qi[g][j] + Qi[j][g]) * head[j] for j in range(g))
+        c0 = c_shift + sum(li[j] * head[j] for j in range(g))
+        for i in range(g):
+            for j in range(g):
                 c0 += Qi[i][j] * head[i] * head[j]
-        for t_last in _quad_int_roots(a, b, c0, lim[f - 1]):
-            ok, x = coeffs_ok(head + (t_last,))
-            if ok:
+        for t_last in _quad_int_roots(a, b, c0, *limits[-1]):
+            x = x0 + Z @ np.array(head + (t_last,), dtype=object)
+            if all(abs(int(c)) <= bound for c in x):
                 yield tuple(int(v) for v in x)
 
 
-def _quad_int_roots(a, b, c, lim):
-    """Integer roots of a t^2 + b t + c = 0 with |t| <= lim."""
+def _box_heads(heads):
+    """Every head of the box in ascending order, as Python int tuples."""
+    if not heads:
+        yield ()
+        return
+    # itertools.product stores its ranges as tuples, so the first head
+    # variable, whose range can hold 1e6 values, is looped lazily
+    (lo, hi), rest = heads[0], heads[1:]
+    for h in range(lo, hi + 1):
+        for tail in itertools.product(*(range(l, u + 1) for l, u in rest)):
+            yield (h,) + tail
+
+
+def _int64_sweep_safe(Qi, li, c_shift, heads):
+    """Whether every int64 value of the head sweep stays below 2^62.
+
+    Bounds |b|, |c0| and the discriminant b^2 - 4 a c0 over the head box,
+    in Python integers, from the head limits.
+    """
+    g = len(heads)
+    H = [max(abs(lo), abs(hi)) for lo, hi in heads]
+    a = Qi[g][g]
+    b_max = abs(li[g]) + sum(abs(Qi[g][j] + Qi[j][g]) * H[j]
+                             for j in range(g))
+    c_max = abs(c_shift) + sum(abs(li[j]) * H[j] for j in range(g)) + sum(
+        abs(Qi[i][j]) * H[i] * H[j] for i in range(g) for j in range(g))
+    inputs = [abs(v) for row in Qi for v in row] + [abs(v) for v in li] + H
+    return max(inputs + [4 * abs(a), b_max * b_max + 4 * abs(a) * c_max]
+               ) < _INT64_SAFE
+
+
+def _square_discriminant_heads(Qi, li, c_shift, heads):
+    """Heads, ascending, whose discriminant b^2 - 4 a c0 is a square >= 0.
+
+    The caller has checked `_int64_sweep_safe`, so no int64 step wraps.
+    """
+    g = len(heads)
+    base = np.array([lo for lo, _ in heads], dtype=np.int64)[:, None]
+    widths = [hi - lo + 1 for lo, hi in heads]
+    Qh = np.array([row[:g] for row in Qi[:g]], dtype=np.int64)
+    bh = np.array([Qi[g][j] + Qi[j][g] for j in range(g)], dtype=np.int64)
+    lh = np.array(li[:g], dtype=np.int64)
+    four_a = 4 * Qi[g][g]
+    n = math.prod(widths)
+    for start in range(0, n, _SWEEP_CHUNK):
+        idx = np.arange(start, min(start + _SWEEP_CHUNK, n))
+        H = np.array(np.unravel_index(idx, widths), dtype=np.int64) + base
+        b = li[g] + bh @ H
+        c0 = c_shift + lh @ H + (H * (Qh @ H)).sum(axis=0)
+        for i in np.flatnonzero(_is_square(b * b - four_a * c0)):
+            yield tuple(int(h) for h in H[:, i])
+
+
+def _is_square(n):
+    """Mask of the perfect squares in an int64 array below 2^62.
+
+    The float square root is only a guess at the integer one: r - 1, r and
+    r + 1 are each squared exactly.  A negative entry matches none of them.
+    """
+    r = np.floor(np.sqrt(np.maximum(n, 0).astype(np.float64))).astype(np.int64)
+    return (r * r == n) | ((r - 1) * (r - 1) == n) | ((r + 1) * (r + 1) == n)
+
+
+def _quad_int_roots(a, b, c, lo, hi):
+    """Integer roots of a t^2 + b t + c = 0 with lo <= t <= hi."""
     if a == 0:
         if b == 0:
-            return [t for t in range(-lim, lim + 1)] if c == 0 else []
-        return [(-c) // b] if (-c) % b == 0 and abs((-c) // b) <= lim else []
+            return list(range(lo, hi + 1)) if c == 0 else []
+        t, rem = divmod(-c, b)
+        return [t] if rem == 0 and lo <= t <= hi else []
     disc = b * b - 4 * a * c
     r = _int_sqrt(disc)
     if r is None:
         return []
     out = []
     for num in (-b + r, -b - r):
-        if num % (2 * a) == 0 and abs(num // (2 * a)) <= lim:
+        if num % (2 * a) == 0 and lo <= num // (2 * a) <= hi:
             out.append(num // (2 * a))
     return sorted(set(out))
 

@@ -113,6 +113,31 @@ def test_config_format_must_be_csv_or_json(tmp_path):
         assert code == 2 and "unknown config key" in err
 
 
+@pytest.mark.parametrize("doc", [{"seed": 1.9}, {"stenzel_steps": 150.7},
+                                 {"stenzel_steps": 0}, {"stenzel_steps": -5},
+                                 {"stenzel_wmax": 0.0}, {"seed": True},
+                                 {"g2_tol": float("nan")}])
+def test_config_bad_value_exits_2(tmp_path, doc):
+    # a fractional integer is refused, not truncated (1.9 is not seed 1),
+    # and grid sizes are checked at load, whatever the command reads
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps(doc))
+    code, out, err = run(["--config", str(cfgf), "lattice", "build"])
+    key = next(iter(doc))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and key in err
+
+
+def test_config_integral_values_still_load(tmp_path):
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"seed": 3, "stenzel_steps": 150,
+                                "g2_tol": 1, "stenzel_wmax": 12}))
+    cfg = cli.RunConfig.load(str(cfgf))
+    assert (cfg.seed, cfg.stenzel_steps) == (3, 150)
+    assert cfg.g2_tol == 1.0 and isinstance(cfg.g2_tol, float)
+    assert cfg.stenzel_wmax == 12.0
+
+
 def test_edge_empty_rhs_path_exits_2():
     for cmd in ("solve", "split"):
         code, out, err = run(EDGE_ARGS[cmd] + ["--rhs", ""])

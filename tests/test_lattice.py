@@ -6,6 +6,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -267,6 +268,163 @@ def test_search_matches_brute_force(L, span, dots, planted, square_shift,
     assert square % m not in cert.lhs_residues
     assert set((sq[(lin == 0).all(axis=1)] % m).tolist()) <= set(
         cert.lhs_residues)
+
+
+# Pure-Python references for the two vectorized search loops: every t in
+# (Z/m)^f for the residues, and every head of the box widened by max |x0|
+# for the enumeration.
+
+
+def _reference_residues(Qr, lin, const, m):
+    f = len(lin)
+    attainable = set()
+    for t in itertools.product(range(m), repeat=f):
+        val = const
+        for i in range(f):
+            val += lin[i] * t[i]
+            for j in range(f):
+                val += Qr[i][j] * t[i] * t[j]
+        attainable.add(int(val) % m)
+    return tuple(sorted(attainable))
+
+
+def _reference_enumerate(Qm, x0, Z, Qr, lin, const, square, bound):
+    k = len(x0)
+    f = Z.shape[1]
+    if f == 0:
+        if int(x0 @ Qm @ x0) == square and all(abs(int(c)) <= bound
+                                               for c in x0):
+            yield tuple(int(c) for c in x0)
+        return
+    # every variable gets sum_j |T^-1_ij| (bound + max |x0|) on both sides
+    pivots = [next(i for i in range(k) if Z[i, j] != 0) for j in range(f)]
+    T = sympy.Matrix([[int(Z[p, j]) for j in range(f)] for p in pivots])
+    inv = T.inv()
+    max_x0 = max(abs(int(v)) for v in x0)
+    lim = [int(sum(abs(inv[i, j]) for j in range(f)) * (bound + max_x0)) + 1
+           for i in range(f)]
+    Qi = [[int(v) for v in row] for row in Qr]
+    li = [int(v) for v in lin]
+    a = Qi[f - 1][f - 1]
+    heads = itertools.product(*(range(-n, n + 1) for n in lim[:-1]))
+    for head in heads:
+        b = li[f - 1] + sum((Qi[f - 1][j] + Qi[j][f - 1]) * head[j]
+                            for j in range(f - 1))
+        c0 = const - square + sum(li[j] * head[j] for j in range(f - 1))
+        for i in range(f - 1):
+            for j in range(f - 1):
+                c0 += Qi[i][j] * head[i] * head[j]
+        for t_last in lat._quad_int_roots(a, b, c0, -lim[-1], lim[-1]):
+            x = x0 + Z @ np.array(head + (t_last,), dtype=object)
+            if all(abs(int(c)) <= bound for c in x):
+                yield tuple(int(v) for v in x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=hst.integers(0, 3), m=hst.integers(2, 64), data=hst.data())
+@example(f=3, m=64, data=None)
+def test_attainable_residues_match_loop(f, m, data):
+    coeff = hst.integers(-10 ** 12, 10 ** 12)
+    if data is None:  # the largest grid, with coefficients of every sign
+        Qr = [[-36, 5, 7], [5, 4, -11], [7, -11, 13]]
+        lin, const = [3, -8, 10 ** 12], -2
+    else:
+        Qr = [[0] * f for _ in range(f)]
+        for i in range(f):
+            for j in range(i, f):
+                Qr[i][j] = Qr[j][i] = data.draw(coeff)
+        lin = [data.draw(coeff) for _ in range(f)]
+        const = data.draw(coeff)
+    got = lat._attainable_residues(np.array(Qr, dtype=object).reshape(f, f),
+                                   np.array(lin, dtype=object), const, m)
+    assert got == _reference_residues(Qr, lin, const, m)
+
+
+def _search_with_enumeration_args(span, square, dots, bound, L, **kw):
+    """The search result and the arguments it passed to _enumerate."""
+    with mock.patch.object(lat, "_enumerate", wraps=lat._enumerate) as spy:
+        res = lat.constrained_class_search(span, square, dots, bound, L=L,
+                                           **kw)
+    return res, spy.call_args.args
+
+
+def _assert_enumeration_matches_loop(span, square, dots, bound, L):
+    res, args = _search_with_enumeration_args(span, square, dots, bound, L,
+                                              max_modulus=2)
+    assert res.solutions == tuple(_reference_enumerate(*args))
+    return res
+
+
+@settings(max_examples=80, deadline=None)
+@given(span=hst.lists(_combination, min_size=1, max_size=3),
+       dots=hst.lists(_combination, max_size=2),
+       planted=hst.lists(hst.integers(-30, 30), min_size=3, max_size=3),
+       square_shift=hst.sampled_from([0, 0, 1, -2]),
+       bound=hst.integers(1, 30))
+def test_enumerate_matches_head_loop(L, span, dots, planted, square_shift,
+                                     bound):
+    span = [sum(c * v for c, v in zip(cs, _POOL)) for cs in span]
+    dots = [sum(c * v for c, v in zip(cs, _POOL)) for cs in dots]
+    x = sum(c * v for c, v in zip(planted, span))
+    d = [int(lat.pairing(L, x, w)) for w in dots]
+    _assert_enumeration_matches_loop(span, int(lat.pairing(L, x, x))
+                                     + square_shift, list(zip(dots, d)),
+                                     bound, L)
+
+
+@pytest.mark.parametrize("case", ["isotropic", "isotropic-constrained",
+                                  "pell", "square-1e30", "square-minus-1e30",
+                                  "span-times-1e9"])
+def test_enumerate_matches_head_loop_examples(L, embedding, case):
+    pi, kplus, kminus = embedding.images
+    c1 = 2 * _unit(17), 35 * _unit(17)
+    span, square, dots, bound = {
+        # a = 0: the form vanishes on the span, every head is solved exactly
+        "isotropic": (list(c1), 0, [], 12),
+        "isotropic-constrained": (list(c1), 0, [(_unit(16), 1)], 40),
+        # 2c^2 - a^2 = 1 has solutions in several 2^16-head chunks
+        "pell": ([pi, kminus], 2, [], 10 ** 5),
+        # int64 would overflow: the guard keeps these on Python integers
+        "square-1e30": ([pi, kplus, kminus], 10 ** 30, [], 3),
+        "square-minus-1e30": ([pi, kplus, kminus], -10 ** 30, [], 3),
+        "span-times-1e9": ([10 ** 9 * v for v in (pi, kplus, kminus)],
+                           -2 * 10 ** 18, [], 5),
+    }[case]
+    res = _assert_enumeration_matches_loop(span, square, dots, bound, L)
+    if case in ("isotropic-constrained", "pell", "span-times-1e9"):
+        assert res.solutions
+    if case == "pell":
+        assert (-47321, 33461) in res.solutions
+
+
+def test_is_square_below_int64_guard():
+    n = np.arange(2 ** 31 - 20000, 2 ** 31, dtype=np.int64)
+    values = np.concatenate([n * n, n * n - 1, n * n + 1, [0, 1, 2, -1, -4]])
+    want = [v >= 0 and math.isqrt(v) ** 2 == v for v in values.tolist()]
+    assert lat._is_square(values).tolist() == want
+
+
+def test_enumeration_limits_are_tight(embedding, L):
+    # pi . x = 2000 on the matching span: the limits are the exact range of
+    # t = T^-1 (x_p - x0_p) over the box, not widened by max |x0|
+    pi = embedding.images[0]
+    res, args = _search_with_enumeration_args(
+        list(embedding.images), -2, [(pi, 2000)], 1000, L, max_modulus=2)
+    _, x0, Z, *_ = args
+    f = Z.shape[1]
+    pivots = [next(i for i in range(len(x0)) if Z[i, j] != 0)
+              for j in range(f)]
+    inv = sympy.Matrix([[int(Z[p, j]) for j in range(f)]
+                        for p in pivots]).inv()
+    x0p = sympy.Matrix([int(x0[p]) for p in pivots])
+    corners = [inv * (sympy.Matrix(c) - x0p)
+               for c in itertools.product((-1000, 1000), repeat=f)]
+    tight = [(math.ceil(min(t[i] for t in corners)),
+              math.floor(max(t[i] for t in corners))) for i in range(f)]
+    assert lat._enumeration_limits(x0, Z, 1000) == tight
+    heads = math.prod(hi - lo + 1 for lo, hi in tight[:-1])
+    assert heads == 2001  # the symmetric max |x0| widening swept 6003
+    assert res.solutions == tuple(_reference_enumerate(*args))
 
 
 def test_invariant_breach_raises_under_optimize():
