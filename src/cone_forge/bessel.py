@@ -286,7 +286,7 @@ class BesselEval:
     arg: float
     value_i: float
     value_k: float
-    regime: str  # series | quadrature | asymptotic | integer_limit
+    regime: str  # series | quadrature | asymptotic
 
 
 def bessel_eval(mu: float, x: float) -> BesselEval:

@@ -155,6 +155,14 @@ def _cmd_stenzel_profile(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: a run over zero items checks nothing."""
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {val}")
+    return val
+
+
 def _parse_eps(text: str) -> complex:
     parts = text.split(",")
     if len(parts) > 2:
@@ -496,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g2p = sub.add_parser("g2").add_subparsers(dest="command", required=True)
     q = g2p.add_parser("lincheck")
-    q.add_argument("--samples", type=int, default=100)
+    q.add_argument("--samples", type=_positive_int, default=100)
     q.add_argument("--step", type=float)
     q.add_argument("--seed", type=int)
     q.add_argument("--verify", action="store_true")
@@ -519,7 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_stenzel_profile)
     q = stp.add_parser("ma-check")
     q.add_argument("--eps", type=_parse_eps, help="re or re,im")
-    q.add_argument("--points", type=int, default=50)
+    q.add_argument("--points", type=_positive_int, default=50)
     q.add_argument("--seed", type=int)
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_stenzel_ma_check)

@@ -18,26 +18,31 @@ are pinned to zero.  The splitting captures the I-mode coefficient
 (the Gamma-limit prefactor of the kernel is identically 1), read off the
 solve's own tail integral int_r^1 K_mu(|n|s) z(s) ds/s at r = grid[0] (for
 n = 0, off the outer integral of the double quadrature at r = 1), bounds it by
-C |n|^(-dpp-2) ||z|| with C^2 = int_0^inf K_mu^2(s) s^(2 dpp + 4) ds/s, and
-enumerates the obstruction modes e^{in theta} built from (K_0, K_1) against
+C |n|^(-dpp-2) ||z|| with C^2 = int_0^inf K_mu^2(s) s^lam ds/s, lam = 2 dpp + 4,
+in closed form for lam > 2 mu (the Mellin transform of K_mu^2,
+Gradshteyn-Ryzhik 6.576.4 with a = b)
+
+    C^2 = sqrt(pi) G(lam/2 + mu) G(lam/2 - mu) G(lam/2) / (4 G((lam + 1)/2)),
+
+and enumerates the obstruction modes e^{in theta} built from (K_0, K_1) against
 a closed-and-coclosed link 2-form, two per nonzero Fourier mode.
 
 Grids are log-spaced so (r d/dr) is a uniform stencil; quadratures are
-composite Gauss-Legendre per grid interval on the smooth factors.
+composite Gauss-Legendre per grid interval on the smooth factors.  The kernels
+are evaluated on the rhs support only (Gauss nodes with z != 0; 0 elsewhere).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .bessel import bessel_i, bessel_k
+from .bessel import bessel_i, bessel_k, gamma_fn
 
 __all__ = [
     "UnsupportedMode",
@@ -63,7 +68,7 @@ class UnsupportedMode(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Non-finite values in the Green-kernel quadrature."""
+    """Non-finite values in the Green-kernel quadrature or its bound."""
 
 
 class WeightOrderViolation(ValueError):
@@ -148,27 +153,24 @@ class SplitSolution:
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 
 
-def _interval_nodes(grid: np.ndarray):
-    """Gauss-Legendre nodes/weights per interval in the log variable."""
-    u = np.log(grid)
+def _rhs_nodes(problem: ModeProblem):
+    """Gauss-Legendre nodes and weights per grid interval in the log variable,
+    and the rhs sampled at the nodes, each shaped (intervals, 8)."""
+    u = np.log(problem.grid)
     mid = 0.5 * (u[1:] + u[:-1])
     half = 0.5 * np.diff(u)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    weights = half[:, None] * np.repeat(_GL_WEIGHTS[None, :], len(half), axis=0)
-    return np.exp(nodes), weights
-
-
-def _rhs_nodes(problem: ModeProblem):
-    """Gauss nodes, weights and the rhs sampled there, shaped (intervals, 8)."""
-    s_nodes, w = _interval_nodes(problem.grid)
+    s_nodes = np.exp(mid[:, None] + half[:, None] * _GL_NODES[None, :])
+    w = half[:, None] * _GL_WEIGHTS[None, :]
     z_nodes = problem.rhs_at(s_nodes.ravel()).reshape(s_nodes.shape)
     return s_nodes, w, z_nodes
 
 
-def _kz_sums(problem: ModeProblem, s_nodes, z_nodes, w) -> np.ndarray:
-    """Per-interval Gauss sums of K_mu(|n|s) z(s) ds/s."""
-    K_nodes = bessel_k(problem.mu, (abs(problem.n) * s_nodes).ravel())
-    return np.sum(K_nodes.reshape(s_nodes.shape) * z_nodes * w, axis=1)
+def _kernel_sums(kernel, problem: ModeProblem, s_nodes, z_nodes, w) -> np.ndarray:
+    """Per-interval Gauss sums of kernel_mu(|n|s) z(s) ds/s on the support of z."""
+    vals = np.zeros_like(s_nodes)
+    nz = z_nodes != 0
+    vals[nz] = kernel(problem.mu, abs(problem.n) * s_nodes[nz])
+    return np.sum(vals * z_nodes * w, axis=1)
 
 
 def _solve(problem: ModeProblem):
@@ -184,9 +186,8 @@ def _solve(problem: ModeProblem):
     i_grid = None
     if n != 0:
         a = abs(n)
-        kz = _kz_sums(problem, s_nodes, z_nodes, w)
-        I_nodes = bessel_i(mu, (a * s_nodes).ravel()).reshape(s_nodes.shape)
-        iz = np.sum(I_nodes * z_nodes * w, axis=1)
+        kz = _kernel_sums(bessel_k, problem, s_nodes, z_nodes, w)
+        iz = _kernel_sums(bessel_i, problem, s_nodes, z_nodes, w)
         # int_r^1 K z du at grid points (grid[-1] = support side)
         tail = np.concatenate([np.cumsum(kz[::-1])[::-1], [0.0]])
         head = np.concatenate([[0.0], np.cumsum(iz)])
@@ -195,7 +196,7 @@ def _solve(problem: ModeProblem):
         c = tail[0] / a
     else:
         # inner G(s) = int_0^s t^mu z dt/t, then y = r^mu int_0^r G s^-2mu ds/s
-        G_nodes, G_grid = _inner_cumulative(problem, s_nodes, z_nodes, w)
+        G_nodes = _inner_cumulative(problem, s_nodes, z_nodes, w)
         hz = np.sum(G_nodes * s_nodes ** (-2.0 * mu) * w, axis=1)
         H = np.concatenate([[0.0], np.cumsum(hz)])
         y = grid ** mu * H
@@ -211,7 +212,7 @@ def solve_mode(problem: ModeProblem) -> np.ndarray:
 
 
 def _inner_cumulative(problem: ModeProblem, s_nodes, z_nodes, w):
-    """G(s) = int_0^s t^mu z dt/t at the outer Gauss nodes and grid points.
+    """G(s) = int_0^s t^mu z dt/t at the outer Gauss nodes.
 
     Integrals below grid[0] are dropped (the weighted space forces decay
     there); inside each interval a nested 4-point rule reaches each node.
@@ -230,7 +231,7 @@ def _inner_cumulative(problem: ModeProblem, s_nodes, z_nodes, w):
     zz = problem.rhs_at(tt.ravel()).reshape(tt.shape)
     seg = np.sum(tt ** mu * zz * (half[:, :, None] * inner_w[None, None, :]),
                  axis=2)
-    return G_grid[:-1, None] + seg, G_grid
+    return G_grid[:-1, None] + seg
 
 
 def _log_second_difference(y: np.ndarray, h: float) -> np.ndarray:
@@ -292,12 +293,11 @@ def _shell_norm(grid: np.ndarray, w: np.ndarray, vals: np.ndarray,
         (grid[mask] ** (-delta) * vals[mask]) ** 2 * w[mask])))
 
 
-def _shell_norms(grid: np.ndarray, vals: np.ndarray, delta: float,
-                 shells: int = 16) -> np.ndarray:
-    """Weighted L2 norms on dyadic shells [2^-k-1, 2^-k] descending to 0."""
+def _shell_norms(grid: np.ndarray, vals: np.ndarray, delta: float) -> np.ndarray:
+    """Weighted L2 norms on up to 16 dyadic shells [2^-k-1, 2^-k] toward 0."""
     w = np.gradient(np.log(grid))
     out = []
-    for k in range(shells):
+    for k in range(16):
         lo, hi = 2.0 ** (-k - 1), 2.0 ** (-k)
         if not np.any((grid >= lo) & (grid < hi)):
             break
@@ -305,19 +305,20 @@ def _shell_norms(grid: np.ndarray, vals: np.ndarray, delta: float,
     return np.array(out)
 
 
-@lru_cache(maxsize=64)
 def _bound_constant_sq(mu: float, delta_pp: float) -> float:
-    val, _ = quad(lambda s: bessel_k(mu, s) ** 2 * s ** (2 * delta_pp + 3),
-                  0.0, np.inf, limit=200)
-    return val
+    """C^2 in closed form (module docstring); needs dpp + 2 > mu."""
+    half = delta_pp + 2.0  # lam / 2
+    return (math.sqrt(math.pi) * gamma_fn(half + mu) * gamma_fn(half - mu)
+            * gamma_fn(half) / (4.0 * gamma_fn(half + 0.5)))
 
 
 def coefficient_bound_check(problem: ModeProblem,
                             delta_pp: float) -> tuple[float, float]:
     """(|c|, C |n|^(-dpp-2) ||z||): the Cauchy-Schwarz certificate pair.
 
-    C^2 = int_0^inf K_mu^2(s) s^(2 dpp+4) ds/s diverges at 0 when
-    2 dpp + 4 <= 2 mu; ||z|| is the radial delta''+2 weighted norm.
+    C (module docstring) is finite for 2 dpp + 4 > 2 mu; ||z|| is the radial
+    delta''+2 weighted norm, taken on the support of z (s^-(dpp+2) overflows
+    toward 0).  A pair that is not finite raises QuadratureFailure.
     """
     mu = problem.mu
     if problem.n == 0:
@@ -327,12 +328,17 @@ def coefficient_bound_check(problem: ModeProblem,
             f"2 dpp + 4 = {2 * delta_pp + 4} <= 2 mu = {2 * mu}")
     s_nodes, w, z_nodes = _rhs_nodes(problem)
     # the same sums, in the same order, as the solve's tail integral at grid[0]
-    kz = _kz_sums(problem, s_nodes, z_nodes, w)
+    kz = _kernel_sums(bessel_k, problem, s_nodes, z_nodes, w)
     c = abs(float(np.cumsum(kz[::-1])[-1])) / abs(problem.n)
-    C2 = _bound_constant_sq(mu, delta_pp)
-    znorm = math.sqrt(float(np.sum(
-        (s_nodes ** (-(delta_pp + 2.0)) * z_nodes) ** 2 * w)))
-    bound = math.sqrt(C2) * abs(problem.n) ** (-delta_pp - 2.0) * znorm
+    weight = np.where(z_nodes != 0, s_nodes, 1.0) ** (-(delta_pp + 2.0))
+    znorm = math.sqrt(float(np.sum((weight * z_nodes) ** 2 * w)))
+    try:
+        C = math.sqrt(_bound_constant_sq(mu, delta_pp))
+    except OverflowError:  # a Gamma factor beyond the float range
+        C = math.inf
+    bound = C * abs(problem.n) ** (-delta_pp - 2.0) * znorm
+    if not (math.isfinite(c) and math.isfinite(bound)):
+        raise QuadratureFailure(f"non-finite bound pair ({c}, {bound})")
     return c, bound
 
 
@@ -354,10 +360,9 @@ class ObstructionMode:
     normal_form: str
 
 
-def _scaled_ode_residual(grid: np.ndarray, y: np.ndarray, a: float,
+def _scaled_ode_residual(grid: np.ndarray, h: float, y: np.ndarray, a: float,
                          mu: float) -> float:
-    u = np.log(grid)
-    d2 = _log_second_difference(y, u[1] - u[0])
+    d2 = _log_second_difference(y, h)
     r = grid[2:-2]
     coeff = a * a * r * r + mu * mu
     resid = d2 - coeff * y[2:-2]
@@ -376,29 +381,25 @@ def kernel_modes(n_max: int, r_grid: np.ndarray | None = None) -> list[Obstructi
     u = np.log(grid)
     h = u[1] - u[0]
     modes = []
-    for n in [s * k for k in range(1, n_max + 1) for s in (1, -1)]:
-        a = abs(n)
+    for a in range(1, n_max + 1):
         k0 = bessel_k(0.0, a * grid)
         k1 = bessel_k(1.0, a * grid)
         dk0 = (k0[:-4] - 8 * k0[1:-3] + 8 * k0[3:-1] - k0[4:]) / (12 * h)
-        ident = np.abs(dk0 + (a * grid * k1)[2:-2])
-        ident_res = float(np.max(ident / (1.0 + (a * grid * k1)[2:-2])))
+        ak1 = (a * grid * k1)[2:-2]
         small = grid[grid <= 1e-6 / a]
         if small.size == 0:
             small = grid[:1]
         rs = float(small[-1])
-        log_ratio = float(bessel_k(0.0, a * rs) / (-math.log(a * rs)))
-        inverse_ratio = float(bessel_k(1.0, a * rs) * (a * rs))
-        modes.append(ObstructionMode(
-            n=n,
-            identity_residual=ident_res,
-            ode0_residual=_scaled_ode_residual(grid, k0, a, 0.0),
-            ode1_residual=_scaled_ode_residual(grid, k1, a, 1.0),
-            log_ratio=log_ratio,
-            inverse_ratio=inverse_ratio,
-            normal_form=("sin(theta) r^-1 dr ^ phi_21" if a == 1
-                         else f"e^({n}i theta) (|n|r)^-1 dr ^ phi_21"),
-        ))
+        shared = dict(
+            identity_residual=float(np.max(np.abs(dk0 + ak1) / (1.0 + ak1))),
+            ode0_residual=_scaled_ode_residual(grid, h, k0, a, 0.0),
+            ode1_residual=_scaled_ode_residual(grid, h, k1, a, 1.0),
+            log_ratio=float(bessel_k(0.0, a * rs) / (-math.log(a * rs))),
+            inverse_ratio=float(bessel_k(1.0, a * rs) * (a * rs)))
+        for n in (a, -a):
+            form = ("sin(theta) r^-1 dr ^ phi_21" if a == 1
+                    else f"e^({n}i theta) (|n|r)^-1 dr ^ phi_21")
+            modes.append(ObstructionMode(n=n, normal_form=form, **shared))
     return modes
 
 
@@ -418,13 +419,11 @@ def no_decaying_kernel_check(mu_hat: float, delta: float,
     i_vals = bessel_i(order, grid)
     k_vals = bessel_k(order, grid)
     w = np.gradient(np.log(grid))
-
-    def shell(vals, lo, hi):
-        return _shell_norm(grid, w, vals, weight, lo, hi)
-
-    top = [shell(i_vals, 2.0 ** k, 2.0 ** (k + 1)) for k in range(1, 5)]
+    top = [_shell_norm(grid, w, i_vals, weight, 2.0 ** k, 2.0 ** (k + 1))
+           for k in range(1, 5)]
     i_diverges = all(b > a for a, b in zip(top, top[1:])) and top[-1] > 10 * top[0]
-    bottom = [shell(k_vals, 2.0 ** (-k - 1), 2.0 ** (-k)) for k in range(4, 17)]
+    bottom = [_shell_norm(grid, w, k_vals, weight, 2.0 ** (-k - 1), 2.0 ** (-k))
+              for k in range(4, 17)]
     k_diverges = all(b >= a * 0.999 for a, b in zip(bottom, bottom[1:])) \
         and bottom[-1] > 2 * bottom[0]
     return bool(i_diverges and k_diverges)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +154,34 @@ def test_stenzel_ma_check_bad_eps_exits_2(eps):
     assert code == 2
     assert out == ""
     assert "error: argument --eps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["g2", "lincheck", "--samples", "0", "--verify"],
+    ["g2", "lincheck", "--samples=-3", "--verify"],
+    ["stenzel", "ma-check", "--points", "0"],
+    ["stenzel", "ma-check", "--points=-1", "--eps", "0.5,0.5"],
+])
+def test_vacuous_counts_exit_2(argv):
+    # a run over zero samples or points checks nothing and must not pass
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 1" in err and "Traceback" not in err
+
+
+def test_import_leaves_out_scipy_integrate():
+    # the command-line import floor does not load scipy's quadrature package
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cone_forge.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_stenzel_profile_out_file(tmp_path):

@@ -297,3 +297,77 @@ def test_no_decaying_kernel_examples():
     assert edge.no_decaying_kernel_check(1.0, -1.9)
     with pytest.raises(ValueError):
         edge.no_decaying_kernel_check(1.0, -2.5)
+
+
+@pytest.mark.parametrize("mu,dpp", [(1.0, 0.25), (2.3, 0.5), (0.7, 1.2),
+                                    (1.5, 2.0), (2.3, 0.35), (1.0, -0.9),
+                                    (5.0, 4.0)])
+def test_bound_constant_closed_form_matches_quadrature(mu, dpp):
+    # the closed form against int_0^inf K_mu(s)^2 s^(2 dpp + 3) ds by
+    # scipy's kv and quad, split at s = 1 where the integrand changes regime
+    from scipy.integrate import quad
+    from scipy.special import kv
+
+    def f(s):
+        return kv(mu, s) ** 2 * s ** (2.0 * dpp + 3.0)
+
+    ref = quad(f, 0.0, 1.0, limit=200)[0] + quad(f, 1.0, np.inf, limit=200)[0]
+    assert edge._bound_constant_sq(mu, dpp) == pytest.approx(ref, rel=1e-9)
+
+
+def test_bound_constant_exact_value():
+    # mu = 0, dpp = 0: sqrt(pi) G(2)^3 / (4 G(5/2)) = 1/3
+    assert edge._bound_constant_sq(0.0, 0.0) == pytest.approx(1.0 / 3.0,
+                                                              rel=1e-14)
+
+
+@pytest.mark.parametrize("n,mu,dpp", [(3, 1.0, 40.0), (1, 40.5, 40.5)])
+def test_coefficient_bound_finite_at_large_weight(n, mu, dpp):
+    # K_mu and s^-(dpp+2) overflow toward r = 0, where z vanishes; the pair
+    # is taken on the support of z, so it stays finite and is a real bound
+    prob = make_problem(n, mu, bump(0.25, 0.5), support=0.5)
+    lhs, rhs = edge.coefficient_bound_check(prob, dpp)
+    assert math.isfinite(lhs) and math.isfinite(rhs)
+    assert 0.0 < lhs <= rhs
+
+
+def test_coefficient_bound_never_returns_non_finite():
+    # Gamma(dpp + 2 + mu) beyond the float range: no pair is claimed
+    prob = make_problem(3, 1.0, bump(0.25, 0.5), support=0.5)
+    with pytest.raises(edge.QuadratureFailure):
+        edge.coefficient_bound_check(prob, 200.0)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(edge, name)
+
+    def counted(mu, x):
+        calls.append(np.size(x))
+        return real(mu, x)
+
+    monkeypatch.setattr(edge, name, counted)
+    return calls
+
+
+def test_kernels_run_on_rhs_support_only(monkeypatch):
+    # each Gauss-node kernel sum evaluates exactly the nodes where z != 0;
+    # the solve adds one I and one K row on the grid
+    prob = make_problem(3, 1.5, bump(0.25, 0.5), support=0.5)
+    _, _, z_nodes = edge._rhs_nodes(prob)
+    support = int(np.count_nonzero(z_nodes))
+    assert 0 < support < z_nodes.size // 4
+    k_calls = _counting(monkeypatch, "bessel_k")
+    i_calls = _counting(monkeypatch, "bessel_i")
+    edge.coefficient_bound_check(prob, 1.5)
+    assert k_calls == [support] and i_calls == []
+    k_calls.clear()
+    edge.solve_mode(prob)
+    assert sorted(k_calls) == sorted(i_calls) == [support, COARSE.size]
+
+
+def test_kernel_modes_two_k_rows_per_order(monkeypatch):
+    # K_0 and K_1 are built once per |n| and shared by the modes n and -n
+    calls = _counting(monkeypatch, "bessel_k")
+    edge.kernel_modes(4)
+    assert sum(size > 1 for size in calls) == 2 * 4
