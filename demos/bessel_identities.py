@@ -4,8 +4,8 @@ import numpy as np
 
 from cone_forge import bessel as bs
 
-print("== evaluation regimes ==")
-for mu, x in ((0.5, 0.3), (0.5, 5.0), (0.5, 30.0), (1.0, 0.3)):
+print("== evaluation regimes: Temme's series below x = 2, Steed's CF2 above ==")
+for mu, x in ((0.5, 0.3), (0.5, 5.0), (0.5, 30.0), (1.0, 0.3), (1.0 + 1e-11, 0.5)):
     ev = bs.bessel_eval(mu, x)
     print(f"  mu={mu}, x={x:5.1f}: I={ev.value_i:.6e}  K={ev.value_k:.6e}"
           f"  [{ev.regime}]")

@@ -1,56 +1,51 @@
 """Self-contained Gamma and modified Bessel functions I_mu, K_mu.
 
-I is evaluated by its power series
+One method serves every order mu >= 0 and argument x > 0 (Temme 1975,
+J. Comput. Phys. 19:324; Numerical Recipes section 6.7, `bessik`).  With
+mu = nu + m, |nu| <= 1/2, m an integer: K_nu and r_nu = K_nu+1/K_nu come from
+Temme's series for x < 2 and from Steed's continued fraction CF2 for x >= 2;
+the recurrence K_v+1 = K_v-1 + (2v/x) K_v, carried as the ratio r_v, climbs
+to K_mu and r_mu; I_mu follows from the continued fraction CF1 for
+I_mu+1/I_mu and the Wronskian I_mu K_mu+1 + I_mu+1 K_mu = 1/x, as
+I_mu = 1 / (x K_mu (I_mu+1/I_mu + r_mu)), so I does not underflow where
+K_mu+1 alone overflows.  Temme's 1/Gamma(1 +- nu) and gam1 = (1/Gamma(1 - nu)
+- 1/Gamma(1 + nu)) / (2 nu) come from the Taylor series of 1/Gamma(1 + t)
+(A&S 6.1.34), whose odd part over -nu is gam1: nothing cancels near integers.
 
-    I_mu(x) = sum_m (x/2)^(2m+mu) / (m! Gamma(m+mu+1))
+Each loop runs a fixed number of iterations per binary octave 2^j <= x <
+2^(j+1) at its order: what one probe point at the octave's slow edge (upper
+for the series and CF1, lower for CF2) needs to bring its increment under one
+ulp, and never fewer than the neighbouring faster octave needs.  The counts
+are monotone in x, the points of a sorted batch still iterating form one
+slice, and each value is the same float in whatever batch it arrives.
 
-below the switchover x >= max(12, mu^2 + 2) and by the compound asymptotic
-expansion  e^x/sqrt(2 pi x) * S- - sin(mu pi) e^-x/sqrt(2 pi x) * S+  above it.
-K uses the reflection formula (pi/2)(I_-mu - I_mu)/sin(mu pi) for
-non-integer orders below x = 1, a trapezoidal evaluation of the integral
-int_0^inf e^(-x cosh t) cosh(mu t) dt up to the switchover, and the
-asymptotic expansion sqrt(pi/2x) e^-x * S+ beyond.  The trapezoid step is
-h = 0.05; the cutoff t_max is chosen per binary octave 2^j <= x < 2^(j+1)
-as the first t in 1, 1.5, 2, ... with 2^j (cosh t - 1) - |mu| t >= 50.  The
-left side grows with x, so every x in the octave meets the rule, and the
-dropped tail is of the order of e^-50 ~ 2e-22 of the peak e^-x, far under
-one ulp of the sum.  Each value is thus the same to round-off as under any
-longer cutoff, does not depend on the other points of the batch, and costs
-only the nodes its own octave needs (for mu = 0, 101 nodes at x = 1 against
-471 at x = 1e-8).
-
-The quadrature regime exists because the reflection formula loses ~e^(2x)
-precision in binary64, which would break the Wronskian tolerance near
-x = 10; integer orders take the quadrature on the whole sub-asymptotic range
-so that K is evaluated by one smooth path there (grid differentiation must
-not cross a regime seam).  The two-sided eps-limit of the reflection formula
-at integer orders is kept as _k_integer_limit and is cross-checked in the
-test suite.
-
-The Wronskian I'K - K'I equals 1/x exactly: the reflection formula collapses
-Gamma(1+m)Gamma(1-m) sin(m pi)/(m pi) to 1.
-
-All functions accept scalars or numpy arrays in the argument x.
+Since I is built from the Wronskian, wronskian_residual checks that I, I', K
+and K' are consistent; the scipy comparisons in the test suite are the
+independent accuracy oracle.  All functions accept scalars or numpy arrays
+in the argument x.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "PoleArgument",
     "BesselEval",
     "gamma_fn",
+    "bessel_ik",
     "bessel_i",
     "bessel_k",
     "bessel_i_prime",
     "bessel_k_prime",
     "wronskian_residual",
     "bessel_eval",
-    "switchover",
 ]
 
 
@@ -95,168 +90,176 @@ def gamma_fn(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * a
 
 
-def switchover(mu: float) -> float:
-    """Series-to-asymptotic switch point max(12, mu^2 + 2)."""
-    return max(12.0, mu * mu + 2.0)
+# 1/Gamma(1 + t) = sum_k _RGAMMA[k] t^k (A&S 6.1.34, to double precision);
+# for |t| <= 1/2 the terms beyond t^21 are below 1e-20
+_RGAMMA = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+)
+
+_EPS = 2.0 ** -52  # a probe has converged when its increment is under this
+_OCTAVES = (-64, 10)  # x outside [2^-64, 2^11) takes the count of the end octave
+_CHUNK = 8192  # points per pass, so that the loops' arrays stay in cache
 
 
-def _i_series(mu: float, x: np.ndarray) -> np.ndarray:
-    """Power series for I_mu, valid for any real non-negative-pole order."""
-    half = x / 2.0
-    # leading term (x/2)^mu / Gamma(mu+1); below-pole orders handled by caller
-    term = np.where(x > 0, half ** mu, 0.0 if mu != 0 else 1.0) / gamma_fn(mu + 1.0)
-    if mu == 0:
-        term = np.ones_like(x)
-    total = term.copy()
-    h2 = half * half
-    # in place: fresh batch-sized temporaries per term would cost page faults
-    size, bound = np.empty_like(total), np.empty_like(total)
-    m = 0
-    while True:
-        m += 1
-        term *= h2
-        term /= m * (m + mu)
-        total += term
-        if m > 8:
-            np.abs(term, out=size)
-            np.multiply(np.abs(total, out=bound), 1e-17, out=bound)
-            if np.all(size <= bound):
-                break
-        if m > 400:
-            break
-    return total
+def _temme(nu: float, x: np.ndarray, spans, probe=False):
+    """(K_nu, K_nu+1/K_nu) for |nu| <= 1/2, x < 2 by Temme's series; term i
+    runs on the slice spans[i - 1] of x, and a probe returns the terms it needs.
+    f, p, q carry the factor (x^2/4)^i / i! of term i."""
+    t = nu * nu
+    gam2 = float(polyval(t, _RGAMMA[0::2]))
+    gam1 = -float(polyval(t, _RGAMMA[1::2]))
+    d = -np.log(0.5 * x)
+    e = nu * d
+    sinhc = np.divide(np.sinh(e), e, out=np.ones_like(e), where=e != 0.0)
+    fact = math.pi * nu / math.sin(math.pi * nu) if nu else 1.0
+    f = fact * (gam1 * np.cosh(e) + gam2 * sinhc * d)
+    e = np.exp(e)
+    p = 0.5 * e / (gam2 - nu * gam1)  # gam2 -+ nu gam1 = 1/Gamma(1 +- nu)
+    q = 0.5 / (e * (gam2 + nu * gam1))
+    h2 = 0.25 * x * x
+    k, k1 = f.copy(), p.copy()  # K_nu and x K_nu+1 / 2
+    for i, s in enumerate(spans, 1):
+        hs = h2[s]
+        f[s] = (i * f[s] + p[s] + q[s]) * hs / (i * (i * i - t))
+        p[s] *= hs / (i * (i - nu))
+        q[s] *= hs / (i * (i + nu))
+        k[s] += f[s]
+        dk1 = p[s] - i * f[s]
+        k1[s] += dk1
+        if probe and abs(f[0]) <= _EPS * abs(k[0]) \
+                and abs(dk1[0]) <= _EPS * abs(k1[0]):
+            return i
+    return k, k1 / (0.5 * x * k)
 
 
-def _asym_sums(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optimally truncated sums S-(alternating) and S+ of a_k(mu)/x^k."""
-    s_alt = np.ones_like(x)
-    s_pos = np.ones_like(x)
-    term = np.ones_like(x)
-    mu4 = 4.0 * mu * mu
-    prev = np.full_like(x, np.inf)
-    done = np.zeros(x.shape, dtype=bool)
-    for k in range(1, 60):
-        term = term * (mu4 - (2 * k - 1) ** 2) / (8.0 * k * x)
-        grow = np.abs(term) >= prev
-        done |= grow
-        keep = ~done
-        s_alt = np.where(keep, s_alt + ((-1) ** k) * term, s_alt)
-        s_pos = np.where(keep, s_pos + term, s_pos)
-        prev = np.abs(term)
-        if done.all():
-            break
-    return s_alt, s_pos
+def _steed(nu: float, x: np.ndarray, spans, probe=False):
+    """(K_nu, K_nu+1/K_nu) for |nu| <= 1/2, x >= 2 by Steed's CF2 (as _temme)."""
+    a1 = 0.25 - nu * nu
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    h, delh = d.copy(), d.copy()
+    q1, q2, q = np.zeros_like(x), np.ones_like(x), np.full_like(x, a1)
+    total = 1.0 + a1 * delh
+    a, c = -a1, a1
+    for i, s in enumerate(spans, 2):
+        a -= 2 * (i - 1)
+        c = -a * c / i
+        q1[s] = (q1[s] - b[s] * q2[s]) / a  # the next q, over the oldest
+        q1, q2 = q2, q1
+        q[s] += c * q2[s]
+        b[s] += 2.0
+        d[s] = 1.0 / (b[s] + a * d[s])
+        delh[s] *= b[s] * d[s] - 1.0
+        h[s] += delh[s]
+        dsum = q[s] * delh[s]
+        total[s] += dsum
+        if probe and abs(dsum[0]) <= _EPS * abs(total[0]) \
+                and abs(delh[0]) <= _EPS * abs(h[0]):
+            return i - 1
+    k = np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) / total
+    return k, (nu + x + 0.5 - a1 * h) / x
 
 
-def _i_asym(mu: float, x: np.ndarray) -> np.ndarray:
-    s_alt, s_pos = _asym_sums(mu, x)
-    pref = 1.0 / np.sqrt(2.0 * math.pi * x)
-    return pref * (np.exp(x) * s_alt - math.sin(mu * math.pi) * np.exp(-x) * s_pos)
+def _cf1(mu: float, x: np.ndarray, spans, probe=False):
+    """I_mu+1/I_mu = 1/(b_1 + 1/(b_2 + ...)), b_j = 2(mu + j)/x, by Lentz's
+    method on the denominator (spans and probe as for _temme)."""
+    xi2 = 2.0 / x
+    f = (mu + 1.0) * xi2
+    c, d = f.copy(), np.zeros_like(x)
+    for j, s in enumerate(spans, 2):
+        b = (mu + j) * xi2[s]
+        d[s] = 1.0 / (b + d[s])
+        c[s] = b + 1.0 / c[s]
+        delta = c[s] * d[s]
+        f[s] *= delta
+        if probe and abs(delta[0] - 1.0) <= _EPS:
+            return j - 1
+    return 1.0 / f
 
 
-def _k_asym(mu: float, x: np.ndarray) -> np.ndarray:
-    _, s_pos = _asym_sums(mu, x)
-    return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * s_pos
+@lru_cache(maxsize=4096)
+def _terms(loop, order: float, octave: int) -> int:
+    """Iterations of loop at order on the octave 2^octave <= x < 2^(octave+1)."""
+    falling = loop is _steed  # CF2 needs fewer iterations as x grows
+    x = np.array([math.ldexp(1.0, octave + (not falling))])
+    # 10^4 iterations bound a probe (CF1, the slowest, needs 276 at x = 2^11)
+    n = loop(order, x, itertools.repeat(slice(None), 10_000), probe=True)
+    faster = octave + 1 if falling else octave - 1
+    if _OCTAVES[0] <= faster <= _OCTAVES[1]:
+        n = max(n, _terms(loop, order, faster))
+    return n
 
 
-def _k_quadrature(mu: float, x: np.ndarray) -> np.ndarray:
-    """Trapezoid rule on the even integrand e^(-x cosh t) cosh(mu t).
-
-    The cutoff t_max is chosen per binary octave 2^j <= x < 2^(j+1) from
-    its lower edge, so each point costs what its own octave needs.
-    """
-    flat = np.ravel(x)
-    res = np.empty_like(flat)
-    # frexp gives x = m 2^e with m in [0.5, 1): e - 1 is floor(log2 x) exactly
-    octave = np.frexp(flat)[1] - 1
-    order = np.argsort(octave, kind="stable")
-    starts = np.flatnonzero(np.diff(octave[order])) + 1
-    h = 0.05
-    chunk = 2048
-    for group in np.split(order, starts):
-        lower = math.ldexp(1.0, int(octave[group[0]]))
-        # choose t_max so the tail is below 1e-20 of the peak e^-x
-        t = 1.0
-        while lower * (math.cosh(t) - 1.0) - abs(mu) * t < 50.0:
-            t += 0.5
-        ts = np.arange(0.0, t + h, h)
-        w = np.full(ts.shape, h)
-        w[0] = h / 2.0
-        cosh_t = np.cosh(ts)[None, :]
-        cosh_mu = np.cosh(mu * ts)[None, :]
-        for i in range(0, group.size, chunk):
-            rows = group[i:i + chunk]
-            vals = -flat[rows, None] * cosh_t
-            np.exp(vals, out=vals)
-            vals *= cosh_mu
-            vals *= w
-            res[rows] = np.sum(vals, axis=1)
-    return res.reshape(np.shape(x))
+def _spans(loop, order: float, x: np.ndarray) -> list[slice]:
+    """Per iteration of loop, the slice of sorted x still iterating."""
+    if x.size == 0:
+        return []
+    octave = np.clip(np.frexp(x)[1] - 1, *_OCTAVES)  # floor(log2 x), exactly
+    edges = np.flatnonzero(octave[1:] != octave[:-1]) + 1
+    counts = np.array([_terms(loop, order, int(octave[g])) for g in (0, *edges)])
+    edges = np.array((0, *edges, x.size))
+    its = np.arange(1, counts.max() + 1)
+    if loop is _steed:  # counts fall with x: a prefix
+        return [slice(0, e) for e in edges[np.searchsorted(-counts, -its, "right")]]
+    return [slice(b, None) for b in edges[np.searchsorted(counts, its)]]
 
 
-def _k_reflection(mu: float, x: np.ndarray) -> np.ndarray:
-    return (math.pi / 2.0) * (_i_series(-mu, x) - _i_series(mu, x)) / _sinpi(mu)
+def _pass(mu: float, x, with_i: bool):
+    """(sorted flat x, I_mu or None, K_mu, K_mu+1/K_mu, map back to x's layout)."""
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs <= 0):
+        raise ValueError("argument must be positive")
+    shape, xs = xs.shape, xs.ravel()
+    perm = None if np.all(xs[1:] >= xs[:-1]) else np.argsort(xs, kind="stable")
+    xs = xs if perm is None else xs[perm]
+    m = int(mu + 0.5)
+    nu = mu - m
+    k, r = np.empty_like(xs), np.empty_like(xs)
+    i = np.empty_like(xs) if with_i else None
+    # K_mu may overflow to inf, and then I_mu = 0: both are the IEEE limits
+    with np.errstate(over="ignore", divide="ignore"):
+        for lo in range(0, xs.size, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            xc, kc, rc = xs[part], k[part], r[part]
+            split = int(np.searchsorted(xc, 2.0))
+            for loop, sub in ((_temme, slice(0, split)), (_steed, slice(split, None))):
+                kc[sub], rc[sub] = loop(nu, xc[sub], _spans(loop, nu, xc[sub]))
+            for j in range(1, m + 1):
+                kc *= rc
+                rc[...] = 1.0 / rc + 2.0 * (nu + j) / xc
+            if with_i:
+                i[part] = 1.0 / (xc * (_cf1(mu, xc, _spans(_cf1, mu, xc)) + rc)) / kc
+
+    def back(vals):
+        vals = vals if perm is None else vals[np.argsort(perm)]
+        return float(vals[0]) if shape == () else vals.reshape(shape)
+    return xs, i, k, r, back
 
 
-# power of two so that mu +- eps and the pole-crossing factors m + mu - n
-# stay exactly representable; the Richardson step removes the O(eps^2) bias
-_EPS_LIMIT = 2.0 ** -17
-
-# reflection/eps-limit below, cosh-integral quadrature above
-_K_QUAD_START = 1.0
-
-
-def _k_integer_limit(mu: float, x: np.ndarray) -> np.ndarray:
-    """Two-sided eps-limit of the reflection formula with Richardson step."""
-    def avg(eps):
-        return 0.5 * (_k_reflection(mu + eps, x) + _k_reflection(mu - eps, x))
-
-    f1 = avg(_EPS_LIMIT)
-    f2 = avg(_EPS_LIMIT / 2.0)
-    return (4.0 * f2 - f1) / 3.0
+def bessel_ik(mu: float, x) -> tuple:
+    """(I_mu(x), K_mu(x), K_mu+1(x)) from one pass, mu >= 0, x > 0."""
+    if mu < 0:
+        raise ValueError("order must be >= 0")
+    _, i, k, r, back = _pass(mu, x, True)
+    with np.errstate(over="ignore"):
+        return back(i), back(k), back(r * k)
 
 
 def bessel_i(mu: float, x) -> float | np.ndarray:
     """Modified Bessel function of the first kind, mu >= 0, x > 0."""
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if np.any(xs <= 0):
-        raise ValueError("argument must be positive")
-    cut = switchover(mu)
-    out = np.empty_like(xs)
-    lo = xs < cut
-    if lo.any():
-        out[lo] = _i_series(mu, xs[lo])
-    if (~lo).any():
-        out[~lo] = _i_asym(mu, xs[~lo])
-    return float(out[0]) if scalar else out
+    return bessel_ik(mu, x)[0]
 
 
 def bessel_k(mu: float, x) -> float | np.ndarray:
-    """Modified Bessel function of the second kind, mu >= 0, x > 0."""
-    mu = abs(mu)
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if np.any(xs <= 0):
-        raise ValueError("argument must be positive")
-    cut = switchover(mu)
-    out = np.empty_like(xs)
-    integer_order = abs(mu - round(mu)) < _INTEGER_TOL
-    # integer orders take the quadrature on the whole sub-asymptotic range:
-    # one smooth evaluation path, so grid differentiation of K never sees a
-    # regime seam (the eps-limit stays available as the test oracle)
-    small = xs < (0.0 if integer_order else _K_QUAD_START)
-    large = xs >= cut
-    mid = ~small & ~large
-    if small.any():
-        out[small] = _k_reflection(mu, xs[small])
-    if mid.any():
-        out[mid] = _k_quadrature(mu, xs[mid])
-    if large.any():
-        out[large] = _k_asym(mu, xs[large])
-    return float(out[0]) if scalar else out
+    """Modified Bessel function of the second kind, x > 0 (K_-mu = K_mu)."""
+    _, _, k, _, back = _pass(abs(mu), x, False)
+    return back(k)
 
 
 def bessel_i_prime(mu: float, x) -> float | np.ndarray:
@@ -265,8 +268,9 @@ def bessel_i_prime(mu: float, x) -> float | np.ndarray:
 
 
 def bessel_k_prime(mu: float, x) -> float | np.ndarray:
-    """dK_mu/dx via -K_{mu+1} + (mu/x) K_mu; K_0' = -K_1 is the mu=0 case."""
-    return -bessel_k(mu + 1.0, x) + (mu / np.asarray(x, dtype=float)) * bessel_k(mu, x)
+    """dK_mu/dx = K_mu (mu/x - K_mu+1/K_mu); K_0' = -K_1 is the mu=0 case."""
+    xs, _, k, r, back = _pass(mu, x, False)
+    return back(k * (mu / xs - r))
 
 
 def wronskian_residual(mu: float, x) -> float | np.ndarray:
@@ -286,16 +290,10 @@ class BesselEval:
     arg: float
     value_i: float
     value_k: float
-    regime: str  # series | quadrature | asymptotic
+    regime: str  # temme (x < 2) | steed
 
 
 def bessel_eval(mu: float, x: float) -> BesselEval:
-    integer_order = abs(mu - round(mu)) < _INTEGER_TOL
-    if x >= switchover(mu):
-        regime = "asymptotic"
-    elif integer_order or x >= _K_QUAD_START:
-        regime = "quadrature"
-    else:
-        regime = "series"
-    return BesselEval(order=mu, arg=x, value_i=bessel_i(mu, x),
-                      value_k=bessel_k(mu, x), regime=regime)
+    i, k, _ = bessel_ik(mu, x)
+    return BesselEval(order=mu, arg=x, value_i=i, value_k=k,
+                      regime="temme" if x < 2.0 else "steed")

@@ -99,7 +99,7 @@ def _fail(msg: str) -> int:
 
 def _cmd_g2_lincheck(args, cfg: RunConfig) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
-    h = args.step or cfg.g2_step
+    h = args.step if args.step is not None else cfg.g2_step
     rows = []
     worst = 0.0
     for k in range(args.samples):
@@ -136,8 +136,9 @@ def _cmd_bessel_eval(args, cfg: RunConfig) -> int:
 
 
 def _cmd_stenzel_profile(args, cfg: RunConfig) -> int:
-    prof = _stenzel.solve_profile(args.n, args.wmax or cfg.stenzel_wmax,
-                                  args.steps or cfg.stenzel_steps)
+    prof = _stenzel.solve_profile(
+        args.n, args.wmax if args.wmax is not None else cfg.stenzel_wmax,
+        args.steps if args.steps is not None else cfg.stenzel_steps)
     if args.verify:
         if prof.f[0] != 0.0 or prof.fprime[0] != 0.0 or \
                 not np.all(np.diff(prof.fprime) > 0):
@@ -160,6 +161,14 @@ def _positive_int(text: str) -> int:
     val = int(text)
     if val < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {val}")
+    return val
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for step sizes and extents: 0 would check nothing."""
+    val = float(text)
+    if not 0.0 < val < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite value > 0, got {val}")
     return val
 
 
@@ -505,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g2p = sub.add_parser("g2").add_subparsers(dest="command", required=True)
     q = g2p.add_parser("lincheck")
     q.add_argument("--samples", type=_positive_int, default=100)
-    q.add_argument("--step", type=float)
+    q.add_argument("--step", type=_positive_float)
     q.add_argument("--seed", type=int)
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_g2_lincheck)
@@ -520,8 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
     stp = sub.add_parser("stenzel").add_subparsers(dest="command", required=True)
     q = stp.add_parser("profile")
     q.add_argument("--n", type=int, default=3)
-    q.add_argument("--wmax", type=float)
-    q.add_argument("--steps", type=int)
+    q.add_argument("--wmax", type=_positive_float)
+    q.add_argument("--steps", type=_positive_int)
     q.add_argument("--out")
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_stenzel_profile)

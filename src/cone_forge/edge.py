@@ -29,7 +29,10 @@ a closed-and-coclosed link 2-form, two per nonzero Fourier mode.
 
 Grids are log-spaced so (r d/dr) is a uniform stencil; quadratures are
 composite Gauss-Legendre per grid interval on the smooth factors.  The kernels
-are evaluated on the rhs support only (Gauss nodes with z != 0; 0 elsewhere).
+are evaluated on the rhs support only (Gauss nodes with z != 0; 0 elsewhere),
+I and K there by one bessel_ik pass and on the grid by another; the grid's K
+row enters y only where int_0^r I z ds/s is nonzero, since K_mu may overflow
+below the support.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 
-from .bessel import bessel_i, bessel_k, gamma_fn
+from .bessel import bessel_ik, bessel_k, gamma_fn
 
 __all__ = [
     "UnsupportedMode",
@@ -165,11 +168,11 @@ def _rhs_nodes(problem: ModeProblem):
     return s_nodes, w, z_nodes
 
 
-def _kernel_sums(kernel, problem: ModeProblem, s_nodes, z_nodes, w) -> np.ndarray:
-    """Per-interval Gauss sums of kernel_mu(|n|s) z(s) ds/s on the support of z."""
-    vals = np.zeros_like(s_nodes)
-    nz = z_nodes != 0
-    vals[nz] = kernel(problem.mu, abs(problem.n) * s_nodes[nz])
+def _kernel_sums(support_vals, z_nodes, w) -> np.ndarray:
+    """Per-interval Gauss sums of kernel z ds/s, the kernel given on the support
+    of z (the nodes where z != 0, in row order) and 0 elsewhere."""
+    vals = np.zeros_like(z_nodes)
+    vals[z_nodes != 0] = support_vals
     return np.sum(vals * z_nodes * w, axis=1)
 
 
@@ -186,13 +189,18 @@ def _solve(problem: ModeProblem):
     i_grid = None
     if n != 0:
         a = abs(n)
-        kz = _kernel_sums(bessel_k, problem, s_nodes, z_nodes, w)
-        iz = _kernel_sums(bessel_i, problem, s_nodes, z_nodes, w)
+        i_nodes, k_nodes, _ = bessel_ik(mu, a * s_nodes[z_nodes != 0])
+        kz = _kernel_sums(k_nodes, z_nodes, w)
+        iz = _kernel_sums(i_nodes, z_nodes, w)
+        del i_nodes, k_nodes
         # int_r^1 K z du at grid points (grid[-1] = support side)
         tail = np.concatenate([np.cumsum(kz[::-1])[::-1], [0.0]])
         head = np.concatenate([[0.0], np.cumsum(iz)])
-        i_grid = bessel_i(mu, a * grid)
-        y = (-i_grid * tail - bessel_k(mu, a * grid) * head)
+        i_grid, k_grid, _ = bessel_ik(mu, a * grid)
+        # below the support head = 0, and there K_mu may overflow (inf * 0)
+        y = -i_grid * tail
+        live = head != 0
+        y[live] -= k_grid[live] * head[live]
         c = tail[0] / a
     else:
         # inner G(s) = int_0^s t^mu z dt/t, then y = r^mu int_0^r G s^-2mu ds/s
@@ -328,7 +336,8 @@ def coefficient_bound_check(problem: ModeProblem,
             f"2 dpp + 4 = {2 * delta_pp + 4} <= 2 mu = {2 * mu}")
     s_nodes, w, z_nodes = _rhs_nodes(problem)
     # the same sums, in the same order, as the solve's tail integral at grid[0]
-    kz = _kernel_sums(bessel_k, problem, s_nodes, z_nodes, w)
+    kz = _kernel_sums(bessel_k(mu, abs(problem.n) * s_nodes[z_nodes != 0]),
+                      z_nodes, w)
     c = abs(float(np.cumsum(kz[::-1])[-1])) / abs(problem.n)
     weight = np.where(z_nodes != 0, s_nodes, 1.0) ** (-(delta_pp + 2.0))
     znorm = math.sqrt(float(np.sum((weight * z_nodes) ** 2 * w)))
@@ -382,20 +391,18 @@ def kernel_modes(n_max: int, r_grid: np.ndarray | None = None) -> list[Obstructi
     h = u[1] - u[0]
     modes = []
     for a in range(1, n_max + 1):
-        k0 = bessel_k(0.0, a * grid)
-        k1 = bessel_k(1.0, a * grid)
+        _, k0, k1 = bessel_ik(0.0, a * grid)
         dk0 = (k0[:-4] - 8 * k0[1:-3] + 8 * k0[3:-1] - k0[4:]) / (12 * h)
         ak1 = (a * grid * k1)[2:-2]
-        small = grid[grid <= 1e-6 / a]
-        if small.size == 0:
-            small = grid[:1]
-        rs = float(small[-1])
+        small = np.flatnonzero(grid <= 1e-6 / a)
+        at = small[-1] if small.size else 0
+        rs = float(grid[at])
         shared = dict(
             identity_residual=float(np.max(np.abs(dk0 + ak1) / (1.0 + ak1))),
             ode0_residual=_scaled_ode_residual(grid, h, k0, a, 0.0),
             ode1_residual=_scaled_ode_residual(grid, h, k1, a, 1.0),
-            log_ratio=float(bessel_k(0.0, a * rs) / (-math.log(a * rs))),
-            inverse_ratio=float(bessel_k(1.0, a * rs) * (a * rs)))
+            log_ratio=float(k0[at] / (-math.log(a * rs))),
+            inverse_ratio=float(k1[at] * (a * rs)))
         for n in (a, -a):
             form = ("sin(theta) r^-1 dr ^ phi_21" if a == 1
                     else f"e^({n}i theta) (|n|r)^-1 dr ^ phi_21")
@@ -416,8 +423,7 @@ def no_decaying_kernel_check(mu_hat: float, delta: float,
     order = math.sqrt(mu_hat)
     grid = np.geomspace(1e-6, 60.0, 4096) if grid is None else np.asarray(grid)
     weight = delta + 2.0  # hat-modes carry the built-in r^-2
-    i_vals = bessel_i(order, grid)
-    k_vals = bessel_k(order, grid)
+    i_vals, k_vals, _ = bessel_ik(order, grid)
     w = np.gradient(np.log(grid))
     top = [_shell_norm(grid, w, i_vals, weight, 2.0 ** k, 2.0 ** (k + 1))
            for k in range(1, 5)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from cone_forge import bessel as bs
@@ -121,18 +123,14 @@ def test_k0_prime_identity():
 
 
 def test_regime_switch_continuity():
+    # Temme's series below x = 2, Steed's CF2 from x = 2 on
     for mu in (0.0, 0.5, 1.0, 2.3):
-        cut = bs.switchover(mu)
-        below = bs.bessel_k(mu, np.nextafter(cut, 0.0))
-        above = bs.bessel_k(mu, cut)
+        below = bs.bessel_k(mu, np.nextafter(2.0, 0.0))
+        above = bs.bessel_k(mu, 2.0)
         assert abs(below / above - 1.0) <= 1e-9
-        ibelow = bs.bessel_i(mu, np.nextafter(cut, 0.0))
-        iabove = bs.bessel_i(mu, cut)
+        ibelow = bs.bessel_i(mu, np.nextafter(2.0, 0.0))
+        iabove = bs.bessel_i(mu, 2.0)
         assert abs(ibelow / iabove - 1.0) <= 1e-9
-        if mu != round(mu):
-            lo = bs._k_reflection(mu, np.array([1.0]))[0]
-            hi = bs._k_quadrature(mu, np.array([1.0]))[0]
-            assert abs(lo / hi - 1.0) <= 1e-9
 
 
 def test_scipy_cross_check_sweep():
@@ -143,10 +141,10 @@ def test_scipy_cross_check_sweep():
 
 
 def test_k_pointwise_cutoff():
-    # the quadrature cutoff is chosen per binary octave, so a point's value
+    # the iteration counts are chosen per binary octave, so a point's value
     # does not depend on which other points share its batch
     for mu in (0.0, 1.0, 0.7, 2.3):
-        x = np.geomspace(1e-8, bs.switchover(mu), 400, endpoint=False)
+        x = np.geomspace(1e-8, 12.0, 400, endpoint=False)
         batch = bs.bessel_k(mu, x)
         single = np.array([bs.bessel_k(mu, float(v)) for v in x])
         assert np.max(np.abs(batch / single - 1.0)) <= 1e-15
@@ -163,13 +161,19 @@ def test_k_pointwise_cutoff():
                                  - 1.0)) < 2e-11
 
 
+def k0_quadrature(x):
+    """Trapezoid rule on K_0(x) = int_0^inf e^(-x cosh t) dt, tail < e^-50."""
+    t = np.arange(0.0, math.acosh(1.0 + 50.0 / x) + 0.05, 0.05)
+    vals = np.exp(-x * np.cosh(t))
+    return 0.05 * (np.sum(vals) - 0.5 * vals[0])
+
+
 def test_integer_limit_matches_log_series_and_quadrature():
-    # the two-sided eps-limit against the log-series oracle
+    # K at integer order 0 against the log series and the cosh integral
     for x in (0.05, 0.2, 0.6, 0.9):
-        eps_lim = bs._k_integer_limit(0, np.array([x]))[0]
-        assert eps_lim == pytest.approx(k0_log_series(x), rel=1e-8)
-        assert eps_lim == pytest.approx(
-            bs._k_quadrature(0.0, np.array([x]))[0], rel=1e-8)
+        k0 = bs.bessel_k(0, x)
+        assert k0 == pytest.approx(k0_log_series(x), rel=1e-8)
+        assert k0 == pytest.approx(k0_quadrature(x), rel=1e-8)
 
 
 def test_positive_values_and_k_monotone():
@@ -182,10 +186,11 @@ def test_positive_values_and_k_monotone():
 
 
 def test_bessel_eval_regimes():
-    assert bs.bessel_eval(0.3, 0.5).regime == "series"
-    assert bs.bessel_eval(0.3, 5.0).regime == "quadrature"
-    assert bs.bessel_eval(0.3, 20.0).regime == "asymptotic"
-    assert bs.bessel_eval(1.0, 0.5).regime == "quadrature"
+    assert bs.bessel_eval(0.3, 0.5).regime == "temme"
+    assert bs.bessel_eval(0.3, np.nextafter(2.0, 0.0)).regime == "temme"
+    assert bs.bessel_eval(0.3, 2.0).regime == "steed"
+    assert bs.bessel_eval(0.3, 20.0).regime == "steed"
+    assert bs.bessel_eval(1.0, 0.5).regime == "temme"
 
 
 def test_rejects_nonpositive_argument():
@@ -193,3 +198,75 @@ def test_rejects_nonpositive_argument():
         bs.bessel_i(1.0, 0.0)
     with pytest.raises(ValueError):
         bs.bessel_k(1.0, -2.0)
+
+
+def _assert_matches_scipy(mu, x, tol=2e-11):
+    i, k, k1 = bs.bessel_ik(mu, x)
+    for ours, ref in ((i, special.iv(mu, x)), (k, special.kv(mu, x)),
+                      (k1, special.kv(mu + 1.0, x))):
+        normal = np.isfinite(ref) & (np.abs(ref) >= np.finfo(float).tiny)
+        err = np.abs(ours[normal] / ref[normal] - 1.0)
+        assert np.all(err <= tol), (mu, float(np.max(err)))
+
+
+def test_near_integer_orders_match_scipy():
+    # the reflection formula cancelled here: K was 2e-5 off at 1 + 1e-11
+    x = np.geomspace(1e-8, 50.0, 600)
+    for mu in (1.0 + 1e-11, 1.0 + 1e-7, 2.0 - 1e-8, 1e-6):
+        assert np.max(np.abs(bs.bessel_i(mu, x) / special.iv(mu, x) - 1)) < 2e-11
+        assert np.max(np.abs(bs.bessel_k(mu, x) / special.kv(mu, x) - 1)) < 2e-11
+    assert bs.wronskian_residual(1.00000000001, 0.99) <= 1e-9
+
+
+def test_large_orders_and_arguments_match_scipy():
+    for mu, x in ((25.3, 600.0), (20.5, 400.0)):
+        assert bs.bessel_i(mu, x) / special.iv(mu, x) == pytest.approx(1.0, abs=2e-11)
+        assert bs.bessel_k(mu, x) / special.kv(mu, x) == pytest.approx(1.0, abs=2e-11)
+
+
+def test_i_survives_k_overflow():
+    # where K_mu+1 alone overflows, I_mu ~ 1/(x K_mu+1) is still a normal
+    # float: I comes from the carried ratio K_mu+1/K_mu, not from K_mu+1
+    x = np.geomspace(0.02, 0.04, 100)
+    i, k, k1 = bs.bessel_ik(90.5, x)
+    ref = special.iv(90.5, x)
+    there = np.isinf(k1) & np.isfinite(k) & (ref >= np.finfo(float).tiny)
+    assert np.count_nonzero(there) >= 2
+    assert np.max(np.abs(i[there] / ref[there] - 1.0)) <= 2e-11
+
+
+def test_bessel_ik_agrees_with_i_and_k():
+    x = np.geomspace(1e-8, 60.0, 300)
+    for mu in (0.0, 0.7, 2.3):
+        i, k, k1 = bs.bessel_ik(mu, x)
+        assert np.array_equal(i, bs.bessel_i(mu, x))
+        assert np.array_equal(k, bs.bessel_k(mu, x))
+        assert np.max(np.abs(k1 / bs.bessel_k(mu + 1.0, x) - 1.0)) <= 1e-14
+
+
+_orders = st.floats(0.0, 45.0)
+_args = st.lists(st.floats(1e-8, 700.0), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orders, _args)
+def test_ik_matches_scipy_property(mu, xs):
+    _assert_matches_scipy(mu, np.array(xs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orders, _args)
+def test_batch_equals_pointwise_property(mu, xs):
+    batch = bs.bessel_ik(mu, np.array(xs))
+    for j, x in enumerate(xs):
+        single = bs.bessel_ik(mu, x)
+        assert all(np.array_equal(b[j], v, equal_nan=True)
+                   for b, v in zip(batch, single))
+
+
+def test_negative_order():
+    # K_-mu = K_mu; I_mu is defined here for mu >= 0 only
+    x = np.geomspace(0.1, 10.0, 20)
+    assert np.array_equal(bs.bessel_k(-0.7, x), bs.bessel_k(0.7, x))
+    with pytest.raises(ValueError):
+        bs.bessel_i(-0.5, 1.0)

@@ -170,6 +170,36 @@ def test_vacuous_counts_exit_2(argv):
     assert "must be >= 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["stenzel", "profile", "--n", "3", "--wmax", "5", "--steps", "0"],
+     "must be >= 1"),
+    (["stenzel", "profile", "--n", "3", "--wmax", "5", "--steps=-10"],
+     "must be >= 1"),
+    (["stenzel", "profile", "--n", "3", "--wmax", "0", "--steps", "200"],
+     "must be a finite value > 0"),
+    (["stenzel", "profile", "--n", "3", "--wmax=-5", "--steps", "200"],
+     "must be a finite value > 0"),
+    (["g2", "lincheck", "--samples", "2", "--step", "0"],
+     "must be a finite value > 0"),
+    (["g2", "lincheck", "--samples", "2", "--step=-1e-4"],
+     "must be a finite value > 0"),
+])
+def test_zero_sizes_refused_not_defaulted(argv, message):
+    # 0 was read as "not given" and replaced by the config default (exit 0)
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_bessel_eval_near_integer_order_verifies():
+    # the reflection formula cancelled here: K off by 1.8e-7, exit 1
+    code, out, err = run(["bessel", "eval", "--mu", "1.00000000001",
+                          "--x", "0.99", "--verify"])
+    assert code == 0, err
+    assert json.loads(out)["regime"] == "temme"
+
+
 def test_import_leaves_out_scipy_integrate():
     # the command-line import floor does not load scipy's quadrature package
     root = Path(__file__).resolve().parents[1]

@@ -331,6 +331,17 @@ def test_coefficient_bound_finite_at_large_weight(n, mu, dpp):
     assert 0.0 < lhs <= rhs
 
 
+def test_split_finite_where_k_row_overflows():
+    # below the support the head integral is 0 and K_40.5(r) overflows; the
+    # K row enters only where the head is nonzero, so no inf * 0 = NaN
+    prob = make_problem(1, 40.5, bump(0.25, 0.5), support=0.5)
+    sol = edge.split_solution(prob, 0.0, 41.0)
+    assert np.all(np.isfinite(sol.y))
+    lhs, _ = edge.coefficient_bound_check(prob, 41.0)
+    assert sol.c_low == lhs
+    assert lhs == pytest.approx(3.818e76, rel=1e-3)
+
+
 def test_coefficient_bound_never_returns_non_finite():
     # Gamma(dpp + 2 + mu) beyond the float range: no pair is claimed
     prob = make_problem(3, 1.0, bump(0.25, 0.5), support=0.5)
@@ -352,22 +363,24 @@ def _counting(monkeypatch, name):
 
 def test_kernels_run_on_rhs_support_only(monkeypatch):
     # each Gauss-node kernel sum evaluates exactly the nodes where z != 0;
-    # the solve adds one I and one K row on the grid
+    # the solve takes I and K there from one pass, and both grid rows from one
     prob = make_problem(3, 1.5, bump(0.25, 0.5), support=0.5)
     _, _, z_nodes = edge._rhs_nodes(prob)
     support = int(np.count_nonzero(z_nodes))
     assert 0 < support < z_nodes.size // 4
     k_calls = _counting(monkeypatch, "bessel_k")
-    i_calls = _counting(monkeypatch, "bessel_i")
+    ik_calls = _counting(monkeypatch, "bessel_ik")
     edge.coefficient_bound_check(prob, 1.5)
-    assert k_calls == [support] and i_calls == []
+    assert k_calls == [support] and ik_calls == []
     k_calls.clear()
     edge.solve_mode(prob)
-    assert sorted(k_calls) == sorted(i_calls) == [support, COARSE.size]
+    assert k_calls == [] and ik_calls == [support, COARSE.size]
 
 
 def test_kernel_modes_two_k_rows_per_order(monkeypatch):
-    # K_0 and K_1 are built once per |n| and shared by the modes n and -n
-    calls = _counting(monkeypatch, "bessel_k")
+    # K_0 and K_1 come from one pass per |n|, shared by the modes n and -n,
+    # and the small-argument ratios are read off that pass
+    calls = _counting(monkeypatch, "bessel_ik")
+    k_calls = _counting(monkeypatch, "bessel_k")
     edge.kernel_modes(4)
-    assert sum(size > 1 for size in calls) == 2 * 4
+    assert calls == [4096] * 4 and k_calls == []
