@@ -124,14 +124,14 @@ def _temme(nu: float, x: np.ndarray, spans, probe=False):
     q = 0.5 / (e * (gam2 + nu * gam1))
     h2 = 0.25 * x * x
     k, k1 = f.copy(), p.copy()  # K_nu and x K_nu+1 / 2
-    for i, s in enumerate(spans, 1):
-        hs = h2[s]
-        f[s] = (i * f[s] + p[s] + q[s]) * hs / (i * (i * i - t))
-        p[s] *= hs / (i * (i - nu))
-        q[s] *= hs / (i * (i + nu))
-        k[s] += f[s]
-        dk1 = p[s] - i * f[s]
-        k1[s] += dk1
+    for i, s in enumerate(spans, 1):  # views, updated in place
+        fs, ps, qs, hs, ks, k1s = f[s], p[s], q[s], h2[s], k[s], k1[s]
+        np.multiply(i * fs + ps + qs, hs / (i * (i * i - t)), out=fs)
+        ps *= hs / (i * (i - nu))
+        qs *= hs / (i * (i + nu))
+        ks += fs
+        dk1 = ps - i * fs
+        k1s += dk1
         if probe and abs(f[0]) <= _EPS * abs(k[0]) \
                 and abs(dk1[0]) <= _EPS * abs(k1[0]):
             return i
@@ -147,17 +147,18 @@ def _steed(nu: float, x: np.ndarray, spans, probe=False):
     q1, q2, q = np.zeros_like(x), np.ones_like(x), np.full_like(x, a1)
     total = 1.0 + a1 * delh
     a, c = -a1, a1
-    for i, s in enumerate(spans, 2):
+    for i, s in enumerate(spans, 2):  # views, updated in place
         a -= 2 * (i - 1)
         c = -a * c / i
-        q1[s] = (q1[s] - b[s] * q2[s]) / a  # the next q, over the oldest
+        qn, bs, ds, dh, qs, hs = q1[s], b[s], d[s], delh[s], q[s], h[s]
+        np.divide(qn - bs * q2[s], a, out=qn)  # the next q, over the oldest
         q1, q2 = q2, q1
-        q[s] += c * q2[s]
-        b[s] += 2.0
-        d[s] = 1.0 / (b[s] + a * d[s])
-        delh[s] *= b[s] * d[s] - 1.0
-        h[s] += delh[s]
-        dsum = q[s] * delh[s]
+        qs += c * qn
+        bs += 2.0
+        np.divide(1.0, bs + a * ds, out=ds)
+        dh *= bs * ds - 1.0
+        hs += dh
+        dsum = qs * dh
         total[s] += dsum
         if probe and abs(dsum[0]) <= _EPS * abs(total[0]) \
                 and abs(delh[0]) <= _EPS * abs(h[0]):
@@ -172,12 +173,12 @@ def _cf1(mu: float, x: np.ndarray, spans, probe=False):
     xi2 = 2.0 / x
     f = (mu + 1.0) * xi2
     c, d = f.copy(), np.zeros_like(x)
-    for j, s in enumerate(spans, 2):
-        b = (mu + j) * xi2[s]
-        d[s] = 1.0 / (b + d[s])
-        c[s] = b + 1.0 / c[s]
-        delta = c[s] * d[s]
-        f[s] *= delta
+    for j, s in enumerate(spans, 2):  # views, updated in place
+        b, cs, ds, fs = (mu + j) * xi2[s], c[s], d[s], f[s]
+        np.divide(1.0, b + ds, out=ds)
+        np.add(b, 1.0 / cs, out=cs)
+        delta = cs * ds
+        fs *= delta
         if probe and abs(delta[0] - 1.0) <= _EPS:
             return j - 1
     return 1.0 / f
