@@ -214,8 +214,8 @@ def _spans(loop, order: float, x: np.ndarray) -> list[slice]:
 def _pass(mu: float, x, with_i: bool):
     """(sorted flat x, I_mu or None, K_mu, K_mu+1/K_mu, map back to x's layout)."""
     xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0):
-        raise ValueError("argument must be positive")
+    if not np.all((xs > 0) & (xs < np.inf)):  # NaN fails both
+        raise ValueError("argument must be positive and finite")
     shape, xs = xs.shape, xs.ravel()
     perm = None if np.all(xs[1:] >= xs[:-1]) else np.argsort(xs, kind="stable")
     xs = xs if perm is None else xs[perm]

@@ -200,6 +200,15 @@ def test_rejects_nonpositive_argument():
         bs.bessel_k(1.0, -2.0)
 
 
+def test_rejects_non_finite_argument():
+    # inf and NaN have no binary octave: they are refused, not iterated on
+    for bad in (np.inf, np.nan, np.array([1.0, np.nan])):
+        with pytest.raises(ValueError):
+            bs.bessel_k(1.0, bad)
+        with pytest.raises(ValueError):
+            bs.bessel_ik(0.5, bad)
+
+
 def _assert_matches_scipy(mu, x, tol=2e-11):
     i, k, k1 = bs.bessel_ik(mu, x)
     for ours, ref in ((i, special.iv(mu, x)), (k, special.kv(mu, x)),
