@@ -333,9 +333,9 @@ def _mode_problem(args) -> _edge.ModeProblem:
 def _cmd_edge_solve(args, cfg: RunConfig) -> int:
     prob = _mode_problem(args)
     y = _edge.solve_mode(prob)
+    res = _edge.operator_residual(prob, y)
     _emit_rows(("r", "y"), [(f"{r:.12g}", f"{v:.12g}")
                             for r, v in zip(prob.grid, y)], cfg.format)
-    res = _edge.operator_residual(prob, y)
     print(f"operator residual {res:.3e}", file=sys.stderr)
     if args.verify and res > 1e-6 * (1.0 + float(np.max(np.abs(prob.rhs)))):
         return _fail(f"operator residual {res:.3e}")

@@ -43,8 +43,8 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 
+from ._spline import CubicHermite
 from .bessel import bessel_ik, bessel_k, gamma_fn
 
 __all__ = [
@@ -130,8 +130,9 @@ class ModeProblem:
             raise ValueError("rhs does not vanish beyond its support record")
 
     @cached_property
-    def _rhs_spline(self) -> CubicSpline:
-        return CubicSpline(np.log(self.grid), self.rhs)
+    def _rhs_spline(self) -> CubicHermite:
+        """Not-a-knot cubic spline of the samples in log r."""
+        return CubicHermite(np.log(self.grid), self.rhs)
 
     def rhs_at(self, s: np.ndarray) -> np.ndarray:
         if self.rhs_fn is not None:
@@ -250,8 +251,10 @@ def _log_second_difference(y: np.ndarray, h: float) -> np.ndarray:
 def operator_residual(problem: ModeProblem, y: np.ndarray) -> float:
     """max |((r d/dr)^2 - (n^2 r^2 + mu^2)) y - z| / (1 + sup|z|), interior.
 
-    Fourth-order stencil in log r.
+    Fourth-order stencil in log r, so the grid needs at least 5 points.
     """
+    if problem.grid.size < 5:
+        raise ValueError("operator_residual needs at least 5 grid points")
     u = np.log(problem.grid)
     h = u[1] - u[0]
     if np.max(np.abs(np.diff(u) - h)) > 1e-9 * h:

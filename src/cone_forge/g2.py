@@ -224,20 +224,25 @@ def hodge_star(metric: Metric7, form: np.ndarray, k: int) -> np.ndarray:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise NonPositiveMetric("metric is not positive definite") from None
-    vol = math.sqrt(np.linalg.det(g))
-    raised = _compound(np.linalg.inv(g), k) @ form
+    return _star(g, _compound(np.linalg.inv(g), k) @ form, k)
+
+
+def _star(g: np.ndarray, raised: np.ndarray, k: int) -> np.ndarray:
+    """Hodge star of a k-form given its raised coefficients
+    _compound(inv(g), k) @ form; g must be positive definite already."""
     out = np.zeros(form_dim(7 - k))
-    out[_STAR_PERM[k]] = vol * _STAR_SIGN[k] * raised
+    out[_STAR_PERM[k]] = math.sqrt(np.linalg.det(g)) * _STAR_SIGN[k] * raised
     return out
-
-
-def theta(phi: np.ndarray) -> np.ndarray:
-    """Hodge dual of phi in its own induced metric (a 4-form)."""
-    return hodge_star(induced_metric(phi), phi, 3)
 
 
 def _inner_3(metric: Metric7) -> np.ndarray:
     return _compound(np.linalg.inv(metric.g), 3)
+
+
+def theta(phi: np.ndarray) -> np.ndarray:
+    """Hodge dual of phi in its own induced metric (a 4-form)."""
+    metric = induced_metric(phi)
+    return _star(metric.g, _inner_3(metric) @ phi, 3)
 
 
 def projector_matrices(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,7 +251,7 @@ def projector_matrices(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     metric = induced_metric(phi)
     M = _inner_3(metric)
     P1 = np.outer(phi, phi @ M) / (phi @ M @ phi)
-    W = np.einsum("iab,b->ai", _CONTRACT[4], hodge_star(metric, phi, 3))
+    W = np.einsum("iab,b->ai", _CONTRACT[4], _star(metric.g, M @ phi, 3))
     P7 = W @ np.linalg.solve(W.T @ M @ W, W.T @ M)
     return P1, P7, np.eye(35) - P1 - P7
 

@@ -494,11 +494,7 @@ def one_form_catalog(spec: LinkSpectrum,
 
     for m in spec.nonzero(0):
         if 5.0 < m.mu <= 12.0:
-            exact = None
-            if m.mu_exact is not None:
-                root = _fraction_sqrt(m.mu_exact + 4)
-                exact = root - 3 if root is not None else None
-            lam = float(exact) if exact is not None else math.sqrt(m.mu + 4.0) - 3.0
+            lam, exact = _quad_roots(-3, 4, m)[0]
             emit(lam, exact, m.mult, "1F1")
             if m.mu == 12.0:
                 emit(1.0, Fraction(1), m.mult, "1F4")
@@ -534,11 +530,7 @@ def paired_catalog(spec: LinkSpectrum,
     emit(0.0, Fraction(0), 1, "P3-6ImOmega")
     for m in spec.nonzero(0):
         if 5.0 < m.mu <= 12.0:
-            exact = None
-            if m.mu_exact is not None:
-                root = _fraction_sqrt(m.mu_exact + 4)
-                exact = root - 4 if root is not None else None
-            lam = float(exact) if exact is not None else math.sqrt(m.mu + 4.0) - 4.0
+            lam, exact = _quad_roots(-4, 4, m)[0]
             emit(lam, exact, m.mult, "P4")
     return sorted(found, key=lambda r: (r.lam, r.gen_type))
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicHermiteSpline
+
+from ._spline import CubicHermite
 
 __all__ = [
     "GridTooCoarse",
@@ -84,14 +85,6 @@ class RadialProfile:
     @property
     def w_max(self) -> float:
         return float(self.w[-1])
-
-    def interpolator(self) -> CubicHermiteSpline:
-        """Cubic Hermite interpolant of f built from the exact derivatives.
-
-        Monotone for these convex profiles; keeps the potential convex
-        across grid joints.
-        """
-        return CubicHermiteSpline(self.w, self.f, self.fprime)
 
 
 @dataclass(frozen=True)
@@ -165,10 +158,12 @@ def cone_potential(n: int, z) -> float:
 
 def stenzel_potential_fn(profile: RadialProfile, eps: complex):
     """Closure evaluating |eps|^((n-1)/n) * f(arccosh(|z|^2/|eps|)) on raw
-    coordinate arrays, with f interpolated and n the profile's dimension."""
+    coordinate arrays, with n the profile's dimension and f the cubic Hermite
+    interpolant of the profile's exact (w, f, f'), which keeps the potential
+    convex across grid joints."""
     if eps == 0:
         raise ValueError("eps = 0 is the cone; use cone_potential")
-    spline = profile.interpolator()
+    spline = CubicHermite(profile.w, profile.f, profile.fprime)
     scale = abs(eps) ** ((profile.n - 1.0) / profile.n)
 
     def u(zarr: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -201,17 +202,19 @@ def test_bessel_eval_near_integer_order_verifies():
 
 
 def test_import_leaves_out_scipy_integrate():
-    # the command-line import floor does not load scipy's quadrature package
+    # the command-line import floor loads no scipy module at all
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, cone_forge.cli; "
-         "print('scipy.integrate' in sys.modules)"],
+         "print('scipy.integrate' in sys.modules); "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "[]"]
 
 
 def test_stenzel_profile_out_file(tmp_path):
@@ -320,6 +323,42 @@ def test_edge_rhs_bad_row_after_line_1_exits_2(tmp_path, bad, cmd):
     code, out, err = run(EDGE_ARGS[cmd] + ["--rhs", str(rhs)])
     assert code == 2
     assert err.startswith("error:") and "line 102" in err
+
+
+def _write_rhs(path, grid, z):
+    path.write_text("r,z\n" + "".join(f"{r!r},{v!r}\n" for r, v in zip(grid, z)))
+    return str(path)
+
+
+def test_edge_solve_refused_before_any_output(tmp_path):
+    # both used to print every row and then exit 2 from the residual check
+    grid = [float(r) for r in np.geomspace(1e-3, 0.5, 10)]
+    grid[3] *= 1.01  # not uniform in log r
+    cases = [(grid, [1.0] * 9 + [0.0], "uniform log grid"),
+             ([0.1, 0.2], [1.0, 0.0], "at least 5 grid points")]
+    for i, (g, z, message) in enumerate(cases):
+        rhs = _write_rhs(tmp_path / f"rhs{i}.csv", g, z)
+        code, out, err = run(EDGE_ARGS["solve"] + ["--rhs", rhs])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["solve", "split"])
+@pytest.mark.parametrize("z2, message", [
+    (None, "at least 2 knots"), (math.nan, "finite"), (math.inf, "finite")])
+def test_edge_rhs_unusable_samples_exit_2(tmp_path, cmd, z2, message):
+    if z2 is None:
+        grid, z = [0.1], [0.0]
+    else:
+        grid = [float(r) for r in np.geomspace(1e-3, 0.5, 10)]
+        z = [1.0] * 9 + [0.0]
+        z[2] = z2
+    rhs = _write_rhs(tmp_path / "rhs.csv", grid, z)
+    code, out, err = run(EDGE_ARGS[cmd] + ["--rhs", rhs])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_edge_rhs_header_optional(tmp_path):

@@ -207,13 +207,13 @@ def test_rhs_sampled_once_per_call(monkeypatch):
     assert calls == [(COARSE.size - 1) * 8]
 
     fits = []
-    real = edge.CubicSpline
+    real = edge.CubicHermite
 
     def counting(*args, **kwargs):
         fits.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(edge, "CubicSpline", counting)
+    monkeypatch.setattr(edge, "CubicHermite", counting)
     sampled = edge.ModeProblem(n=3, mu=1.0, grid=COARSE, rhs=zf(COARSE),
                                support_max=0.5)
     edge.split_solution(sampled, 0.5, 1.5)

@@ -238,6 +238,9 @@ def test_one_form_moving_family_rate():
     cat = sp.one_form_catalog(obata_spec([(0, 7.25, 1)]), (0.0, 1.0))
     moving = [r for r in cat if r.gen_type == "1F1"]
     assert moving[0].lam == pytest.approx(math.sqrt(11.25) - 3.0)
+    # an exact rational root: sqrt(33/4 + 4) = 7/2
+    cat = sp.one_form_catalog(obata_spec([(0, Fraction(33, 4), 1)]), (0.0, 1.0))
+    assert [r.lam for r in cat if r.gen_type == "1F1"] == [0.5]
 
 
 def test_one_form_constraint_violations():
@@ -270,6 +273,8 @@ def test_paired_moving_family():
     p4 = [r for r in cat if r.gen_type == "P4"]
     assert sorted(r.lam for r in p4) == pytest.approx(
         [math.sqrt(11.25) - 4.0, 0.0])
+    cat = sp.paired_catalog(obata_spec([(0, Fraction(33, 4), 1)]), (-2.0, 0.0))
+    assert [r.lam for r in cat if r.gen_type == "P4"] == [-0.5]
 
 
 def test_paired_window_range():
