@@ -193,7 +193,7 @@ def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> int:
     rows = []
     worst = 0.0
     for k in range(args.points):
-        pt = _stenzel.random_chart_point(eps, rng, scale=1.0)
+        pt = _stenzel.random_chart_point(eps, rng)
         res = _stenzel.monge_ampere_residual(potential, pt, h=1e-3)
         worst = max(worst, res)
         rows.append((k, f"{res:.6e}"))
@@ -418,15 +418,19 @@ def _cmd_lattice_match(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _named_vector(named, name):
+    if name not in named:
+        raise ValueError(f"unknown vector {name!r}; use pi, kplus, kminus")
+    return named[name]
+
+
 def _parse_dots(text, named):
     out = []
     if not text:
         return out
     for part in text.split(","):
         name, _, val = part.partition(":")
-        if name not in named:
-            raise ValueError(f"unknown vector {name!r}; use pi, kplus, kminus")
-        out.append((named[name], int(val)))
+        out.append((_named_vector(named, name), int(val)))
     return out
 
 
@@ -458,7 +462,7 @@ def _cmd_lattice_search(args, cfg: RunConfig) -> int:
 def _cmd_lattice_complement(args, cfg: RunConfig) -> int:
     L, named, emb = _named_vectors()
     names = args.of.split(",") if args.of else ["pi", "kplus", "kminus"]
-    vecs = [named[n] for n in names]
+    vecs = [_named_vector(named, n) for n in names]
     basis = _lattice.orthogonal_complement(L, vecs)
     rows = [[int(x) for x in b] for b in basis]
     _emit_rows(tuple(f"e{i}" for i in range(L.rank)), rows, cfg.format)
@@ -612,15 +616,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_INPUT_ERRORS = (
-    _spectra.SchemaError, _spectra.ConstraintViolation,
-    _spectra.WindowOutOfRange, _spectra.DegreeOutOfRange,
-    _spectra.WeightOrderViolation, _spectra.CriticalEndpoint,
-    _stenzel.BelowVertex, _stenzel.OutOfProfileRange,
-    _edge.WeightOrderViolation, _edge.UnsupportedMode,
-    _edge.DivergentConstant,
-    FileNotFoundError, json.JSONDecodeError, ValueError, KeyError,
-)
+# the package's input exceptions all subclass ValueError; OSError covers
+# paths that are missing, directories or unreadable
+_INPUT_ERRORS = (OSError, ValueError, KeyError)
 
 
 def dispatch(argv) -> int:
@@ -639,3 +637,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

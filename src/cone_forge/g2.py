@@ -84,68 +84,35 @@ def evaluate_form(coeffs: np.ndarray, k: int, indices) -> float:
 
 
 # ---------------------------------------------------------------------------
-# precomputed multiplication tables
+# the one multiplication table
 
-def _wedge_table(k: int, l: int):
-    rows, cols, outs, signs = [], [], [], []
+@functools.cache
+def _wedge_tensor(k: int, l: int) -> np.ndarray:
+    """Signs W[a, b, c] with e_A ^ e_B = W[a, b, c] e_C over increasing
+    tuples A, B, C of lengths k, l, k + l; built on first use.
+
+    Every product below reads it: W(1, k - 1) is the interior product on
+    k-forms, and the slice W(k, 7 - k)[:, :, 0] pairs each k-tuple with its
+    complement and the sign of the Hodge star.
+    """
+    W = np.zeros((form_dim(k), form_dim(l), form_dim(k + l)))
     for a, ca in enumerate(COMBOS[k]):
-        sa = set(ca)
         for b, cb in enumerate(COMBOS[l]):
-            if sa & set(cb):
-                continue
-            sign = _perm_sign(ca + cb)
-            rows.append(a)
-            cols.append(b)
-            outs.append(combo_index(ca + cb))
-            signs.append(sign)
-    return (np.array(rows), np.array(cols), np.array(outs),
-            np.array(signs, dtype=float))
-
-
-_WEDGE = {}
-for _k in range(8):
-    for _l in range(8 - _k):
-        _WEDGE[(_k, _l)] = _wedge_table(_k, _l)
+            if not set(ca) & set(cb):
+                W[a, b, combo_index(ca + cb)] = _perm_sign(ca + cb)
+    W.setflags(write=False)
+    return W
 
 
 def wedge(a: np.ndarray, k: int, b: np.ndarray, l: int) -> np.ndarray:
     """Wedge product of a k-form and an l-form."""
-    rows, cols, outs, signs = _WEDGE[(k, l)]
-    out = np.zeros(form_dim(k + l))
-    np.add.at(out, outs, signs * a[rows] * b[cols])
-    return out
-
-
-def _contract_tensor(k: int) -> np.ndarray:
-    """T[i] maps k-form coefficients to (e_i . form) coefficients."""
-    T = np.zeros((7, form_dim(k - 1), form_dim(k)))
-    for c, combo in enumerate(COMBOS[k]):
-        for pos, i in enumerate(combo):
-            rest = combo[:pos] + combo[pos + 1:]
-            T[i, combo_index(rest), c] = (-1.0) ** pos
-    return T
-
-
-_CONTRACT = {k: _contract_tensor(k) for k in range(1, 8)}
+    return np.einsum("a,b,abc->c", a, b, _wedge_tensor(k, l))
 
 
 def contract(u: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Interior product u . b of a vector with a k-form."""
-    return np.einsum("i,iab,b->a", u, _CONTRACT[k], b)
+    return np.einsum("i,iab,b->a", u, _wedge_tensor(1, k - 1), b)
 
-
-# complement index and sign for the Hodge star on each degree
-_STAR_PERM = {}
-_STAR_SIGN = {}
-for _k in range(8):
-    perm = np.empty(form_dim(_k), dtype=int)
-    sgn = np.empty(form_dim(_k))
-    for _c, _combo in enumerate(COMBOS[_k]):
-        comp = tuple(i for i in range(7) if i not in _combo)
-        perm[_c] = _COMBO_INDEX[7 - _k][comp]
-        sgn[_c] = _perm_sign(_combo + comp)
-    _STAR_PERM[_k] = perm
-    _STAR_SIGN[_k] = sgn
 
 def _compound(A: np.ndarray, k: int) -> np.ndarray:
     """k-th exterior power: entries det(A[I, J]) over increasing k-tuples."""
@@ -196,12 +163,12 @@ def induced_metric(phi: np.ndarray, tol: float = 1e-12) -> Metric7:
     B = g * vol with det(B) = vol**9, so g = B / det(B)**(1/9).  Inputs with
     det(B) <= tol (degenerate or orientation-reversing) are rejected.
     """
-    iota = np.einsum("iab,b->ia", _CONTRACT[3], phi)
-    B = np.empty((7, 7))
-    for i in range(7):
-        w = wedge(iota[i], 2, phi, 3)  # 5-form, reused below
-        for j in range(i, 7):
-            B[i, j] = B[j, i] = wedge(iota[j], 2, w, 5)[0] / 6.0
+    iota = np.einsum("iab,b->ia", _wedge_tensor(1, 2), phi)
+    # pair[a, b]: top coefficient of e_a ^ e_b ^ phi for 2-tuples a, b;
+    # adding X to its transpose keeps B exactly symmetric
+    pair = _wedge_tensor(2, 2) @ (_wedge_tensor(4, 3)[:, :, 0] @ phi)
+    X = iota @ pair @ iota.T
+    B = (X + X.T) / 12.0
     det = np.linalg.det(B)
     if det <= tol:
         raise DegenerateForm(f"det(B) = {det:.3e} is not positive")
@@ -230,9 +197,8 @@ def hodge_star(metric: Metric7, form: np.ndarray, k: int) -> np.ndarray:
 def _star(g: np.ndarray, raised: np.ndarray, k: int) -> np.ndarray:
     """Hodge star of a k-form given its raised coefficients
     _compound(inv(g), k) @ form; g must be positive definite already."""
-    out = np.zeros(form_dim(7 - k))
-    out[_STAR_PERM[k]] = math.sqrt(np.linalg.det(g)) * _STAR_SIGN[k] * raised
-    return out
+    complement = _wedge_tensor(k, 7 - k)[:, :, 0]
+    return math.sqrt(np.linalg.det(g)) * raised @ complement
 
 
 def _inner_3(metric: Metric7) -> np.ndarray:
@@ -251,27 +217,35 @@ def projector_matrices(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     metric = induced_metric(phi)
     M = _inner_3(metric)
     P1 = np.outer(phi, phi @ M) / (phi @ M @ phi)
-    W = np.einsum("iab,b->ai", _CONTRACT[4], _star(metric.g, M @ phi, 3))
+    W = np.einsum("iab,b->ai", _wedge_tensor(1, 3),
+                  _star(metric.g, M @ phi, 3))
     P7 = W @ np.linalg.solve(W.T @ M @ W, W.T @ M)
     return P1, P7, np.eye(35) - P1 - P7
 
 
 def project_3form(phi: np.ndarray, gamma: np.ndarray) -> FormDecomposition:
     """Split gamma into the 1-, 7-, 27-dimensional pieces determined by phi."""
-    P1, P7, _ = projector_matrices(phi)
+    P1, P7, _ = (_phi0_projectors() if np.array_equal(phi, PHI0)
+                 else projector_matrices(phi))
     pi1, pi7 = P1 @ gamma, P7 @ gamma
     return FormDecomposition(pi1=pi1, pi7=pi7, pi27=gamma - pi1 - pi7)
 
 
-_STAR0_3 = np.zeros((35, 35))
-_STAR0_3[_STAR_PERM[3], np.arange(35)] = _STAR_SIGN[3]
+@functools.cache
+def _phi0_projectors() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """projector_matrices(PHI0), built on first use."""
+    projectors = projector_matrices(PHI0)
+    for P in projectors:
+        P.setflags(write=False)
+    return projectors
 
 
 @functools.cache
 def _linearization_matrix() -> np.ndarray:
     """*0 ((4/3) P1 + P7 - P27) at PHI0, built on first use."""
-    P1, P7, P27 = projector_matrices(PHI0)
-    L = _STAR0_3 @ ((4.0 / 3.0) * P1 + P7 - P27)
+    P1, P7, P27 = _phi0_projectors()
+    star0 = _wedge_tensor(3, 4)[:, :, 0].T  # the flat star on 3-forms
+    L = star0 @ ((4.0 / 3.0) * P1 + P7 - P27)
     L.setflags(write=False)
     return L
 
@@ -307,8 +281,8 @@ def g2_lie_algebra_basis() -> np.ndarray:
     Exponentials of the corresponding antisymmetric matrices preserve phi0.
     Returns an array of shape (14, 21).
     """
-    star_phi = _STAR0_3 @ PHI0
-    rows = np.stack([wedge(np.eye(21)[c], 2, star_phi, 4) for c in range(21)])
+    star_phi = PHI0 @ _wedge_tensor(3, 4)[:, :, 0]
+    rows = np.einsum("abc,b->ac", _wedge_tensor(2, 4), star_phi)
     _, s, vt = np.linalg.svd(rows.T, full_matrices=True)
     null = vt[np.sum(s > 1e-10):]
     if null.shape[0] != 14:

@@ -597,8 +597,13 @@ class GenericDirection:
     normalized: bool
 
 
-def generic_direction(L: GramLattice, T_basis, avoid, seed: int = 0,
-                      max_tries: int = 500) -> GenericDirection:
+# candidate directions tried before generic_direction gives up: each block
+# of ten widens the random perturbation by one
+_GENERIC_TRIES = 500
+
+
+def generic_direction(L: GramLattice, T_basis, avoid,
+                      seed: int = 0) -> GenericDirection:
     """Positive-square k in span(T_basis) with k . C != 0 for all C in avoid.
 
     Rescaled to square 1 when the square is a rational square, otherwise
@@ -619,7 +624,7 @@ def generic_direction(L: GramLattice, T_basis, avoid, seed: int = 0,
     if base is None:
         raise ValueError("span contains no positive-square vector")
     rng = random.Random(seed)
-    for trial in range(max_tries):
+    for trial in range(_GENERIC_TRIES):
         scale = 1 + trial // 10
         t = [int(round(scale * 4 * c)) for c in base] if trial == 0 else [
             int(round(scale * 4 * c)) + rng.randint(-scale, scale)

@@ -25,7 +25,11 @@ index-change count N(delta, delta') between non-critical weights.
 
 Eigenvalues supplied as integers or "p/q" strings are carried exactly;
 quadratic roots are then exact whenever the discriminant is a rational
-square, and window membership is decided exactly.
+square.  An exact root decides the equality tests: lambda = -2 (log_mode,
+and T5's exclusion) and T7's exclusion of lambda = -p in favour of T6.
+Window membership compares the float root with the endpoints: a root
+within 1e-9 of an endpoint is a tie, raised as CriticalEndpoint, except at
+the closed right end of the 1-form and paired catalogs, where it is kept.
 """
 
 from __future__ import annotations

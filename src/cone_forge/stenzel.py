@@ -252,13 +252,13 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
 
 
 def random_chart_point(eps: complex, rng: np.random.Generator,
-                       scale: float = 1.0, chart: int = 3,
-                       min_last: float = 0.3) -> QuadricPoint:
-    """Random quadric point with the chart coordinate bounded away from 0."""
+                       chart: int = 3, min_last: float = 0.3) -> QuadricPoint:
+    """Random quadric point with the chart coordinate bounded away from 0;
+    the other three coordinates are standard complex normals."""
     for _ in range(200):
-        w = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         s2 = eps - np.sum(w * w)
-        if abs(s2) < (min_last * scale) ** 2:
+        if abs(s2) < min_last ** 2:
             continue
         root = np.sqrt(s2) * (1 if rng.random() < 0.5 else -1)
         return QuadricPoint(z=_assemble(w, root, chart), eps=eps)

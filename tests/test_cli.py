@@ -2,14 +2,12 @@ import contextlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from _fresh_python import run_python
 from cone_forge import cli, edge
 from cone_forge.spectra import ConstraintViolation
 
@@ -203,18 +201,45 @@ def test_bessel_eval_near_integer_order_verifies():
 
 def test_import_leaves_out_scipy_integrate():
     # the command-line import floor loads no scipy module at all
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, cone_forge.cli; "
+    proc = run_python(
+        ["-c", "import sys, cone_forge.cli; "
          "print('scipy.integrate' in sys.modules); "
          "print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+         "if m == 'scipy' or m.startswith('scipy.')))"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "[]"]
+
+
+def test_module_entry_point_runs_commands():
+    proc = run_python(["-m", "cone_forge.cli", "lattice", "build"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["rank"] == 22
+    assert run_python(["-m", "cone_forge.cli", "bogus"]).returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge", "solve", "--n", "2", "--mu", "1.0", "--rhs", "adir"],
+    ["--config", "adir", "lattice", "build"],
+    ["spectra", "rates", "--input", "adir", "--window=0:1"],
+    ["stenzel", "profile", "--steps", "50", "--out", "adir"],
+])
+def test_directory_as_path_exits_2(tmp_path, argv):
+    (tmp_path / "adir").mkdir()
+    proc = run_python(["-m", "cone_forge.cli", *argv], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "complement", "--of", "pi,foo"],
+    ["lattice", "search", "--square=-2", "--dots", "foo:0", "--bound", "5"],
+])
+def test_unknown_vector_name_exits_2(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown vector 'foo'; use pi, kplus, kminus\n"
 
 
 def test_stenzel_profile_out_file(tmp_path):

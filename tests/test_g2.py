@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from _fresh_python import run_python
 from cone_forge import g2
 
 
@@ -71,6 +72,145 @@ def test_induced_metric_phi0_oracle():
     m = g2.induced_metric(g2.PHI0)
     assert np.allclose(m.g, np.eye(7), atol=1e-13)
     assert m.vol == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_induced_metric_perturbed_oracle(seed):
+    # B = vol * g against raw permutation sums; iota_i taken from the dense
+    # tensor of phi, not from g2.contract
+    rng = np.random.default_rng(seed)
+    phi = g2.PHI0 + 0.2 * rng.standard_normal(35)
+    P = dense_tensor(phi, 3)
+    iota = [np.array([P[i, a, b] for a, b in g2.COMBOS[2]]) for i in range(7)]
+    B = np.empty((7, 7))
+    for i in range(7):
+        for j in range(i, 7):
+            B[i, j] = B[j, i] = oracle_wedge_top(iota[i], iota[j], phi) / 6.0
+    m = g2.induced_metric(phi)
+    assert np.max(np.abs(m.vol * m.g - B)) <= 1e-12
+    assert m.vol == pytest.approx(np.linalg.det(B) ** (1.0 / 9.0), abs=1e-12)
+
+
+# direct constructions of the interior-product tensor, the star's complement
+# table and a sparse wedge, kept as references for the one wedge tensor
+
+def reference_contract_tensor(k):
+    """T[i] maps k-form coefficients to (e_i . form) coefficients."""
+    T = np.zeros((7, g2.form_dim(k - 1), g2.form_dim(k)))
+    for c, combo in enumerate(g2.COMBOS[k]):
+        for pos, i in enumerate(combo):
+            rest = combo[:pos] + combo[pos + 1:]
+            T[i, g2.combo_index(rest), c] = (-1.0) ** pos
+    return T
+
+
+def reference_star_tables(k):
+    """Complement index and sign of each k-tuple."""
+    perm = np.empty(g2.form_dim(k), dtype=int)
+    sgn = np.empty(g2.form_dim(k))
+    for c, combo in enumerate(g2.COMBOS[k]):
+        comp = tuple(i for i in range(7) if i not in combo)
+        perm[c] = g2.combo_index(comp)
+        sgn[c] = perm_sign(combo + comp)
+    return perm, sgn
+
+
+def reference_star(g, raised, k):
+    perm, sgn = reference_star_tables(k)
+    out = np.zeros(g2.form_dim(7 - k))
+    out[perm] = np.sqrt(np.linalg.det(g)) * sgn * raised
+    return out
+
+
+def reference_wedge(a, k, b, l):
+    """Sparse sign table accumulated with np.add.at."""
+    rows, cols, outs, signs = [], [], [], []
+    for i, ca in enumerate(g2.COMBOS[k]):
+        for j, cb in enumerate(g2.COMBOS[l]):
+            if not set(ca) & set(cb):
+                rows.append(i)
+                cols.append(j)
+                outs.append(g2.combo_index(ca + cb))
+                signs.append(perm_sign(ca + cb))
+    out = np.zeros(g2.form_dim(k + l))
+    np.add.at(out, outs, np.array(signs) * a[rows] * b[cols])
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_contract_reads_wedge_table_exactly(k):
+    T = reference_contract_tensor(k)
+    assert np.array_equal(g2._wedge_tensor(1, k - 1), T)
+    rng = np.random.default_rng(30 + k)
+    for _ in range(20):
+        u = rng.standard_normal(7)
+        b = rng.standard_normal(g2.form_dim(k))
+        assert np.array_equal(g2.contract(u, b, k),
+                              np.einsum("i,iab,b->a", u, T, b))
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_star_reads_wedge_table_exactly(k):
+    perm, sgn = reference_star_tables(k)
+    S = np.zeros((g2.form_dim(k), g2.form_dim(7 - k)))
+    S[np.arange(g2.form_dim(k)), perm] = sgn
+    assert np.array_equal(g2._wedge_tensor(k, 7 - k)[:, :, 0], S)
+    rng = np.random.default_rng(40 + k)
+    for _ in range(20):
+        A = rng.standard_normal((7, 7))
+        g = A @ A.T + 0.5 * np.eye(7)
+        form = rng.standard_normal(g2.form_dim(k))
+        raised = g2._compound(np.linalg.inv(g), k) @ form
+        assert np.array_equal(g2.hodge_star(g2.Metric7(g=g, vol=1.0), form, k),
+                              reference_star(g, raised, k))
+
+
+def test_phi0_tables_exact():
+    perm, sgn = reference_star_tables(3)
+    star0 = np.zeros((35, 35))
+    star0[perm, np.arange(35)] = sgn
+    P1, P7, P27 = g2.projector_matrices(g2.PHI0)
+    assert np.array_equal(g2._linearization_matrix(),
+                          star0 @ ((4.0 / 3.0) * P1 + P7 - P27))
+    # at phi0 every entry of B is integer arithmetic
+    m = g2.induced_metric(g2.PHI0)
+    assert np.array_equal(m.g, np.eye(7)) and m.vol == 1.0
+
+
+def test_wedge_matches_sparse_reference():
+    rng = np.random.default_rng(50)
+    for k in range(8):
+        for l in range(8 - k):
+            a = rng.standard_normal(g2.form_dim(k))
+            b = rng.standard_normal(g2.form_dim(l))
+            assert np.allclose(g2.wedge(a, k, b, l), reference_wedge(a, k, b, l),
+                               rtol=1e-14, atol=1e-14)
+
+
+def test_import_builds_no_table():
+    proc = run_python(
+        ["-c", "import numpy as np, cone_forge.g2 as g; "
+         "print([n for n, v in vars(g).items() if isinstance(v, np.ndarray)]); "
+         "print(g._wedge_tensor.cache_info().currsize, "
+         "g._phi0_projectors.cache_info().currsize, "
+         "g._linearization_matrix.cache_info().currsize)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['PHI0']", "0 0 0"]
+
+
+def test_project_3form_at_phi0_reuses_projectors(monkeypatch):
+    P1, P7, _ = g2.projector_matrices(g2.PHI0)
+    g2._phi0_projectors()
+
+    def rebuilt(phi):
+        raise AssertionError("projectors rebuilt at phi0")
+
+    monkeypatch.setattr(g2, "projector_matrices", rebuilt)
+    gamma = np.random.default_rng(60).standard_normal(35)
+    dec = g2.project_3form(g2.PHI0.copy(), gamma)
+    assert np.array_equal(dec.pi1, P1 @ gamma)
+    assert np.array_equal(dec.pi7, P7 @ gamma)
+    assert np.array_equal(dec.pi27, gamma - dec.pi1 - dec.pi7)
 
 
 @pytest.mark.parametrize("c", [0.5, 1.7, 3.0])
