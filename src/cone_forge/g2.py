@@ -161,7 +161,8 @@ def induced_metric(phi: np.ndarray, tol: float = 1e-12) -> Metric7:
     """Metric and volume from  B_ij e^{1..7} = (1/6)(e_i . phi)^(e_j . phi)^phi.
 
     B = g * vol with det(B) = vol**9, so g = B / det(B)**(1/9).  Inputs with
-    det(B) <= tol (degenerate or orientation-reversing) are rejected.
+    det(B) <= tol (degenerate or orientation-reversing), or with a det(B)
+    that is not finite (a NaN or infinite coefficient), are rejected.
     """
     iota = np.einsum("iab,b->ia", _wedge_tensor(1, 2), phi)
     # pair[a, b]: top coefficient of e_a ^ e_b ^ phi for 2-tuples a, b;
@@ -170,8 +171,8 @@ def induced_metric(phi: np.ndarray, tol: float = 1e-12) -> Metric7:
     X = iota @ pair @ iota.T
     B = (X + X.T) / 12.0
     det = np.linalg.det(B)
-    if det <= tol:
-        raise DegenerateForm(f"det(B) = {det:.3e} is not positive")
+    if not (math.isfinite(det) and det > tol):
+        raise DegenerateForm(f"det(B) = {det:.3e} is not finite and positive")
     vol = det ** (1.0 / 9.0)
     g = B / vol
     try:

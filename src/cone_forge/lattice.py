@@ -21,6 +21,14 @@ rows are a saturated kernel basis in echelon form, and the same routine
 decides M x = d mod m for the linear certificates.  Rational questions
 (determinant, signature, a positive-square direction) go through one
 symmetric congruence diagonalization P^T G P = diag carried as Fraction.
+Pairings of several vectors come from one object-matrix product A G B^T.
+
+The certificates try prime-power moduli only.  By the Chinese remainder
+theorem t mod m is any choice of t mod each p^k exactly dividing m, so an
+integer polynomial (or a linear system M x = d) attains a residue mod m
+iff it attains it mod every such p^k; the smallest failing m is therefore
+a prime power, and a search returns the certificate a loop over every
+m <= max_modulus would (27 moduli up to 64 instead of 63).
 
 The two search loops use numpy int64 where no value can overflow.  The
 modulus certificates tabulate the reduced form, its coefficients taken mod
@@ -40,7 +48,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -191,6 +199,17 @@ def pairing(L: GramLattice, v, w):
     return (_as_vector(v, L.rank) @ L.gram @ _as_vector(w, L.rank))
 
 
+def _rows(L: GramLattice, vectors) -> np.ndarray:
+    """The vectors as the rows of an object matrix, each length checked."""
+    return np.array([_as_vector(v, L.rank) for v in vectors],
+                    dtype=object).reshape(len(vectors), L.rank)
+
+
+def _gram(L: GramLattice, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Every pairing A_i . B_j of the rows of A and B, as one product."""
+    return A @ L.gram @ B.T
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
     source_gram: np.ndarray
@@ -223,9 +242,8 @@ def matching_embedding(L: GramLattice | None = None) -> EmbeddingRecord:
     kminus[18] = kminus[19] = -1
     images = (pi, kplus, kminus)
     expected = _as_object_matrix([[-2, 1, 0], [1, 4, 0], [0, 0, 4]])
-    got = np.array([[pairing(L, a, b) for b in images] for a in images],
-                   dtype=object)
-    if not (got == expected).all():
+    S = _rows(L, images)
+    if not (_gram(L, S, S) == expected).all():
         raise RuntimeError("embedding Gram mismatch")
     return EmbeddingRecord(source_gram=expected, images=images,
                            labels=("pi", "kplus", "kminus"))
@@ -312,10 +330,9 @@ def orthogonal_complement(L: GramLattice, vectors) -> list[np.ndarray]:
     """Saturated integer basis of the sublattice pairing to 0 with `vectors`."""
     if not vectors:
         return [row.copy() for row in np.eye(L.rank, dtype=object)]
-    rows = [(_as_vector(v, L.rank) @ L.gram) for v in vectors]
-    basis = integer_kernel(np.array(rows, dtype=object))
-    if any((_as_vector(v, L.rank) @ L.gram @ b) != 0
-           for b in basis for v in vectors):
+    V = _rows(L, vectors)
+    basis = integer_kernel(V @ L.gram)
+    if _gram(L, V, _rows(L, basis)).any():
         raise RuntimeError("complement basis vector pairs nonzero")
     return basis
 
@@ -331,23 +348,28 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
     enumeration is guaranteed empty; both are reported.  Linear constraints
     without an integer solution give the smallest m <= max_modulus with none
     mod m, or modulus 0 when every such m has one.
+
+    Both certificate loops try the prime powers m <= max_modulus only: a
+    residue (or a solution of M x = d) exists mod m iff it exists mod every
+    p^k exactly dividing m (Chinese remainder theorem), so the smallest
+    failing m is a prime power.  The modulus loop runs on satisfiable
+    searches too, so that a certificate beside a solution is caught.
     """
     if L is None:
         L = build_k3_lattice()
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    span = [_as_vector(v, L.rank) for v in span]
-    k = len(span)
-    Q = [[int(pairing(L, a, b)) for b in span] for a in span]
-    M = np.array([[int(pairing(L, s, _as_vector(w, L.rank))) for s in span]
-                  for w, _ in dot_constraints],
-                 dtype=object).reshape(len(dot_constraints), k)
+    S = _rows(L, span)
+    W = _rows(L, [w for w, _ in dot_constraints])
+    k = len(S)
+    Qm = _to_int(_gram(L, S, S))
+    M = _to_int(_gram(L, W, S))
     d = [int(val) for _, val in dot_constraints]
 
     x0, kernel = _solve_linear_system(M, d)
     if x0 is None:
         eye = np.eye(len(d), dtype=object)
-        modulus = next((m for m in range(2, max_modulus + 1)
+        modulus = next((m for m in _prime_powers(max_modulus)
                         if _solve_linear_system(np.concatenate(
                             [M, m * eye], axis=1), d)[0] is None), 0)
         cert = UnsatCertificate(
@@ -358,13 +380,12 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
 
     f = len(kernel)
     Z = np.array(kernel, dtype=object).T if f else np.zeros((k, 0), dtype=object)
-    Qm = np.array(Q, dtype=object)
     Qr = (Z.T @ Qm @ Z) if f else np.zeros((0, 0), dtype=object)
     lin = (2 * (x0 @ Qm @ Z)) if f else np.zeros(0, dtype=object)
     const = int(x0 @ Qm @ x0)
 
     cert = None
-    for m in range(2, max_modulus + 1):
+    for m in _prime_powers(max_modulus):
         attainable = _attainable_residues(Qr, lin, const, m)
         if square % m not in attainable:
             cert = UnsatCertificate(
@@ -378,6 +399,26 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
                            f"the found solution {solutions[0]}")
     return SearchResult(solutions=solutions, certificate=cert,
                         reduced_quadratic=(Qr, lin, const))
+
+
+# int() of every entry of an object matrix, whatever its shape: the search
+# runs on Python integers
+_to_int = np.frompyfunc(int, 1, 1)
+
+
+@cache
+def _prime_powers(n: int) -> tuple:
+    """The prime powers 2 <= m <= n, ascending, by a sieve of Eratosthenes."""
+    composite = bytearray(max(n + 1, 0))
+    powers = []
+    for p in range(2, n + 1):
+        if not composite[p]:
+            composite[p * p::p] = b"\x01" * len(range(p * p, n + 1, p))
+            q = p
+            while q <= n:
+                powers.append(q)
+                q *= p
+    return tuple(sorted(powers))
 
 
 def _attainable_residues(Qr, lin, const, m):
@@ -610,15 +651,14 @@ def generic_direction(L: GramLattice, T_basis, avoid,
     returned unnormalized with its square.  Raises UnavoidableHyperplane if
     some avoid-vector pairs to 0 with every basis vector.
     """
-    T = [_as_vector(v, L.rank) for v in T_basis]
-    avoid = [_as_vector(v, L.rank) for v in avoid]
-    for C in avoid:
-        if all((t @ L.gram @ C) == 0 for t in T):
-            raise UnavoidableHyperplane(
-                "an avoid-vector is orthogonal to the whole subspace")
+    T = _rows(L, T_basis)
+    A = _rows(L, avoid)
+    if (_gram(L, T, A) == 0).all(axis=0).any():
+        raise UnavoidableHyperplane(
+            "an avoid-vector is orthogonal to the whole subspace")
     # deterministic positive direction: the P column of the first positive
     # pivot of the exact diagonalization
-    G = np.array([[int(a @ L.gram @ b) for b in T] for a in T], dtype=object)
+    G = _gram(L, T, T)
     base = next((col for piv, col in _congruence_diagonalization(G)
                  if piv > 0), None)
     if base is None:
@@ -629,12 +669,11 @@ def generic_direction(L: GramLattice, T_basis, avoid,
         t = [int(round(scale * 4 * c)) for c in base] if trial == 0 else [
             int(round(scale * 4 * c)) + rng.randint(-scale, scale)
             for c in base]
-        vec = sum((ti * Ti for ti, Ti in zip(t, T)),
-                  np.zeros(L.rank, dtype=object))
+        vec = np.array(t, dtype=object) @ T
         sq = int(vec @ L.gram @ vec)
         if sq <= 0:
             continue
-        if any((vec @ L.gram @ C) == 0 for C in avoid):
+        if (_gram(L, vec[None], A) == 0).any():
             continue
         root = _int_sqrt(sq)
         if root is not None:

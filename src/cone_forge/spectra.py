@@ -548,6 +548,9 @@ def function_rates(n_complex: int, modes: Sequence[Mode],
     """
     if n_complex < 2:
         raise ValueError("complex dimension must be >= 2")
+    a, b = window
+    if not a < b:
+        raise WindowOutOfRange("window must be an increasing pair")
     shift = n_complex - 1
     found: list[CriticalRate] = []
     for m in modes:

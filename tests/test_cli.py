@@ -38,6 +38,16 @@ def test_malformed_spectrum_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("window", ["5.5:0.5", "1:0"])
+@pytest.mark.parametrize("kind", ["functions", "harmonic"])
+def test_rates_non_increasing_window_exits_2(window, kind):
+    code, out, err = run(["spectra", "rates", "--input", str(DATA / "s5.json"),
+                          f"--window={window}", "--kind", kind])
+    assert code == 2
+    assert err == "error: window must be an increasing pair\n"
+    assert out == ""
+
+
 def test_betti_duality_violation_exits_2(tmp_path):
     doc = {"betti": [1, 2, 0, 0, 0, 1], "coexact_modes": []}
     f = tmp_path / "nodual.json"

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ def test_degenerate_form_rejected():
         g2.induced_metric(np.zeros(35))
     with pytest.raises(g2.DegenerateForm):
         g2.induced_metric(-g2.PHI0)  # orientation-reversing
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_form_rejected(bad):
+    # a NaN det(B) passes "det <= tol" and a NaN matrix passes Cholesky
+    phi = g2.PHI0.copy()
+    phi[5] = bad
+    with pytest.raises(g2.DegenerateForm):
+        g2.induced_metric(phi)
 
 
 def test_split_type_form_rejected():

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as hst
+from hypothesis import assume, example, given, settings, strategies as hst
 
 from cone_forge import lattice as lat
 
@@ -338,6 +338,113 @@ def test_attainable_residues_match_loop(f, m, data):
     got = lat._attainable_residues(np.array(Qr, dtype=object).reshape(f, f),
                                    np.array(lin, dtype=object), const, m)
     assert got == _reference_residues(Qr, lin, const, m)
+
+
+# the matching span and B1, C1, plus B2, C2: the form on {B1 + 8 C1,
+# B1 + B2 + 8 C2} is 16 (a^2 + ab + b^2), whose value 352 is attained mod
+# every m < 64 but not mod 64
+_CERT_POOL = _POOL + [_unit(18), _unit(19)]
+_cert_combination = hst.lists(hst.integers(-2, 2), min_size=7, max_size=7)
+
+
+def _solvable_mod(M, d, m):
+    """Whether M x = d mod m for some x in (Z/m)^k, by trying every x."""
+    k = M.shape[1]
+    P = np.array(list(itertools.product(range(m), repeat=k)), dtype=np.int64)
+    rest = (P @ M.astype(np.int64).T - np.array(d, dtype=np.int64)) % m
+    return bool((rest == 0).all(axis=1).any())
+
+
+@settings(max_examples=60, deadline=None)
+@given(span=hst.lists(_cert_combination, min_size=1, max_size=3),
+       dots=hst.lists(_cert_combination, max_size=2),
+       planted=hst.lists(hst.integers(-20, 20), min_size=3, max_size=3),
+       square_shift=hst.sampled_from([0, 1, 2, 3, -3, 5, 16]),
+       dot_shift=hst.sampled_from([0, 0, 1, 2]),
+       max_modulus=hst.integers(2, 64))
+# 3 a = 4: unsolvable mod 3, and over Z although solvable mod 2
+@example(span=[[1, 0, 0, 0, 0, 0, 0]], dots=[[-1, 1, 0, 0, 0, 0, 0]],
+         planted=[1, 0, 0], square_shift=0, dot_shift=1, max_modulus=64)
+@example(span=[[1, 0, 0, 0, 0, 0, 0]], dots=[[-1, 1, 0, 0, 0, 0, 0]],
+         planted=[1, 0, 0], square_shift=0, dot_shift=1, max_modulus=2)
+# 16 (a^2 + ab + b^2) = 352 fails first mod 64
+@example(span=[[0, 0, 0, 1, 8, 0, 0], [0, 0, 0, 1, 0, 1, 8]], dots=[],
+         planted=[0, 0, 0], square_shift=352, dot_shift=0, max_modulus=64)
+# a planted 1-dot search on the matching span: no modulus fails
+@example(span=[[1, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0],
+               [0, 0, 1, 0, 0, 0, 0]], dots=[[0, 1, 0, 0, 0, 0, 0]],
+         planted=[3, -7, 11], square_shift=0, dot_shift=0, max_modulus=64)
+def test_certificate_matches_every_modulus_loop(L, span, dots, planted,
+                                                square_shift, dot_shift,
+                                                max_modulus):
+    """Trying prime powers finds the certificate that every m would find."""
+    span = [sum(c * v for c, v in zip(cs, _CERT_POOL)) for cs in span]
+    dots = [sum(c * v for c, v in zip(cs, _CERT_POOL)) for cs in dots]
+    k = len(span)
+    x = np.array(planted[:k], dtype=object)
+    Q = np.array([[int(lat.pairing(L, a, b)) for b in span] for a in span],
+                 dtype=object)
+    M = np.array([[int(lat.pairing(L, s, w)) for s in span] for w in dots],
+                 dtype=object).reshape(len(dots), k)
+    square = int(x @ Q @ x) + square_shift
+    d = [int(v) + dot_shift for v in M @ x]
+    res = lat.constrained_class_search(span, square, list(zip(dots, d)),
+                                       bound=1, L=L, max_modulus=max_modulus)
+    cert = res.certificate
+    moduli = range(2, max_modulus + 1)
+    if cert is not None and cert.reduced_form == (
+            "linear constraints unsolvable over Z"):
+        assert cert.modulus == next(
+            (m for m in moduli if not _solvable_mod(M, d, m)), 0)
+        return
+    Qr, lin, const = res.reduced_quadratic
+    # the pure-Python residue loop stays cheap for up to two free variables
+    assume(len(lin) <= 2)
+    Qi = [[int(v) for v in row] for row in Qr]
+    want = None
+    for m in moduli:
+        residues = _reference_residues(Qi, [int(v) for v in lin], const, m)
+        if square % m not in residues:
+            want = lat.UnsatCertificate(
+                modulus=m, lhs_residues=residues, rhs_residue=square % m,
+                reduced_form=lat._format_quadratic(Qr, lin, const))
+            break
+    assert cert == want
+
+
+def _planted_one_dot_search(L, embedding):
+    """A satisfiable search on the matching span with one kplus constraint."""
+    x = np.array([3, -7, 11], dtype=object)
+    gram = np.array([[-2, 1, 0], [1, 4, 0], [0, 0, 4]], dtype=object)
+    gx = gram @ x
+    return (list(embedding.images), int(x @ gx),
+            [(embedding.images[1], int(gx[1]))], 20)
+
+
+def test_search_tries_prime_power_moduli_without_pairing_calls(L, embedding):
+    span, square, dots, bound = _planted_one_dot_search(L, embedding)
+    with mock.patch.object(lat, "_attainable_residues",
+                           wraps=lat._attainable_residues) as residues, \
+            mock.patch.object(lat, "pairing", wraps=lat.pairing) as pairing:
+        res = lat.constrained_class_search(span, square, dots, bound, L=L,
+                                           max_modulus=64)
+    assert res.certificate is None and (3, -7, 11) in res.solutions
+    # 2..64 holds 27 prime powers: 18 primes, 2^2..2^6, 3^2, 3^3, 5^2, 7^2
+    assert [c.args[3] for c in residues.call_args_list] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+        37, 41, 43, 47, 49, 53, 59, 61, 64]
+    assert pairing.call_count == 0
+
+
+@pytest.mark.parametrize("where", ["span", "dot"])
+def test_search_rejects_wrong_length_vectors(L, embedding, where):
+    span, square, dots, bound = _planted_one_dot_search(L, embedding)
+    if where == "span":
+        span[1] = span[1][:21]
+    else:
+        dots = [(np.append(dots[0][0], 0), dots[0][1])]
+    with pytest.raises(lat.DimensionMismatch):
+        lat.constrained_class_search(span, square, dots, bound, L=L)
 
 
 def _search_with_enumeration_args(span, square, dots, bound, L, **kw):

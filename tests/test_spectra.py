@@ -332,6 +332,15 @@ def test_function_rates_mu12():
     assert sorted(r.lam for r in rates) == [-6.0, 2.0]
 
 
+@pytest.mark.parametrize("window", [(5.5, 0.5), (1.0, 0.0), (2.0, 2.0)])
+def test_function_rates_refuse_non_increasing_window(window):
+    # (1, 0) has the rate 0 on an endpoint: the order is refused first
+    spec = sp.load_spectrum(DATA / "s5.json")
+    with pytest.raises(sp.WindowOutOfRange,
+                       match="window must be an increasing pair"):
+        sp.function_rates(3, spec.coclosed(0), window)
+
+
 def test_function_gap_report():
     good = [sp.Mode(p=0, mu=0.0, mult=1), sp.Mode(p=0, mu=6.0, mult=2)]
     rep = sp.function_gap_report(3, good)
