@@ -93,6 +93,11 @@ def _fail(msg: str) -> int:
     return VERIFY_ERROR
 
 
+def _passes(value: float, tol: float) -> bool:
+    """A check passes only on a finite value at or below tol, so NaN fails."""
+    return math.isfinite(value) and value <= tol
+
+
 # ---------------------------------------------------------------------------
 # g2
 
@@ -100,18 +105,18 @@ def _fail(msg: str) -> int:
 def _cmd_g2_lincheck(args, cfg: RunConfig) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     h = args.step if args.step is not None else cfg.g2_step
-    rows = []
-    worst = 0.0
+    rows, residuals = [], []
     for k in range(args.samples):
         gamma = _g2.random_unit_3form(rng)
         dec = _g2.project_3form(_g2.PHI0, gamma)
         for name, comp in (("pi1", dec.pi1), ("pi7", dec.pi7),
                            ("pi27", dec.pi27)):
             res = _g2.linearization_residual(comp, h)
-            worst = max(worst, res)
+            residuals.append(res)
             rows.append((k, name, f"{res:.6e}"))
     _emit_rows(("sample", "component", "residual"), rows, cfg.format)
-    if args.verify and worst > cfg.g2_tol:
+    worst = float(np.max(residuals))  # NaN propagates, unlike max()
+    if args.verify and not _passes(worst, cfg.g2_tol):
         return _fail(f"linearization residual {worst:.3e} > {cfg.g2_tol:.1e}")
     return 0
 
@@ -126,7 +131,7 @@ def _cmd_bessel_eval(args, cfg: RunConfig) -> int:
     print(json.dumps({"mu": args.mu, "x": args.x, "i": ev.value_i,
                       "k": ev.value_k, "regime": ev.regime,
                       "wronskian_residual": res}, indent=2))
-    if args.verify and res > 1e-9:
+    if args.verify and not _passes(res, 1e-9):
         return _fail(f"Wronskian residual {res:.3e} > 1e-9")
     return 0
 
@@ -190,17 +195,17 @@ def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> int:
         prof = _stenzel.solve_profile(3, cfg.stenzel_wmax, cfg.stenzel_steps)
         potential = _stenzel.stenzel_potential_fn(prof, eps)
         tol = cfg.stenzel_smoothing_tol
-    rows = []
-    worst = 0.0
+    rows, residuals = [], []
     for k in range(args.points):
         pt = _stenzel.random_chart_point(eps, rng)
         res = _stenzel.monge_ampere_residual(potential, pt, h=1e-3)
-        worst = max(worst, res)
+        residuals.append(res)
         rows.append((k, f"{res:.6e}"))
     _emit_rows(("point", "residual"), rows, cfg.format)
+    worst = float(np.max(residuals))  # NaN propagates, unlike max()
     print(f"max residual {worst:.3e} over {args.points} points "
           f"(tolerance {tol:.1e})", file=sys.stderr)
-    if worst > tol:
+    if not _passes(worst, tol):
         return _fail(f"Monge-Ampere residual {worst:.3e} > {tol:.1e}")
     return 0
 
@@ -215,6 +220,8 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _cmd_spectra_rates(args, cfg: RunConfig) -> int:
+    if args.verify and args.kind in ("one-form", "paired"):
+        raise ValueError(f"--verify has no check for --kind {args.kind}")
     spec = load_spectrum(args.input)
     window = _parse_window(args.window)
     if args.kind == "harmonic":
@@ -239,17 +246,37 @@ def _cmd_spectra_rates(args, cfg: RunConfig) -> int:
     _emit_rows(("lambda", "degree", "mult", "type", "log_mode"), rows,
                cfg.format)
     if args.verify and args.kind == "harmonic":
-        # hat-pair symmetry: rates -2 +- sqrt(mu_hat) carry equal dimension
+        # hat-pair symmetry: rates -2 +- sqrt(mu_hat) carry equal dimension.
+        # A rate is c + s sqrt(d) exactly, so |lam + 2| is the exact triple
+        # side * (c + 2, s, d), with side the sign of lam + 2.
         wide = _spectra.harmonic_rate_catalog(spec, args.p, (-8.01, 4.01))
-        tally = {}
+        tally, where = {}, {}
         for r in wide:
-            mu_hat = round((r.lam + 2.0) ** 2, 9)
-            if mu_hat > 0:
-                key = (mu_hat, r.lam > -2.0)
+            x = r.root
+            side = x.cmp(-2)
+            if side:  # lam = -2 is mu_hat = 0, its own partner
+                key = (side * (x.c + 2), side * x.s, x.d), side
                 tally[key] = tally.get(key, 0) + r.multiplicity
-        for (mu_hat, upper), mult in tally.items():
-            if tally.get((mu_hat, not upper)) != mult:
-                return _fail(f"hat-pair symmetry broken at mu_hat={mu_hat}")
+                where[key] = r.lam
+        for (size, side), mult in tally.items():
+            if tally.get((size, -side)) != mult:
+                return _fail(f"hat-pair symmetry broken at lambda = "
+                             f"{where[size, side]}")
+    if args.verify and args.kind == "functions":
+        # every rate solves (lam + n - 1)^2 = mu + (n - 1)^2 exactly for a
+        # listed mode of its multiplicity and lies strictly inside the
+        # window.  With lam = c + s sqrt(d) and a = c + n - 1, the square
+        # is a^2 + d, and it is rational only when s a = 0 (d = 0 if s = 0).
+        shift = args.n - 1
+        for r in cat:
+            x, a = r.root, r.root.c + shift
+            solves = not (x.s and a) and any(
+                a * a + x.d == m.mu_exact + shift * shift
+                and m.mult == r.multiplicity for m in spec.coclosed(0))
+            if not (solves and x.cmp(window[0]) > 0 > x.cmp(window[1])):
+                return _fail(f"function rate {r.lam} does not solve "
+                             f"(lam + {shift})^2 = mu + {shift * shift} "
+                             f"inside the window")
     return 0
 
 
@@ -337,7 +364,8 @@ def _cmd_edge_solve(args, cfg: RunConfig) -> int:
     _emit_rows(("r", "y"), [(f"{r:.12g}", f"{v:.12g}")
                             for r, v in zip(prob.grid, y)], cfg.format)
     print(f"operator residual {res:.3e}", file=sys.stderr)
-    if args.verify and res > 1e-6 * (1.0 + float(np.max(np.abs(prob.rhs)))):
+    if args.verify and not _passes(
+            res, 1e-6 * (1.0 + float(np.max(np.abs(prob.rhs))))):
         return _fail(f"operator residual {res:.3e}")
     return 0
 
@@ -355,7 +383,7 @@ def _cmd_edge_split(args, cfg: RunConfig) -> int:
         "shell_norms": [float(x) for x in sol.shell_norms],
         "coefficient_bound": {"lhs": lhs, "rhs": rhs},
     }, indent=2))
-    if args.verify and lhs is not None and lhs > rhs:
+    if args.verify and lhs is not None and not _passes(lhs, rhs):
         return _fail(f"coefficient bound violated: {lhs} > {rhs}")
     return 0
 
@@ -367,10 +395,10 @@ def _cmd_edge_kernel(args, cfg: RunConfig) -> int:
              f"{m.inverse_ratio:.8f}", m.normal_form) for m in modes]
     _emit_rows(("n", "identity_residual", "ode0_residual", "ode1_residual",
                 "log_ratio", "inverse_ratio", "normal_form"), rows, cfg.format)
-    worst = max(max(m.identity_residual, m.ode0_residual, m.ode1_residual)
-                for m in modes)
+    worst = float(np.max([(m.identity_residual, m.ode0_residual,
+                           m.ode1_residual) for m in modes]))
     print(f"{len(modes)} modes, worst residual {worst:.3e}", file=sys.stderr)
-    if worst > cfg.kernel_tol:
+    if not _passes(worst, cfg.kernel_tol):
         return _fail(f"kernel residual {worst:.3e} > {cfg.kernel_tol:.1e}")
     return 0
 

@@ -23,13 +23,13 @@ and carries one extra log r solution), the degree-specific 1-form and paired
 2-/3-form catalogs, function rates for general complex dimension, and the
 index-change count N(delta, delta') between non-critical weights.
 
-Eigenvalues supplied as integers or "p/q" strings are carried exactly;
-quadratic roots are then exact whenever the discriminant is a rational
-square.  An exact root decides the equality tests: lambda = -2 (log_mode,
-and T5's exclusion) and T7's exclusion of lambda = -p in favour of T6.
-Window membership compares the float root with the endpoints: a root
-within 1e-9 of an endpoint is a tie, raised as CriticalEndpoint, except at
-the closed right end of the 1-form and paired catalogs, where it is kept.
+Eigenvalues are rational: integers and "p/q" strings are read exactly, and
+a float is taken exactly.  So every rate is c +- sqrt(d) with c, d rational,
+and every decision on it is exact: window membership, a tie with a window
+or weight endpoint (CriticalEndpoint, except at the closed right end of the
+1-form and paired catalogs, where the rate is kept), lambda = -2 (log_mode,
+T5's exclusion) and T7's exclusion of lambda = -p in favour of T6.  A tie
+is exact equality; CriticalRate.lam is a float for printing only.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 LINK_DIM = 5
-_TIE_TOL = 1e-9
 
 
 class SchemaError(ValueError):
@@ -100,13 +99,19 @@ class DegreeOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class Mode:
-    """One coclosed eigenmode family on the link."""
+    """One coclosed eigenmode family on the link; mu_exact is mu exactly, an
+    int or a Fraction, and left unset it is the float mu taken exactly."""
 
     p: int
     mu: float
     mult: int
     tag: str | None = None
-    mu_exact: Fraction | None = None
+    mu_exact: int | Fraction | None = None
+
+    def __post_init__(self):
+        if self.mu_exact is not None:
+            return
+        object.__setattr__(self, "mu_exact", Fraction(self.mu))
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class LinkSpectrum:
         out = []
         if self.betti[p] > 0:
             out.append(Mode(p=p, mu=0.0, mult=self.betti[p], tag="harmonic",
-                            mu_exact=Fraction(0)))
+                            mu_exact=0))
         out.extend(m for m in self.modes if m.p == p and m.mu > 0)
         return sorted(out, key=lambda m: m.mu)
 
@@ -177,22 +182,6 @@ class LinkSpectrum:
 
     def completeness(self, p: int) -> float:
         return float(self.complete_below.get(p, 0.0))
-
-
-def _parse_mu(raw) -> tuple[float, Fraction | None]:
-    if isinstance(raw, bool):
-        raise SchemaError("mu must be a number")
-    if isinstance(raw, int):
-        return float(raw), Fraction(raw)
-    if isinstance(raw, str):
-        try:
-            fr = Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational eigenvalue {raw!r}") from exc
-        return float(fr), fr
-    if isinstance(raw, float):
-        return raw, None
-    raise SchemaError(f"bad eigenvalue {raw!r}")
 
 
 def spectrum_from_dict(doc: dict) -> LinkSpectrum:
@@ -205,13 +194,14 @@ def spectrum_from_dict(doc: dict) -> LinkSpectrum:
     modes = []
     for entry in doc.get("coexact_modes", []):
         try:
-            mu, mu_exact = _parse_mu(entry["mu"])
-            modes.append(Mode(p=int(entry["p"]), mu=mu,
+            mu = entry["mu"]  # an int, a float or a "p/q" string
+            if isinstance(mu, bool) or not isinstance(mu, (int, float, str)):
+                raise TypeError(f"bad eigenvalue {mu!r}")
+            exact = mu if isinstance(mu, int) else Fraction(mu)
+            modes.append(Mode(p=int(entry["p"]), mu=float(exact),
                               mult=int(entry["mult"]),
-                              tag=entry.get("tag"), mu_exact=mu_exact))
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, (SchemaError, ConstraintViolation)):
-                raise
+                              tag=entry.get("tag"), mu_exact=exact))
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise SchemaError(f"malformed mode entry {entry!r}") from exc
     constraints = []
     for entry in doc.get("constraints", []):
@@ -264,12 +254,45 @@ def load_spectrum(path) -> LinkSpectrum:
 # critical rates
 
 
+class _Surd:
+    """The real number c + s*sqrt(d), held exactly.
+
+    c and d are rational and s is -1, 0 or +1; s != 0 only when d > 0 is not
+    a rational square, so such a surd is irrational and equals no rational.
+    It compares with an int, a Fraction or a non-NaN float, each taken
+    exactly, by one sign test and one exact squaring.
+    """
+
+    __slots__ = ("c", "d", "s")
+
+    def __init__(self, c, d=0, s=0):
+        self.c, self.d, self.s = c, d, s
+
+    def cmp(self, q) -> int:
+        """The sign of self - q."""
+        if not self.s:
+            return (self.c > q) - (self.c < q)
+        if math.isinf(q):
+            return -1 if q > 0 else 1
+        (qn, qd), (cn, cd) = q.as_integer_ratio(), self.c.as_integer_ratio()
+        tn, td = cn * qd - qn * cd, cd * qd  # self.c - q = tn / td, td > 0
+        if tn == 0 or (tn > 0) == (self.s > 0):
+            return self.s
+        dn, dd = self.d.as_integer_ratio()
+        return self.s if dn * td * td > tn * tn * dd else -self.s
+
+    def __eq__(self, q):
+        return not self.s and self.c == q
+
+
 @dataclass(frozen=True)
 class CriticalRate:
     """A rate lambda with degree, multiplicity and generator type.
 
     log_mode means mu_hat = 0 (lambda = -2 exactly): the generator is paired
     with one extra log r solution, so the dimension it contributes doubles.
+    root is the exact rate that every comparison reads, and lam its float,
+    for printing; left unset, root is lam taken exactly.
     """
 
     lam: float
@@ -277,6 +300,11 @@ class CriticalRate:
     multiplicity: int
     gen_type: str
     log_mode: bool = False
+    root: _Surd | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.root is None:
+            object.__setattr__(self, "root", _Surd(self.lam))
 
     @property
     def dim(self) -> int:
@@ -294,11 +322,12 @@ class WeightVector:
     cone_weights: tuple[float, ...]
     end_weight: float
 
-    def is_critical(self, cone_catalogs, end_catalog, tol=_TIE_TOL) -> bool:
+    def is_critical(self, cone_catalogs, end_catalog) -> bool:
+        """True when a weight equals a rate of its catalog exactly."""
         for w, cat in zip(self.cone_weights, cone_catalogs):
-            if any(abs(r.lam - w) <= tol for r in cat):
+            if any(r.root == w for r in cat):
                 return True
-        return any(abs(r.lam - self.end_weight) <= tol for r in end_catalog)
+        return any(r.root == self.end_weight for r in end_catalog)
 
 
 @dataclass(frozen=True)
@@ -361,56 +390,62 @@ def hat_eigenvalues(spec: LinkSpectrum, p: int) -> list[tuple[float, int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# root arithmetic, exact when the data allows it
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+# root arithmetic
 
 
 def _quad_roots(center: int, shift_sq: int, mode: Mode):
-    """Roots center +- sqrt(shift_sq + mu) as (float, exact-or-None) pairs."""
-    if mode.mu_exact is not None:
-        disc = Fraction(shift_sq) + mode.mu_exact
-        if disc < 0:
-            return []
-        s = _fraction_sqrt(disc)
-        if s is not None:
-            if s == 0:
-                return [(float(center), Fraction(center))]
-            return [(float(center + s), center + s),
-                    (float(center - s), center - s)]
-    disc = shift_sq + mode.mu
+    """Roots center +- sqrt(shift_sq + mu) as (float, _Surd) pairs; the float
+    is a rational root rounded, or center +- math.sqrt(shift_sq + mode.mu)."""
+    disc = shift_sq + mode.mu_exact
     if disc < 0:
         return []
-    s = math.sqrt(disc)
+    # n/d in lowest terms is a rational square exactly when n*d is a square
+    n, d = disc.numerator, disc.denominator
+    s = math.isqrt(n * d)
+    if s * s != n * d:
+        r = math.sqrt(shift_sq + mode.mu)
+        return [(center + r, _Surd(center, disc, 1)),
+                (center - r, _Surd(center, disc, -1))]
+    s = Fraction(s, d) if d > 1 else s
     if s == 0:
-        return [(float(center), None)]
-    return [(center + s, None), (center - s, None)]
+        return [(float(center), _Surd(center))]
+    return [(float(center + s), _Surd(center + s)),
+            (float(center - s), _Surd(center - s))]
 
 
-def _accept(lam, window, closed_right=False):
-    """Window membership with tie-at-endpoint errors (tolerance 1e-9)."""
-    a, b = window
-    for edge in (a, b):
-        if abs(lam - edge) <= _TIE_TOL:
-            if closed_right and edge == b:
-                return True
+class _Catalog:
+    """The rates of one catalog that lie in its window.
+
+    A rate equal to a window end raises CriticalEndpoint, except at a closed
+    right end, where it is kept.  With logs, the rate -2 is a log mode.
+    """
+
+    def __init__(self, window, degree, closed_right=False, logs=False):
+        if not window[0] < window[1]:
+            raise WindowOutOfRange("window must be an increasing pair")
+        self.window, self.degree, self.rates = window, degree, []
+        self.closed_right, self.logs = closed_right, logs
+
+    def add(self, lam, root, mult, tag):
+        below, above = root.cmp(self.window[0]), root.cmp(self.window[1])
+        if below == 0 or (above == 0 and not self.closed_right):
+            edge = self.window[0] if below == 0 else self.window[1]
             raise CriticalEndpoint(
                 f"rate {lam} ties the window endpoint {edge}")
-    return a < lam < b
+        if below > 0 and above <= 0:
+            self.rates.append(CriticalRate(
+                lam, self.degree, mult, tag, self.logs and root == -2, root))
 
+    def rate(self, value: int, mult, tag):
+        self.add(float(value), _Surd(value), mult, tag)
 
-def _is_minus_two(lam, exact) -> bool:
-    if exact is not None:
-        return exact == -2
-    return abs(lam + 2.0) <= 1e-12
+    def roots(self, center, shift_sq, mode, tag, exclude=None):
+        for lam, root in _quad_roots(center, shift_sq, mode):
+            if exclude is None or root != exclude:
+                self.add(lam, root, mode.mult, tag)
+
+    def sorted(self) -> list[CriticalRate]:
+        return sorted(self.rates, key=lambda r: (r.lam, r.gen_type))
 
 
 def harmonic_rate_catalog(spec: LinkSpectrum, p: int,
@@ -423,48 +458,31 @@ def harmonic_rate_catalog(spec: LinkSpectrum, p: int,
     """
     if not 0 <= p <= 6:
         raise DegreeOutOfRange(f"degree {p} outside 0..6")
-    a, b = window
-    if not a < b:
-        raise WindowOutOfRange("window must be an increasing pair")
-    found: list[CriticalRate] = []
-
-    def emit(lam, exact, mult, tag):
-        if _accept(lam, window):
-            found.append(CriticalRate(
-                lam=float(lam), degree=p, multiplicity=mult, gen_type=tag,
-                log_mode=_is_minus_two(lam, exact)))
-
+    cat = _Catalog(window, p, logs=True)
     # T1: exact-mode dr-slot, roots of (lam+p-2)(lam-p+6) = mu
     if 2 <= p <= 6:
         for m in spec.nonzero(p - 2):
-            for lam, exact in _quad_roots(-2, (p - 4) ** 2, m):
-                emit(lam, exact, m.mult, "T1")
+            cat.roots(-2, (p - 4) ** 2, m, "T1")
     # T2/T3: harmonic (p-1)-modes in the dr-slot
     if 1 <= p <= 6 and spec.betti[p - 1] > 0:
         hp = spec.betti[p - 1]
         if p != 4:  # T2 excludes lam = -2
-            emit(float(2 - p), Fraction(2 - p), hp, "T2")
-        emit(float(p - 6), Fraction(p - 6), hp, "T3")
+            cat.rate(2 - p, hp, "T2")
+        cat.rate(p - 6, hp, "T3")
     # T4/T5: coupled pairs from nonzero (p-1)-modes
     if 1 <= p <= 5:
         for m in spec.nonzero(p - 1):
-            for lam, exact in _quad_roots(-3, (p - 3) ** 2, m):
-                emit(lam, exact, m.mult, "T4")
-            for lam, exact in _quad_roots(-1, (p - 3) ** 2, m):
-                if not _is_minus_two(lam, exact):
-                    emit(lam, exact, m.mult, "T5")
+            cat.roots(-3, (p - 3) ** 2, m, "T4")
+            cat.roots(-1, (p - 3) ** 2, m, "T5", exclude=-2)
     # T6/T7: pure beta-slot modes
     if p <= 5:
         if spec.betti[p] > 0:
-            emit(float(-p), Fraction(-p), spec.betti[p], "T6")
+            cat.rate(-p, spec.betti[p], "T6")
+        # T7 excludes lam = -p; that solution is T6's (and at p = 2 the
+        # harmonic double root lives entirely in the T6 entry)
         for m in spec.coclosed(p):
-            for lam, exact in _quad_roots(-2, (p - 2) ** 2, m):
-                # T7 excludes lam = -p; that solution is T6's (and at p = 2
-                # the harmonic double root lives entirely in the T6 entry)
-                if exact == -p or (exact is None and abs(lam + p) <= 1e-12):
-                    continue
-                emit(lam, exact, m.mult, "T7")
-    return sorted(found, key=lambda r: (r.lam, r.gen_type))
+            cat.roots(-2, (p - 2) ** 2, m, "T7", exclude=-p)
+    return cat.sorted()
 
 
 def one_form_catalog(spec: LinkSpectrum,
@@ -477,37 +495,30 @@ def one_form_catalog(spec: LinkSpectrum,
     (a, b] so the boundary rate 1 of the moving family is reachable.
     """
     a, b = window
-    if not (a < b and a >= -3.0 - _TIE_TOL and b <= 1.0 + _TIE_TOL):
+    if not (a < b and a >= -3 and b <= 1):
         raise WindowOutOfRange("one-form catalog proved only inside [-3, 1]")
     if spec.betti[1] != 0:
         raise ConstraintViolation("catalog requires h_1 = 0")
     for m in spec.nonzero(0):
-        if m.mu <= 5.0:
+        if m.mu_exact <= 5:
             raise ConstraintViolation(
                 f"Obata bound violated: mu_0 = {m.mu} <= 5")
     for m in spec.nonzero(1):
-        if m.mu < 8.0:
+        if m.mu_exact < 8:
             raise ConstraintViolation(
                 f"Killing bound violated: mu_1 = {m.mu} < 8")
-    found: list[CriticalRate] = []
-
-    def emit(lam, exact, mult, tag):
-        if _accept(lam, window, closed_right=True):
-            found.append(CriticalRate(lam=float(lam), degree=1,
-                                      multiplicity=mult, gen_type=tag))
-
+    cat = _Catalog(window, 1, closed_right=True)
     for m in spec.nonzero(0):
-        if 5.0 < m.mu <= 12.0:
-            lam, exact = _quad_roots(-3, 4, m)[0]
-            emit(lam, exact, m.mult, "1F1")
-            if m.mu == 12.0:
-                emit(1.0, Fraction(1), m.mult, "1F4")
+        if 5 < m.mu_exact <= 12:
+            cat.add(*_quad_roots(-3, 4, m)[0], m.mult, "1F1")
+            if m.mu_exact == 12:
+                cat.rate(1, m.mult, "1F4")
     if spec.betti[0] > 0:
-        emit(1.0, Fraction(1), spec.betti[0], "1F2")  # d(r^2) = 2 r dr
+        cat.rate(1, spec.betti[0], "1F2")  # d(r^2) = 2 r dr
     for m in spec.nonzero(1):
-        if m.mu == 8.0:
-            emit(1.0, Fraction(1), m.mult, "1F3-killing")
-    return sorted(found, key=lambda r: (r.lam, r.gen_type))
+        if m.mu_exact == 8:
+            cat.rate(1, m.mult, "1F3-killing")
+    return cat.sorted()
 
 
 def paired_catalog(spec: LinkSpectrum,
@@ -520,23 +531,15 @@ def paired_catalog(spec: LinkSpectrum,
     Half-open window (a, b].
     """
     a, b = window
-    if not (a < b and a >= -2.0 - _TIE_TOL and b <= 0.0 + _TIE_TOL):
+    if not (a < b and a >= -2 and b <= 0):
         raise WindowOutOfRange("paired catalog proved only inside (-2, 0]")
-    found: list[CriticalRate] = []
-
-    def emit(lam, exact, mult, tag):
-        if _accept(lam, window, closed_right=True):
-            found.append(CriticalRate(lam=float(lam), degree=2,
-                                      multiplicity=mult, gen_type=tag))
-
-    emit(0.0, Fraction(0), 1, "P1-phi")
-    emit(0.0, Fraction(0), 1, "P2-6ReOmega+4dtheta^omega")
-    emit(0.0, Fraction(0), 1, "P3-6ImOmega")
+    cat = _Catalog(window, 2, closed_right=True)
+    for tag in ("P1-phi", "P2-6ReOmega+4dtheta^omega", "P3-6ImOmega"):
+        cat.rate(0, 1, tag)
     for m in spec.nonzero(0):
-        if 5.0 < m.mu <= 12.0:
-            lam, exact = _quad_roots(-4, 4, m)[0]
-            emit(lam, exact, m.mult, "P4")
-    return sorted(found, key=lambda r: (r.lam, r.gen_type))
+        if 5 < m.mu_exact <= 12:
+            cat.add(*_quad_roots(-4, 4, m)[0], m.mult, "P4")
+    return cat.sorted()
 
 
 def function_rates(n_complex: int, modes: Sequence[Mode],
@@ -548,20 +551,13 @@ def function_rates(n_complex: int, modes: Sequence[Mode],
     """
     if n_complex < 2:
         raise ValueError("complex dimension must be >= 2")
-    a, b = window
-    if not a < b:
-        raise WindowOutOfRange("window must be an increasing pair")
     shift = n_complex - 1
-    found: list[CriticalRate] = []
+    cat = _Catalog(window, 0)
     for m in modes:
         if m.mu < 0:
             raise ConstraintViolation("negative eigenvalue")
-        for lam, exact in _quad_roots(-shift, shift * shift, m):
-            if _accept(lam, window):
-                found.append(CriticalRate(lam=float(lam), degree=0,
-                                          multiplicity=m.mult,
-                                          gen_type="function"))
-    return sorted(found, key=lambda r: r.lam)
+        cat.roots(-shift, shift * shift, m, "function")
+    return cat.sorted()
 
 
 def function_gap_report(n_complex: int, modes: Sequence[Mode]) -> dict:
@@ -571,14 +567,11 @@ def function_gap_report(n_complex: int, modes: Sequence[Mode]) -> dict:
     exactly when no nonzero eigenvalue lies in (0, 2n-1].
     """
     shift = n_complex - 1
-    gap_negative = True
-    for m in modes:
-        for lam, _ in _quad_roots(-shift, shift * shift, m):
-            if -2 * shift < lam < 0 and not (
-                    abs(lam) <= _TIE_TOL or abs(lam + 2 * shift) <= _TIE_TOL):
-                gap_negative = False
+    gap_negative = not any(
+        root.cmp(-2 * shift) > 0 > root.cmp(0)
+        for m in modes for _, root in _quad_roots(-shift, shift * shift, m))
     threshold = 2.0 * n_complex - 1.0
-    offenders = [m.mu for m in modes if 0 < m.mu <= threshold]
+    offenders = [m.mu for m in modes if 0 < m.mu_exact <= threshold]
     return {
         "no_rate_in_negative_gap": gap_negative,
         "no_rate_in_zero_one": not offenders,
@@ -598,17 +591,16 @@ def index_change(cone_catalogs: Sequence[Sequence[CriticalRate]],
     if len(delta.cone_weights) != len(cone_catalogs) or \
             len(delta_prime.cone_weights) != len(cone_catalogs):
         raise WeightOrderViolation("weight length does not match catalogs")
-    pairs = list(zip(delta.cone_weights, delta_prime.cone_weights))
-    pairs.append((delta.end_weight, delta_prime.end_weight))
-    cats = list(cone_catalogs) + [list(end_catalog)]
+    los = (*delta.cone_weights, delta.end_weight)
+    his = (*delta_prime.cone_weights, delta_prime.end_weight)
     total = 0
-    for (lo, hi), cat in zip(pairs, cats):
+    for lo, hi, cat in zip(los, his, [*cone_catalogs, end_catalog]):
         if not lo < hi:
             raise WeightOrderViolation(f"need delta < delta', got {lo} >= {hi}")
         for rate in cat:
-            if abs(rate.lam - lo) <= _TIE_TOL or abs(rate.lam - hi) <= _TIE_TOL:
+            if rate.root == lo or rate.root == hi:
                 raise CriticalEndpoint(
                     f"weight endpoint ties critical rate {rate.lam}")
-            if lo < rate.lam < hi:
+            if rate.root.cmp(lo) > 0 > rate.root.cmp(hi):
                 total += rate.dim
     return total

@@ -201,7 +201,7 @@ def _chart_embed(w: np.ndarray, eps: complex, chart: int, base: complex):
 
 
 def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
-                          chart: int = 3, richardson: bool = True) -> float:
+                          chart: int = 3) -> float:
     """|det(H) * |z_chart|^2 - 1| with H the finite-difference complex Hessian.
 
     The chart solves for coordinate `chart` via the principal square root
@@ -239,15 +239,11 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
         xy = d2[0::2, 1::2] - d2[1::2, 0::2]
         return 0.25 * (xx + 1j * xy)
 
-    H1 = hessian(h)
-    if not richardson:
-        det = np.linalg.det(H1)
-    else:
-        H2 = hessian(h / 2.0)
-        d1, d2_ = np.linalg.det(H1), np.linalg.det(H2)
-        if abs(d1 - d2_) > 0.5 * abs(d2_):
-            raise StepTooLarge(f"det {d1:.6g} vs {d2_:.6g} under halving")
-        det = np.linalg.det((4.0 * H2 - H1) / 3.0)
+    H1, H2 = hessian(h), hessian(h / 2.0)
+    d1, d2_ = np.linalg.det(H1), np.linalg.det(H2)
+    if abs(d1 - d2_) > 0.5 * abs(d2_):
+        raise StepTooLarge(f"det {d1:.6g} vs {d2_:.6g} under halving")
+    det = np.linalg.det((4.0 * H2 - H1) / 3.0)
     return float(abs(det * abs(z0[chart]) ** 2 - 1.0))
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from _fresh_python import run_python
-from cone_forge import cli, edge
+from cone_forge import cli, edge, spectra
 from cone_forge.spectra import ConstraintViolation
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cone_forge" / "data"
@@ -406,3 +406,109 @@ def test_edge_rhs_header_optional(tmp_path):
     b = run(EDGE_ARGS["solve"] + ["--rhs", str(without)])
     assert a[0] == b[0] == 0
     assert a[1] == b[1]
+
+
+# ---------------------------------------------------------------------------
+# spectra: pinned README output and --verify for every kind
+
+
+README_SPECTRA = [
+    (["spectra", "rates", "--input", "s5", "--window=-0.5:6.5"],
+     "lambda,degree,mult,type,log_mode\n"
+     "0,0,1,function,0\n1,0,6,function,0\n2,0,20,function,0\n"
+     "3,0,50,function,0\n4,0,105,function,0\n5,0,196,function,0\n"
+     "6,0,336,function,0\n"),
+    (["spectra", "rates", "--input", "s2xs3_partial", "--p", "2",
+      "--kind", "harmonic", "--window=-2.5:0.5"],
+     "lambda,degree,mult,type,log_mode\n-2,2,1,T6,1\n0,2,1,T4,0\n"),
+    (["spectra", "index-change", "--input", "s2xs3_partial",
+      "--delta=-2.0,-0.1", "--delta-prime=-1.9,0.1", "--end-rates", "0:2"],
+     '{"N": 2}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,stdout", README_SPECTRA)
+def test_readme_spectra_commands_golden(argv, stdout):
+    assert run(argv)[:2] == (0, stdout)
+    assert run(argv + ["--verify"])[:2] == (0, stdout)
+
+
+@pytest.mark.parametrize("kind", ["one-form", "paired"])
+def test_spectra_verify_refused_without_a_check(kind):
+    code, out, err = run(["spectra", "rates", "--input", "s2xs3_partial",
+                          "--kind", kind, "--window=-2:0", "--verify"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --verify has no check for --kind {kind}\n"
+
+
+def test_spectra_functions_verify_catches_a_bad_rate(monkeypatch):
+    # (0.5 + 2)^2 = mu + 4 gives mu = 2.25, which s5 does not list
+    bad = spectra.CriticalRate(lam=0.5, degree=0, multiplicity=1,
+                               gen_type="function")
+    real = cli._spectra.function_rates
+    monkeypatch.setattr(cli._spectra, "function_rates",
+                        lambda *a: real(*a) + [bad])
+    code, out, err = run(["spectra", "rates", "--input", "s5",
+                          "--window=-0.5:6.5", "--verify"])
+    assert code == 1
+    assert "function rate 0.5 does not solve" in err
+
+
+def test_spectra_functions_verify_checks_the_window(monkeypatch):
+    # a true rate of the listed mode mu = 12 (multiplicity 20), but outside
+    real = cli._spectra.function_rates
+    monkeypatch.setattr(cli._spectra, "function_rates",
+                        lambda n, modes, w: real(n, modes, (-6.5, 6.5)))
+    code, out, err = run(["spectra", "rates", "--input", "s5",
+                          "--window=-0.5:6.5", "--verify"])
+    assert code == 1
+    assert "function rate -6.0 does not solve" in err
+
+
+@pytest.mark.parametrize("mu", ["NaN", "Infinity", '"1e400"'])
+def test_non_finite_eigenvalue_exits_2(tmp_path, mu):
+    f = tmp_path / "spec.json"
+    f.write_text('{"betti": [1, 0, 0, 0, 0, 1], "coexact_modes": '
+                 f'[{{"p": 0, "mu": {mu}, "mult": 1}}]}}')
+    code, out, err = run(["spectra", "rates", "--input", str(f),
+                          "--window=-9:9"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed mode entry")
+
+
+# ---------------------------------------------------------------------------
+# gates that NaN cannot pass
+
+
+def test_bessel_eval_nan_residual_fails():
+    # K overflows at order 1000, so the Wronskian residual is NaN
+    code, out, err = run(["bessel", "eval", "--mu", "1000", "--x", "1",
+                          "--verify"])
+    assert code == 1
+    assert "Wronskian residual nan" in err
+
+
+def _nan_first(real):
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        return math.nan if len(calls) == 1 else real(*args, **kwargs)
+    return fake
+
+
+def test_g2_lincheck_nan_residual_fails(monkeypatch):
+    monkeypatch.setattr(cli._g2, "linearization_residual",
+                        _nan_first(cli._g2.linearization_residual))
+    code, out, err = run(["g2", "lincheck", "--samples", "2", "--verify"])
+    assert code == 1
+    assert "linearization residual nan" in err
+
+
+def test_stenzel_ma_check_nan_residual_fails(monkeypatch):
+    monkeypatch.setattr(cli._stenzel, "monge_ampere_residual",
+                        _nan_first(cli._stenzel.monge_ampere_residual))
+    code, out, err = run(["stenzel", "ma-check", "--points", "2",
+                          "--seed", "1"])
+    assert code == 1
+    assert "max residual nan" in err

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hst
+import sympy
+from hypothesis import example, given, settings, strategies as hst
 
 from cone_forge import spectra as sp
 
@@ -210,6 +212,30 @@ def test_critical_endpoint_rejected():
         sp.harmonic_rate_catalog(spec, 2, (-2.0, 1.0))
 
 
+def test_tie_is_exact_equality():
+    # an endpoint 1e-10 from a rate is no tie, on either side of it
+    spec = make_spec()
+    assert sp.harmonic_rate_catalog(spec, 2, (-2.0 + 1e-10, 1.0)) == []
+    [t6] = sp.harmonic_rate_catalog(spec, 2, (-2.0 - 1e-10, -1.5))
+    assert (t6.lam, t6.gen_type, t6.log_mode) == (-2.0, "T6", True)
+    s5 = sp.load_spectrum(DATA / "s5.json").coclosed(0)
+    rates = sp.function_rates(3, s5, (1e-10, 2.0 - 1e-10))
+    assert [(r.lam, r.multiplicity) for r in rates] == [(1.0, 6)]
+    with pytest.raises(sp.CriticalEndpoint):
+        sp.function_rates(3, s5, (1e-10, 2.0))
+
+
+def test_rates_near_minus_two_are_not_log_modes():
+    # mu = 1 + 1e-13 puts T4 and T5 roots within 1e-13 of -2 on both sides;
+    # a float tie tolerance made T4 a log mode and dropped T5's lower root
+    spec = make_spec(betti=(1, 0, 0, 0, 0, 1), modes=[(2, 1.0000000000001, 1)])
+    cat = sp.harmonic_rate_catalog(spec, 3, (-2.5, 0.5))
+    assert [r.gen_type for r in cat] == ["T5", "T4", "T5"]
+    assert cat[0].lam < -2.0 < cat[1].lam < 0.0 < cat[2].lam
+    assert not any(r.log_mode for r in cat)
+    assert sum(r.dim for r in cat) == 3
+
+
 # ---------------------------------------------------------------------------
 # one-form catalog
 
@@ -255,6 +281,8 @@ def test_one_form_constraint_violations():
         sp.one_form_catalog(bad_h1, (-3.0, 0.0))
     with pytest.raises(sp.WindowOutOfRange):
         sp.one_form_catalog(obata_spec(), (-4.0, 0.0))
+    with pytest.raises(sp.WindowOutOfRange):  # the range check is exact
+        sp.one_form_catalog(obata_spec(), (-3.0 - 1e-10, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +308,8 @@ def test_paired_moving_family():
 def test_paired_window_range():
     with pytest.raises(sp.WindowOutOfRange):
         sp.paired_catalog(obata_spec(), (-2.0, 0.5))
+    with pytest.raises(sp.WindowOutOfRange):  # the range check is exact
+        sp.paired_catalog(obata_spec(), (-2.0, 1e-10))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +424,8 @@ def test_index_change_window_additivity(entries, lo, gap1, gap2):
     cat = [sp.CriticalRate(lam=l, degree=0, multiplicity=m, gen_type="t")
            for l, m in entries]
     mid, hi = lo + gap1, lo + gap1 + gap2
-    if any(min(abs(r.lam - e) for e in (lo, mid, hi)) <= 1e-9 for r in cat):
-        return  # ties are tested separately as errors
+    if any(r.lam in (lo, mid, hi) for r in cat):
+        return  # exact ties are tested separately as errors
     def wv(x):
         return sp.WeightVector((x,), x)
     full = sp.index_change([cat], cat, wv(lo), wv(hi))
@@ -410,3 +440,111 @@ def test_weight_vector_criticality():
     cat = [sp.CriticalRate(lam=1.0, degree=0, multiplicity=1, gen_type="t")]
     assert sp.WeightVector((1.0,), 5.0).is_critical([cat], [])
     assert not sp.WeightVector((0.5,), 5.0).is_critical([cat], [])
+
+
+# ---------------------------------------------------------------------------
+# every catalog decision against sympy's exact arithmetic
+
+
+def _sym(q):
+    q = Fraction(q)
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def _sym_root(root):
+    return _sym(root.c) + root.s * sympy.sqrt(_sym(root.d))
+
+
+def _sym_catalog(candidates, window, logs):
+    """Rows (type, mult, log_mode, root) that sympy puts strictly inside the
+    window, and whether any candidate root equals an endpoint."""
+    a, b = (_sym(w) for w in window)
+    rows, tie = collections.Counter(), False
+    for tag, mult, root in candidates:
+        if (root - a).is_zero or (root - b).is_zero:
+            tie = True
+        elif (root - a).is_positive and (root - b).is_negative:
+            rows[tag, mult, logs and bool((root + 2).is_zero), root] += 1
+    return rows, tie
+
+
+def _sym_roots(center, shift_sq, mode, tag, exclude=None):
+    disc = shift_sq + _sym(mode.mu_exact)
+    roots = {center + sympy.sqrt(disc), center - sympy.sqrt(disc)}
+    return [(tag, mode.mult, r) for r in roots
+            if exclude is None or not (r - exclude).is_zero]
+
+
+def _sym_harmonic(spec, p):
+    """The generator rules of harmonic_rate_catalog, with sympy roots."""
+    out = []
+    if 2 <= p <= 6:
+        for m in spec.nonzero(p - 2):
+            out += _sym_roots(-2, (p - 4) ** 2, m, "T1")
+    if 1 <= p <= 6 and spec.betti[p - 1] > 0:
+        if p != 4:
+            out.append(("T2", spec.betti[p - 1], sympy.Integer(2 - p)))
+        out.append(("T3", spec.betti[p - 1], sympy.Integer(p - 6)))
+    if 1 <= p <= 5:
+        for m in spec.nonzero(p - 1):
+            out += _sym_roots(-3, (p - 3) ** 2, m, "T4")
+            out += _sym_roots(-1, (p - 3) ** 2, m, "T5", exclude=-2)
+    if p <= 5:
+        if spec.betti[p] > 0:
+            out.append(("T6", spec.betti[p], sympy.Integer(-p)))
+        for m in spec.coclosed(p):
+            out += _sym_roots(-2, (p - 2) ** 2, m, "T7", exclude=-p)
+    return out
+
+
+def _check_against_sympy(catalog, candidates, window, logs):
+    want, tie = _sym_catalog(candidates, window, logs)
+    try:
+        got = catalog()
+    except sp.CriticalEndpoint:
+        assert tie
+        return
+    assert not tie
+    assert collections.Counter(
+        (r.gen_type, r.multiplicity, r.log_mode, _sym_root(r.root))
+        for r in got) == want
+    for r in got:  # the printed float is the root, rounded
+        assert abs(r.lam - float(_sym_root(r.root))) <= 1e-12 * (1 + abs(r.lam))
+
+
+# a float within a few ulps-of-2^-44 of an integer or half-integer, where a
+# float tie tolerance misjudged membership, ties and lambda = -2
+_near = hst.builds(lambda k, j: k / 2 + j * 2.0 ** -44,
+                   hst.integers(-16, 8), hst.integers(-3, 3))
+_mu = hst.one_of(
+    hst.integers(1, 40),
+    hst.builds(lambda n, d: f"{n}/{d}", hst.integers(1, 160), hst.integers(1, 9)),
+    hst.floats(0.01, 40.0),
+    _near.filter(lambda x: x > 0))
+_end = hst.one_of(hst.integers(-8, 4), _near, hst.floats(-9.0, 5.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(betti=hst.tuples(hst.integers(0, 1), hst.integers(0, 2),
+                        hst.integers(0, 1)),
+       modes=hst.lists(hst.tuples(hst.integers(0, 5), _mu,
+                                  hst.integers(1, 3)), max_size=3),
+       p=hst.integers(0, 6), n=hst.integers(2, 4),
+       ends=hst.tuples(_end, _end).filter(lambda e: e[0] != e[1]))
+@example(betti=(1, 0, 0), modes=[(2, 1.0000000000001, 1)], p=3, n=3,
+         ends=(-2.5, 0.5))
+@example(betti=(1, 0, 1), modes=[(1, "8", 2), (0, 12, 1)], p=2, n=2,
+         ends=(-4, -2))
+def test_catalog_decisions_match_sympy(betti, modes, p, n, ends):
+    h0, h1, h2 = betti
+    spec = sp.spectrum_from_dict({
+        "betti": [h0, h1, h2, h2, h1, h0],
+        "coexact_modes": [{"p": q, "mu": mu, "mult": k} for q, mu, k in modes]})
+    window = tuple(sorted(ends))
+    _check_against_sympy(lambda: sp.harmonic_rate_catalog(spec, p, window),
+                         _sym_harmonic(spec, p), window, logs=True)
+    shift = n - 1
+    cands = [c for m in spec.coclosed(0)
+             for c in _sym_roots(-shift, shift * shift, m, "function")]
+    _check_against_sympy(lambda: sp.function_rates(n, spec.coclosed(0), window),
+                         cands, window, logs=False)

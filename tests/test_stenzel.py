@@ -217,9 +217,6 @@ def test_monge_ampere_potential_calls_per_point(profile):
     pt = st.random_chart_point(1.0, np.random.default_rng(5))
     st.monge_ampere_residual(counted, pt, h=1e-3)
     assert len(calls) == 146
-    calls.clear()
-    st.monge_ampere_residual(counted, pt, h=1e-3, richardson=False)
-    assert len(calls) == 73
 
 
 def test_monge_ampere_negative_control():
