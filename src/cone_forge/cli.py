@@ -125,12 +125,21 @@ def _cmd_g2_lincheck(args, cfg: RunConfig) -> int:
 # bessel
 
 
+def _finite_or_null(value: float) -> float | None:
+    """JSON has no NaN or Infinity: a non-finite value prints as null."""
+    return value if math.isfinite(value) else None
+
+
 def _cmd_bessel_eval(args, cfg: RunConfig) -> int:
-    ev = _bessel.bessel_eval(args.mu, args.x)
-    res = _bessel.wronskian_residual(args.mu, args.x)
-    print(json.dumps({"mu": args.mu, "x": args.x, "i": ev.value_i,
-                      "k": ev.value_k, "regime": ev.regime,
-                      "wronskian_residual": res}, indent=2))
+    # an overflowed K gives 0 * inf in the Wronskian: reported as null and
+    # failed by the gate below, so numpy's warning would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = _bessel.bessel_eval(args.mu, args.x)
+        res = _bessel.wronskian_residual(args.mu, args.x)
+    print(json.dumps({"mu": args.mu, "x": args.x,
+                      "i": _finite_or_null(ev.value_i),
+                      "k": _finite_or_null(ev.value_k), "regime": ev.regime,
+                      "wronskian_residual": _finite_or_null(res)}, indent=2))
     if args.verify and not _passes(res, 1e-9):
         return _fail(f"Wronskian residual {res:.3e} > 1e-9")
     return 0
@@ -281,12 +290,17 @@ def _cmd_spectra_rates(args, cfg: RunConfig) -> int:
 
 
 def _parse_end_rates(text: str):
+    """RATE:DIM pairs: a NaN rate would lie in no window and a negative
+    dimension would subtract from N, so both are refused."""
     out = []
     for part in text.split(","):
         lam, _, dim = part.partition(":")
-        out.append(_spectra.CriticalRate(lam=float(lam), degree=0,
-                                         multiplicity=int(dim),
-                                         gen_type="end"))
+        rate, mult = float(lam), int(dim)
+        if not math.isfinite(rate) or mult < 0:
+            raise ValueError(f"end rate {part!r} needs a finite rate and a "
+                             "dimension >= 0")
+        out.append(_spectra.CriticalRate(lam=rate, degree=0,
+                                         multiplicity=mult, gen_type="end"))
     return out
 
 

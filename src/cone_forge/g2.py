@@ -202,21 +202,42 @@ def _star(g: np.ndarray, raised: np.ndarray, k: int) -> np.ndarray:
     return math.sqrt(np.linalg.det(g)) * raised @ complement
 
 
-def _inner_3(metric: Metric7) -> np.ndarray:
-    return _compound(np.linalg.inv(metric.g), 3)
+@functools.cache
+def _dense_3() -> tuple[np.ndarray, np.ndarray]:
+    """Signs S with (S @ phi).reshape(7, 7, 7) the antisymmetric tensor of
+    a 3-form phi, read off e_i ^ e_j ^ e_k = W(1, 1) W(2, 1); and the flat
+    positions 49 i + 7 j + k of the increasing triples.  Built on first use.
+    """
+    S = np.tensordot(_wedge_tensor(1, 1), _wedge_tensor(2, 1), 1)
+    S = S.reshape(343, form_dim(3))
+    S.setflags(write=False)
+    increasing = np.array([49 * i + 7 * j + k for i, j, k in COMBOS[3]])
+    increasing.setflags(write=False)
+    return S, increasing
 
 
 def theta(phi: np.ndarray) -> np.ndarray:
-    """Hodge dual of phi in its own induced metric (a 4-form)."""
+    """Hodge dual of phi in its own induced metric (a 4-form).
+
+    The indices of phi are raised on its dense (7, 7, 7) tensor, one 7x7
+    contraction with inv(g) per slot, and the raised coefficients are read
+    back at the increasing triples: the same numbers as
+    _compound(inv(g), 3) @ phi without its 1225 3x3 determinants.
+    """
     metric = induced_metric(phi)
-    return _star(metric.g, _inner_3(metric) @ phi, 3)
+    S, increasing = _dense_3()
+    G = np.linalg.inv(metric.g)
+    T = G @ (S @ phi).reshape(7, 7, 7)          # [a, j, c]: slot j raised
+    T = np.tensordot(T, G, ([2], [1]))          # [a, j, k]: slot k raised
+    T = np.tensordot(G, T, 1)                   # [i, j, k]: slot i raised
+    return _star(metric.g, T.reshape(343)[increasing], 3)
 
 
 def projector_matrices(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three 35x35 projector matrices (ranks 1, 7, 27): P1 and P7 are the
     orthogonal projections onto phi and onto the span W of the e_i . *phi."""
     metric = induced_metric(phi)
-    M = _inner_3(metric)
+    M = _compound(np.linalg.inv(metric.g), 3)
     P1 = np.outer(phi, phi @ M) / (phi @ M @ phi)
     W = np.einsum("iab,b->ai", _wedge_tensor(1, 3),
                   _star(metric.g, M @ phi, 3))

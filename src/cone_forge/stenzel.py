@@ -12,7 +12,13 @@ and for eps = 0 the cone potential
 
 Both satisfy, in the chart that solves for the last coordinate, the
 Monge-Ampere identity  det(d^2 u / dz_j dzbar_k) * |z_last|^2 = 1  (n = 3),
-which monge_ampere_residual checks by finite differences.
+which monge_ampere_residual checks by finite differences in one array pass:
+both steps' stencils (the centre, +-e_a and the four mixed points of each
+coordinate pair, 2 x 73 points) are built as one array, lifted to the
+quadric in one chart embedding, evaluated by one potential call, and read
+into both Hessians by index arrays.  The potentials of cone_potential_fn and
+stenzel_potential_fn take such a stack of points and say so with a true
+`accepts_stack` attribute; any other callable gets one call per point.
 
 solve_profile runs its quadrature as array passes over the whole grid: one
 10-point Gauss-Legendre rule per segment for F = int_0^w sinh^{n-1}, on a
@@ -23,7 +29,7 @@ F(x) = F(w_k) + the rule over [w_k, x], a (steps, 10, 10) array.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,57 +153,89 @@ def solve_profile(n: int, w_max: float, steps: int,
     return RadialProfile(n=n, w=w, f=f, fprime=fprime)
 
 
-def cone_potential(n: int, z) -> float:
-    """(n/(n-1))^((n+1)/n) * (|z|^2)^((n-1)/n) on the eps = 0 cone."""
+def cone_potential(n: int, z):
+    """(n/(n-1))^((n+1)/n) * (|z|^2)^((n-1)/n) on the eps = 0 cone.
+
+    z is one point (a float comes back) or a (..., n + 1) stack of points
+    (an array of one value per point); OriginPoint if any point is 0.
+    """
     zz = z.z if isinstance(z, QuadricPoint) else np.asarray(z, dtype=complex)
-    s = float(np.sum(np.abs(zz) ** 2))
-    if s == 0.0:
+    s = np.sum(np.abs(zz) ** 2, axis=-1)
+    if np.any(s == 0.0):
         raise OriginPoint("cone potential undefined at the vertex")
-    return (n / (n - 1.0)) ** ((n + 1.0) / n) * s ** ((n - 1.0) / n)
+    u = (n / (n - 1.0)) ** ((n + 1.0) / n) * s ** ((n - 1.0) / n)
+    return float(u) if zz.ndim == 1 else u
 
 
 def stenzel_potential_fn(profile: RadialProfile, eps: complex):
     """Closure evaluating |eps|^((n-1)/n) * f(arccosh(|z|^2/|eps|)) on raw
-    coordinate arrays, with n the profile's dimension and f the cubic Hermite
-    interpolant of the profile's exact (w, f, f'), which keeps the potential
-    convex across grid joints."""
+    coordinate arrays, one point or a (..., n + 1) stack, with n the
+    profile's dimension and f the cubic Hermite interpolant of the profile's
+    exact (w, f, f'), which keeps the potential convex across grid joints.
+    BelowVertex or OutOfProfileRange if any point of a stack is off the
+    profile."""
     if eps == 0:
         raise ValueError("eps = 0 is the cone; use cone_potential")
     spline = CubicHermite(profile.w, profile.f, profile.fprime)
     scale = abs(eps) ** ((profile.n - 1.0) / profile.n)
+    w_max = profile.w_max
 
-    def u(zarr: np.ndarray) -> float:
-        s = float(np.sum(np.abs(zarr) ** 2))
+    def u(zarr: np.ndarray):
+        s = np.sum(np.abs(zarr) ** 2, axis=-1)
         ratio = s / abs(eps)
-        if ratio < 1.0 - 1e-12:
-            raise BelowVertex(f"|z|^2 = {s:.6g} below |eps| = {abs(eps):.6g}")
-        wval = math.acosh(max(ratio, 1.0))
-        if wval > profile.w_max:
-            raise OutOfProfileRange(f"arccosh argument {wval:.4g} beyond grid")
-        return scale * float(spline(wval))
+        if np.any(ratio < 1.0 - 1e-12):
+            raise BelowVertex(f"|z|^2 = {np.min(s):.6g} below "
+                              f"|eps| = {abs(eps):.6g}")
+        wval = np.arccosh(np.maximum(ratio, 1.0))
+        if np.any(wval > w_max):
+            raise OutOfProfileRange(f"arccosh argument {np.max(wval):.4g} "
+                                    "beyond grid")
+        return scale * spline(wval)
 
+    u.accepts_stack = True
     return u
 
 
 def cone_potential_fn(n: int = 3):
-    return lambda zarr: cone_potential(n, zarr)
+    """cone_potential(n, .) as a closure that takes a stack of points."""
+    def u(zarr: np.ndarray):
+        return cone_potential(n, zarr)
+
+    u.accepts_stack = True
+    return u
 
 
-def _assemble(w: np.ndarray, root: complex, chart: int) -> np.ndarray:
-    """The point with z[chart] = root and the free coordinates w in order."""
-    z = np.empty(4, dtype=complex)
-    z[:chart] = w[:chart]
-    z[chart] = root
-    z[chart + 1:] = w[chart:]
+def _assemble(w: np.ndarray, root, chart: int) -> np.ndarray:
+    """The points with z[..., chart] = root and the free coordinates w."""
+    z = np.empty(w.shape[:-1] + (4,), dtype=complex)
+    z[..., :chart] = w[..., :chart]
+    z[..., chart] = root
+    z[..., chart + 1:] = w[..., chart:]
     return z
 
 
 def _chart_embed(w: np.ndarray, eps: complex, chart: int, base: complex):
-    """Lift chart coordinates to the quadric, branch fixed near base."""
-    root = np.sqrt(eps - np.sum(w * w))
-    if abs(root - base) > abs(-root - base):
-        root = -root
+    """Lift chart coordinates (..., 3) to the quadric, each point on the
+    square root branch nearest base."""
+    root = np.sqrt(eps - np.sum(w * w, axis=-1))
+    root = np.where(np.abs(root - base) > np.abs(-root - base), -root, root)
     return _assemble(w, root, chart)
+
+
+@functools.cache
+def _stencil() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets (73, 6) in {-1, 0, 1} of the second-difference stencil: the
+    centre, +e_a and -e_a for a = 0..5, then the pairs a < b (in the order
+    of the index arrays returned with it) at +e_a+e_b, +e_a-e_b, -e_a+e_b
+    and -e_a-e_b, 15 rows each.  Built on first use."""
+    a, b = np.triu_indices(6, 1)
+    eye = np.eye(6)
+    offsets = np.concatenate([np.zeros((1, 6)), eye, -eye,
+                              eye[a] + eye[b], eye[a] - eye[b],
+                              -eye[a] + eye[b], -eye[a] - eye[b]])
+    for arr in (offsets, a, b):
+        arr.setflags(write=False)
+    return offsets, a, b
 
 
 def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
@@ -208,38 +246,39 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
     branch nearest the point's own value; 4-point central stencils per
     coordinate pair, one Richardson halving.  Raises BranchCut when
     |z_chart| < 10 h and StepTooLarge when the halved step disagrees badly.
+
+    Both steps' stencils are one (2, 73) stack of points.  A potential with
+    a true `accepts_stack` attribute (those of cone_potential_fn and
+    stenzel_potential_fn) is called once on the stack; any other callable
+    is called once per point, with one (4,) array.
     """
     z0 = point.z
     if len(z0) != 4:
         raise ValueError("the Monge-Ampere check is wired for n = 3")
     if abs(z0[chart]) < 10.0 * h:
         raise BranchCut(f"|z[{chart}]| = {abs(z0[chart]):.3g} < 10h")
-    eps = point.eps
-    base = complex(z0[chart])
-    x0 = np.delete(z0, chart).view(float)  # Re w1, Im w1, ..., Im w3
-
-    def u_real(x: np.ndarray) -> float:
-        w = x[0::2] + 1j * x[1::2]
-        return potential(_chart_embed(w, eps, chart, base))
-
-    def hessian(step: float) -> np.ndarray:
-        d2 = np.empty((6, 6))
-        e = step * np.eye(6)
-        u0 = u_real(x0)
-        for a in range(6):
-            d2[a, a] = (u_real(x0 + e[a]) - 2.0 * u0
-                        + u_real(x0 - e[a])) / step**2
-            for b in range(a + 1, 6):
-                d2[a, b] = d2[b, a] = (
-                    u_real(x0 + e[a] + e[b]) - u_real(x0 + e[a] - e[b])
-                    - u_real(x0 - e[a] + e[b]) + u_real(x0 - e[a] - e[b])
-                ) / (4.0 * step**2)
-        # d^2u/dw_j dwbar_k from the real Hessian in (Re w, Im w) pairs
-        xx = d2[0::2, 0::2] + d2[1::2, 1::2]
-        xy = d2[0::2, 1::2] - d2[1::2, 0::2]
-        return 0.25 * (xx + 1j * xy)
-
-    H1, H2 = hessian(h), hessian(h / 2.0)
+    offsets, a, b = _stencil()
+    steps = np.array([h, h / 2.0])[:, None, None]
+    # (Re w1, Im w1, ..., Im w3) + each offset times each step
+    x = np.delete(z0, chart).view(float) + offsets * steps
+    z = _chart_embed(x.view(complex), point.eps, chart, complex(z0[chart]))
+    if getattr(potential, "accepts_stack", False):
+        vals = potential(z)
+    else:
+        vals = np.reshape([potential(row) for row in z.reshape(-1, 4)],
+                          (2, 73))
+    step2 = steps[:, :, 0] ** 2
+    u0 = vals[:, :1]
+    d2 = np.empty((2, 6, 6))
+    diag = np.arange(6)
+    d2[:, diag, diag] = (vals[:, 1:7] - 2.0 * u0 + vals[:, 7:13]) / step2
+    d2[:, a, b] = d2[:, b, a] = (
+        vals[:, 13:28] - vals[:, 28:43] - vals[:, 43:58] + vals[:, 58:73]
+    ) / (4.0 * step2)
+    # d^2u/dw_j dwbar_k from the real Hessian in (Re w, Im w) pairs
+    xx = d2[:, 0::2, 0::2] + d2[:, 1::2, 1::2]
+    xy = d2[:, 0::2, 1::2] - d2[:, 1::2, 0::2]
+    H1, H2 = 0.25 * (xx + 1j * xy)
     d1, d2_ = np.linalg.det(H1), np.linalg.det(H2)
     if abs(d1 - d2_) > 0.5 * abs(d2_):
         raise StepTooLarge(f"det {d1:.6g} vs {d2_:.6g} under halving")

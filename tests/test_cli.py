@@ -89,6 +89,14 @@ def test_determinism_byte_identical():
     assert a == b
 
 
+def test_ma_check_determinism_byte_identical():
+    argv = ["stenzel", "ma-check", "--eps", "0.5,0.5", "--points", "50",
+            "--seed", "7"]
+    a, b = run(argv), run(argv)
+    assert a[0] == 0
+    assert a[1] == b[1]
+
+
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps({"seed": 5, "format": "json"}))
@@ -486,6 +494,39 @@ def test_bessel_eval_nan_residual_fails():
                           "--verify"])
     assert code == 1
     assert "Wronskian residual nan" in err
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+def test_bessel_eval_non_finite_prints_null():
+    # K overflows at order 1000: k and the residual print as null, the
+    # check still fails, and no numpy warning reaches stderr
+    for verify, code in (([], 0), (["--verify"], 1)):
+        proc = run_python(["-m", "cone_forge.cli", "bessel", "eval",
+                           "--mu", "1000", "--x", "1", *verify])
+        assert proc.returncode == code
+        doc = json.loads(proc.stdout, parse_constant=_refuse_constant)
+        assert doc["k"] is None and doc["wronskian_residual"] is None
+        assert doc["i"] == 0.0
+        assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("end_rates", ["nan:2", "inf:1", "-inf:1", "0:-3",
+                                       "0:2,nan:1"])
+def test_index_change_refuses_bad_end_rates(end_rates):
+    code, out, err = run(["spectra", "index-change", "--input", "s5",
+                          "--delta=-0.5,-0.1", "--delta-prime=2.5,0.1",
+                          f"--end-rates={end_rates}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: end rate")
+
+
+def test_index_change_zero_dimension_end_rate():
+    base = ["spectra", "index-change", "--input", "s5", "--delta=-0.5,-0.1",
+            "--delta-prime=2.5,0.1", "--end-rates"]
+    assert run(base + ["0:0"])[:2] == run(base + ["5:2"])[:2]
 
 
 def _nan_first(real):

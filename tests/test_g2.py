@@ -194,9 +194,10 @@ def test_import_builds_no_table():
          "print([n for n, v in vars(g).items() if isinstance(v, np.ndarray)]); "
          "print(g._wedge_tensor.cache_info().currsize, "
          "g._phi0_projectors.cache_info().currsize, "
-         "g._linearization_matrix.cache_info().currsize)"])
+         "g._linearization_matrix.cache_info().currsize, "
+         "g._dense_3.cache_info().currsize)"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["['PHI0']", "0 0 0"]
+    assert proc.stdout.splitlines() == ["['PHI0']", "0 0 0 0"]
 
 
 def test_project_3form_at_phi0_reuses_projectors(monkeypatch):
@@ -340,6 +341,41 @@ def test_theta_equivariance_under_g2_rotations():
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
+def test_dense_3_table_is_the_antisymmetric_extension():
+    S, increasing = g2._dense_3()
+    phi = np.random.default_rng(69).standard_normal(35)
+    assert np.array_equal((S @ phi).reshape(7, 7, 7), dense_tensor(phi, 3))
+    assert np.array_equal((S @ phi)[increasing], phi)
+
+
+def theta_by_compound(phi):
+    """theta with the indices raised by _compound(inv(g), 3), as it was
+    computed before the raise moved onto the dense tensor (reference)."""
+    metric = g2.induced_metric(phi)
+    raised = g2._compound(np.linalg.inv(metric.g), 3) @ phi
+    return g2._star(metric.g, raised, 3)
+
+
+def test_theta_matches_compound_raise():
+    rng = np.random.default_rng(70)
+    for t in np.geomspace(1e-4, 1e-1, 200):
+        phi = g2.PHI0 + t * g2.random_unit_3form(rng)
+        ref = theta_by_compound(phi)
+        assert np.linalg.norm(g2.theta(phi) - ref) <= \
+            1e-14 * np.linalg.norm(ref)
+
+
+def test_linearization_residual_matches_compound_formula():
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        gamma = g2.random_unit_3form(rng)
+        for h in (1e-2, 1e-3, 1e-4):
+            diff = (theta_by_compound(g2.PHI0 + h * gamma)
+                    - theta_by_compound(g2.PHI0 - h * gamma)) / (2.0 * h)
+            ref = np.linalg.norm(diff - g2.linearization_candidate(gamma))
+            assert abs(g2.linearization_residual(gamma, h) - ref) <= 1e-11
+
+
 def test_projection_examples():
     dec = g2.project_3form(g2.PHI0, g2.PHI0)
     assert np.allclose(dec.pi1, g2.PHI0, atol=1e-12)
@@ -368,7 +404,7 @@ def test_projector_ranks_and_identities():
 def test_projector_ranks_and_identities_near_phi0():
     rng = np.random.default_rng(11)
     phi = g2.PHI0 + 0.1 * rng.standard_normal(35)
-    M = g2._inner_3(g2.induced_metric(phi))
+    M = g2._compound(np.linalg.inv(g2.induced_metric(phi).g), 3)
     P1, P7, P27 = g2.projector_matrices(phi)
     assert [np.linalg.matrix_rank(P) for P in (P1, P7, P27)] == [1, 7, 27]
     for A in (P1, P7, P27):
@@ -385,7 +421,7 @@ def test_projection_reconstruction_random():
     rng = np.random.default_rng(6)
     phi = g2.PHI0 + 0.1 * rng.standard_normal(35)
     met = g2.induced_metric(phi)
-    M = g2._inner_3(met)
+    M = g2._compound(np.linalg.inv(met.g), 3)
     for _ in range(100):
         gamma = rng.standard_normal(35)
         dec = g2.project_3form(phi, gamma)

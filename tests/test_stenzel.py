@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -121,6 +122,23 @@ def test_cone_potential_origin():
         st.cone_potential(3, np.zeros(4, dtype=complex))
 
 
+def test_potentials_take_a_stack(profile):
+    rng = np.random.default_rng(8)
+    Z = np.array([st.random_chart_point(1.0, rng).z for _ in range(6)])
+    Z = Z.reshape(2, 3, 4)
+    for u in (st.cone_potential_fn(3), st.stenzel_potential_fn(profile, 1.0)):
+        vals = u(Z)
+        assert vals.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            assert vals[idx] == pytest.approx(u(Z[idx]), rel=1e-14)
+    # one bad point spoils the whole stack
+    with pytest.raises(st.OriginPoint):
+        st.cone_potential(3, np.concatenate([Z[0], np.zeros((1, 4))]))
+    far = np.array([[math.sqrt(math.cosh(25.0)), 0, 0, 0]], dtype=complex)
+    with pytest.raises(st.OutOfProfileRange):
+        st.stenzel_potential_fn(profile, 1.0)(np.concatenate([Z[0], far]))
+
+
 def test_quadric_point_constraint():
     with pytest.raises(ValueError):
         st.QuadricPoint(z=np.array([1.0, 0, 0, 0]), eps=0.0)
@@ -217,6 +235,64 @@ def test_monge_ampere_potential_calls_per_point(profile):
     pt = st.random_chart_point(1.0, np.random.default_rng(5))
     st.monge_ampere_residual(counted, pt, h=1e-3)
     assert len(calls) == 146
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_monge_ampere_factory_potential_called_once(profile, eps):
+    # a factory potential takes both steps' stencils, 146 points, in one call;
+    # functools.wraps keeps its accepts_stack attribute, as a tracer would
+    u = (st.cone_potential_fn(3) if eps == 0
+         else st.stenzel_potential_fn(profile, eps))
+    shapes = []
+
+    @functools.wraps(u)
+    def counted(z):
+        shapes.append(z.shape)
+        return u(z)
+
+    pt = st.random_chart_point(eps, np.random.default_rng(5))
+    st.monge_ampere_residual(counted, pt, h=1e-3)
+    assert shapes == [(2, 73, 4)]
+
+
+def test_monge_ampere_stacked_and_per_point_agree(profile):
+    # the same factory potential, once on the stack and once per point
+    # behind a plain lambda, which has no accepts_stack attribute
+    rng = np.random.default_rng(6)
+    for eps in (0.0, 1.0, 0.5 + 0.5j):
+        u = (st.cone_potential_fn(3) if eps == 0
+             else st.stenzel_potential_fn(profile, eps))
+        for _ in range(4):
+            pt = st.random_chart_point(eps, rng)
+            stacked = st.monge_ampere_residual(u, pt, h=1e-3)
+            per_point = st.monge_ampere_residual(lambda z: u(z), pt, h=1e-3)
+            assert abs(stacked - per_point) <= 1e-6
+
+
+def test_monge_ampere_stencil_point_below_vertex(profile):
+    # a point of the eps = 1 quadric just above the vertex of a potential
+    # built for a larger eps: the centre is fine, some stencil points are not
+    pt = st.random_chart_point(1.0, np.random.default_rng(7))
+    s = float(np.sum(np.abs(pt.z) ** 2))
+    u = st.stenzel_potential_fn(profile, s * (1.0 - 1e-6))
+    u(pt.z)
+    with pytest.raises(st.BelowVertex):
+        st.monge_ampere_residual(u, pt, h=1e-3)
+    with pytest.raises(st.BelowVertex):
+        st.monge_ampere_residual(lambda z: u(z), pt, h=1e-3)
+
+
+def test_chart_embed_follows_the_branch_of_the_point():
+    # random_chart_point takes either root, so about half of these points
+    # sit on the branch opposite the principal square root
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        pt = st.random_chart_point(1.0, rng)
+        near = np.delete(pt.z, 3) + 1e-3 * (rng.standard_normal((5, 3))
+                                            + 1j * rng.standard_normal((5, 3)))
+        z = st._chart_embed(near, 1.0, 3, complex(pt.z[3]))
+        assert np.allclose(np.sum(z * z, axis=-1), 1.0)
+        assert np.all(np.abs(z[:, 3] - pt.z[3]) < 0.1)
 
 
 def test_monge_ampere_negative_control():
