@@ -5,8 +5,9 @@ J. Comput. Phys. 19:324; Numerical Recipes section 6.7, `bessik`).  With
 mu = nu + m, |nu| <= 1/2, m an integer: K_nu and r_nu = K_nu+1/K_nu come from
 Temme's series for x < 2 and from Steed's continued fraction CF2 for x >= 2;
 the recurrence K_v+1 = K_v-1 + (2v/x) K_v, carried as the ratio r_v, climbs
-to K_mu and r_mu; I_mu follows from the continued fraction CF1 for
-I_mu+1/I_mu and the Wronskian I_mu K_mu+1 + I_mu+1 K_mu = 1/x, as
+to K_mu and r_mu (or until every K of a chunk is 0 or inf); I_mu follows from
+the continued fraction CF1 for I_mu+1/I_mu and the Wronskian
+I_mu K_mu+1 + I_mu+1 K_mu = 1/x, as
 I_mu = 1 / (x K_mu (I_mu+1/I_mu + r_mu)), so I does not underflow where
 K_mu+1 alone overflows.  Temme's 1/Gamma(1 +- nu) and gam1 = (1/Gamma(1 - nu)
 - 1/Gamma(1 + nu)) / (2 nu) come from the Taylor series of 1/Gamma(1 + t)
@@ -213,6 +214,8 @@ def _spans(loop, order: float, x: np.ndarray) -> list[slice]:
 
 def _pass(mu: float, x, with_i: bool):
     """(sorted flat x, I_mu or None, K_mu, K_mu+1/K_mu, map back to x's layout)."""
+    if not math.isfinite(mu):
+        raise ValueError(f"order must be finite, got {mu}")
     xs = np.asarray(x, dtype=float)
     if not np.all((xs > 0) & (xs < np.inf)):  # NaN fails both
         raise ValueError("argument must be positive and finite")
@@ -234,6 +237,11 @@ def _pass(mu: float, x, with_i: bool):
             for j in range(1, m + 1):
                 kc *= rc
                 rc[...] = 1.0 / rc + 2.0 * (nu + j) / xc
+                # a K at 0 or inf stays there, and so do I and K_mu+1; the
+                # sign of K' = K (mu/x - r_mu) needs r_mu > 2 mu/x only
+                if j % 64 == 0 and not np.any(np.isfinite(kc) & (kc != 0)):
+                    rc[...] = 2.0 * mu / xc
+                    break
             if with_i:
                 i[part] = 1.0 / (xc * (_cf1(mu, xc, _spans(_cf1, mu, xc)) + rc)) / kc
 

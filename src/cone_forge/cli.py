@@ -1,8 +1,9 @@
 """Single command-line entry point: cone-forge <group> <command> [options].
 
 Exit codes: 0 when the run and all internal verifications succeed, 1 when a
-verification fails (a residual above tolerance, an inequality violated), 2
-on usage or input errors.  Results go to stdout, diagnostics to stderr.
+verification fails (a residual above tolerance, an inequality violated) or
+an edge quadrature comes out non-finite, 2 on usage or input errors.
+Results go to stdout, diagnostics to stderr.
 Configuration (tolerances, grid sizes, seed, output format) is read from
 the JSON file named by CONE_FORGE_CONFIG or --config; identical inputs and
 config produce byte-identical output.
@@ -191,7 +192,10 @@ def _parse_eps(text: str) -> complex:
     if len(parts) > 2:
         raise argparse.ArgumentTypeError(f"expected 're' or 're,im', "
                                          f"got {text!r}")
-    return complex(*map(float, parts))
+    vals = [float(v) for v in parts]
+    if not all(map(math.isfinite, vals)):
+        raise argparse.ArgumentTypeError(f"parts must be finite, got {text!r}")
+    return complex(*vals)
 
 
 def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> int:
@@ -675,6 +679,9 @@ def dispatch(argv) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except _edge.QuadratureFailure as exc:  # numerical, not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
 
 
 def main() -> None:

@@ -4,20 +4,23 @@ Each Fourier mode n and separated eigenvalue mu reduces the operator to
 
     ((r d/dr)^2 - (n^2 r^2 + mu^2)) y = z(r)      on (0, 1],
 
-solved for n != 0 through the I/K Green kernel (Wronskian exactly 1/x)
+solved through one Green kernel pair g, d per mode, growing and decaying:
+(I_mu(|n|r), K_mu(|n|r)) for n != 0 (Wronskian exactly 1/x) and
+(r^mu, r^-mu) / (2 mu) for n = 0, mu > 0,
 
     y(r) = -I_mu(|n|r) int_r^1 K_mu(|n|s) z(s) ds/s
-           -K_mu(|n|r) int_0^r I_mu(|n|s) z(s) ds/s
+           -K_mu(|n|r) int_0^r I_mu(|n|s) z(s) ds/s             (n != 0)
+    y(r) = (r^mu int_0^r s^-mu z ds/s - r^-mu int_0^r s^mu z ds/s) / (2 mu)
 
-and for n = 0, mu > 0 through the double quadrature
-y = r^mu int_0^r (int_0^s t^mu z dt/t) s^(-2mu) ds/s.  Homogeneous constants
-are pinned to zero.  The splitting captures the I-mode coefficient
+(the n = 0 line is r^mu int_0^r (int_0^s t^mu z dt/t) s^(-2mu) ds/s with the
+order of integration swapped).  Homogeneous constants are pinned to zero.
+The splitting captures the I-mode coefficient
 
     c = (1/|n|) int_0^1 K_mu(|n|s) z(s) ds/s
 
 (the Gamma-limit prefactor of the kernel is identically 1), read off the
 solve's own tail integral int_r^1 K_mu(|n|s) z(s) ds/s at r = grid[0] (for
-n = 0, off the outer integral of the double quadrature at r = 1), bounds it by
+n = 0, the r^mu coefficient y / r^mu at r = grid[-1]), bounds it by
 C |n|^(-dpp-2) ||z|| with C^2 = int_0^inf K_mu^2(s) s^lam ds/s, lam = 2 dpp + 4,
 in closed form for lam > 2 mu (the Mellin transform of K_mu^2,
 Gradshteyn-Ryzhik 6.576.4 with a = b)
@@ -30,9 +33,9 @@ a closed-and-coclosed link 2-form, two per nonzero Fourier mode.
 Grids are log-spaced so (r d/dr) is a uniform stencil; quadratures are
 composite Gauss-Legendre per grid interval on the smooth factors.  The kernels
 are evaluated on the rhs support only (Gauss nodes with z != 0; 0 elsewhere),
-I and K there by one bessel_ik pass and on the grid by another; the grid's K
-row enters y only where int_0^r I z ds/s is nonzero, since K_mu may overflow
-below the support.
+for n != 0 by one bessel_ik pass there and another on the grid; the grid's
+decaying row enters y only where int_0^r g z ds/s is nonzero, since K_mu and
+r^-mu may overflow below the support.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ class ModeProblem:
             raise ValueError("grid must be increasing inside (0, 1]")
         if z.shape != g.shape:
             raise ValueError("rhs must be sampled on the grid")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not self.support_max < 1.0:
             raise ValueError("rhs support must be bounded away from r = 1")
         if np.any(z[g > self.support_max] != 0.0):
@@ -180,37 +183,43 @@ def _kernel_sums(support_vals, z_nodes, w) -> np.ndarray:
 def _solve(problem: ModeProblem):
     """(y, c, I_mu(|n| grid)): the solution, its captured coefficient, the I row.
 
-    c is the solve's tail integral at grid[0] over |n| for n != 0 and the
-    double quadrature's outer integral at r = 1 for n = 0 (no I row then).
+    One pass of the mode's kernel pair (module docstring) over the Gauss
+    nodes on the rhs support gives the head integral B of the growing kernel
+    and, of the decaying one, the tail for n != 0 (c is it at grid[0] over
+    |n|) or the head A for n = 0.  There y = r^mu H, H = (A - r^(-2mu) B) /
+    (2 mu), and c = H(R) at R = grid[-1], which may be below 1 (no I row).
     """
     n, mu, grid = problem.n, problem.mu, problem.grid
     if n == 0 and mu == 0.0:
         raise UnsupportedMode("n = 0, mu = 0 is not invertible in this family")
     s_nodes, w, z_nodes = _rhs_nodes(problem)
-    i_grid = None
+    support = s_nodes[z_nodes != 0]
     if n != 0:
         a = abs(n)
-        i_nodes, k_nodes, _ = bessel_ik(mu, a * s_nodes[z_nodes != 0])
-        kz = _kernel_sums(k_nodes, z_nodes, w)
-        iz = _kernel_sums(i_nodes, z_nodes, w)
-        del i_nodes, k_nodes
+        grow, decay, _ = bessel_ik(mu, a * support)
+    else:
+        grow, decay = support ** mu, support ** -mu
+    gz = _kernel_sums(grow, z_nodes, w)
+    dz = _kernel_sums(decay, z_nodes, w)
+    del grow, decay
+    head = np.concatenate([[0.0], np.cumsum(gz)])
+    i_grid = None
+    if n != 0:
         # int_r^1 K z du at grid points (grid[-1] = support side)
-        tail = np.concatenate([np.cumsum(kz[::-1])[::-1], [0.0]])
-        head = np.concatenate([[0.0], np.cumsum(iz)])
-        i_grid, k_grid, _ = bessel_ik(mu, a * grid)
-        # below the support head = 0, and there K_mu may overflow (inf * 0)
+        tail = np.concatenate([np.cumsum(dz[::-1])[::-1], [0.0]])
+        i_grid, decay_grid, _ = bessel_ik(mu, a * grid)
         y = -i_grid * tail
-        live = head != 0
-        y[live] -= k_grid[live] * head[live]
         c = tail[0] / a
     else:
-        # inner G(s) = int_0^s t^mu z dt/t, then y = r^mu int_0^r G s^-2mu ds/s
-        G_nodes = _inner_cumulative(problem, s_nodes, z_nodes, w)
-        hz = np.sum(G_nodes * s_nodes ** (-2.0 * mu) * w, axis=1)
-        H = np.concatenate([[0.0], np.cumsum(hz)])
-        y = grid ** mu * H
-        c = H[-1]
-    if not np.all(np.isfinite(y)):
+        A = np.concatenate([[0.0], np.cumsum(dz)])
+        y = grid ** mu * A / (2.0 * mu)
+        with np.errstate(over="ignore"):
+            decay_grid = grid ** -mu / (2.0 * mu)
+        c = (A[-1] - grid[-1] ** (-2.0 * mu) * head[-1]) / (2.0 * mu)
+    # below the support head = 0, and there the decaying kernel may overflow
+    live = head != 0
+    y[live] -= decay_grid[live] * head[live]
+    if not (np.all(np.isfinite(y)) and math.isfinite(c)):
         raise QuadratureFailure("non-finite quadrature output")
     return y, float(c), i_grid
 
@@ -218,29 +227,6 @@ def _solve(problem: ModeProblem):
 def solve_mode(problem: ModeProblem) -> np.ndarray:
     """Particular solution on the grid; homogeneous constants are zero."""
     return _solve(problem)[0]
-
-
-def _inner_cumulative(problem: ModeProblem, s_nodes, z_nodes, w):
-    """G(s) = int_0^s t^mu z dt/t at the outer Gauss nodes.
-
-    Integrals below grid[0] are dropped (the weighted space forces decay
-    there); inside each interval a nested 4-point rule reaches each node.
-    """
-    mu, grid = problem.mu, problem.grid
-    gz = np.sum(s_nodes ** mu * z_nodes * w, axis=1)
-    G_grid = np.concatenate([[0.0], np.cumsum(gz)])
-    inner_x, inner_w = leggauss(4)
-    u = np.log(grid)
-    lo = u[:-1, None]
-    node_u = np.log(s_nodes)
-    half = 0.5 * (node_u - lo)
-    mid = 0.5 * (node_u + lo)
-    # shape (intervals, 8, 4): nested nodes from interval start to each node
-    tt = np.exp(mid[:, :, None] + half[:, :, None] * inner_x[None, None, :])
-    zz = problem.rhs_at(tt.ravel()).reshape(tt.shape)
-    seg = np.sum(tt ** mu * zz * (half[:, :, None] * inner_w[None, None, :]),
-                 axis=2)
-    return G_grid[:-1, None] + seg
 
 
 def _log_second_difference(y: np.ndarray, h: float) -> np.ndarray:
@@ -273,8 +259,8 @@ def split_solution(problem: ModeProblem, delta_p: float,
 
     Requires -mu < delta_p < mu < delta_pp.  The remainder's dyadic shell
     norms toward r = 0 certify membership in the delta_pp-weighted space.
-    For n = 0 the captured piece is the r^mu coefficient of the double
-    quadrature taken over the whole support.
+    For n = 0 the captured piece is the r^mu coefficient of y at grid[-1],
+    past the whole support.
     """
     mu = problem.mu
     if not (-mu < delta_p < mu < delta_pp):

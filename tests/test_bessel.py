@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -279,3 +280,32 @@ def test_negative_order():
     assert np.array_equal(bs.bessel_k(-0.7, x), bs.bessel_k(0.7, x))
     with pytest.raises(ValueError):
         bs.bessel_i(-0.5, 1.0)
+
+
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+def test_rejects_non_finite_order(mu):
+    # inf overflowed int(mu + 0.5), and NaN failed it by accident
+    for fn in (bs.bessel_ik, bs.bessel_i, bs.bessel_k, bs.bessel_k_prime,
+               bs.bessel_i_prime, bs.wronskian_residual, bs.bessel_eval):
+        with pytest.raises(ValueError, match="order"):
+            fn(mu, 1.0)
+
+
+def test_upward_recurrence_stops_when_k_leaves_the_float_range():
+    # one numpy step per unit of order took about 30 s at mu = 1e6; K_mu
+    # overflows within a few hundred steps, after which nothing changes
+    start = time.perf_counter()
+    i, k, k1 = bs.bessel_ik(1e6, np.array([1e-3, 1.0, 300.0]))
+    assert np.all(i == 0.0) and np.all(np.isinf(k)) and np.all(np.isinf(k1))
+    i, k, k1 = bs.bessel_ik(1e6, 1e4)  # K underflows: I overflows
+    assert (i, k, k1) == (math.inf, 0.0, 0.0)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_k_prime_sign_past_the_recurrence_cutoff():
+    # the cutoff keeps r_mu > mu/x, so an overflowed K' stays -inf and an
+    # underflowed one -0.0, as the full recurrence gives them
+    x = np.geomspace(1e-3, 500.0, 9)
+    assert np.all(bs.bessel_k_prime(5000.5, x) == -np.inf)
+    kp = bs.bessel_k_prime(3000.25, np.array([2e4, 1e5]))
+    assert np.all(kp == 0.0) and np.all(np.signbit(kp))

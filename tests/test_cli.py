@@ -164,7 +164,8 @@ def test_edge_empty_rhs_path_exits_2():
         assert out == "" and err.startswith("error:")
 
 
-@pytest.mark.parametrize("eps", ["1,2,3", "1,", "a", ""])
+@pytest.mark.parametrize("eps", ["1,2,3", "1,", "a", "", "nan", "inf",
+                                 "1,nan", "1e400"])
 def test_stenzel_ma_check_bad_eps_exits_2(eps):
     code, out, err = run(["stenzel", "ma-check", "--eps", eps,
                           "--points", "1"])
@@ -553,3 +554,86 @@ def test_stenzel_ma_check_nan_residual_fails(monkeypatch):
                           "--seed", "1"])
     assert code == 1
     assert "max residual nan" in err
+
+
+# ---------------------------------------------------------------------------
+# edge: pinned README output, non-finite orders, numerical failures
+
+README_SPLIT = """{
+  "c_low": 0.0023036938118918084,
+  "c_low_regularized": 0.0028796172648647604,
+  "delta_pp": 1.5,
+  "shell_norms": [
+    0.001220268926370345,
+    0.00226858382204984,
+    3.3776382999986454e-13,
+""" + "    0.0,\n" * 12 + """    0.0
+  ],
+  "coefficient_bound": {
+    "lhs": 0.0023036938118918084,
+    "rhs": 0.047214824163804
+  }
+}
+"""
+
+
+def _readme_rhs(tmp_path):
+    rhs = tmp_path / "rhs.csv"
+    rhs.write_text("r,z\n" + "\n".join(_rhs_rows()) + "\n")
+    return str(rhs)
+
+
+def test_readme_edge_commands_golden(tmp_path):
+    # the n != 0 Green-kernel pass, pinned bit for bit
+    import hashlib
+    rhs = _readme_rhs(tmp_path)
+    code, out, err = run(EDGE_ARGS["solve"] + ["--rhs", rhs])
+    assert (code, err) == (0, "operator residual 1.260e-05\n")
+    assert out.splitlines()[300] == "0.00324162825691,-1.49355163839e-05"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a5822b05b42849d7b3a65df1c120ebcc38b34cdf646a85715fd7a36eef637b75")
+    code, out, err = run(EDGE_ARGS["split"] + ["--rhs", rhs])
+    assert (code, out, err) == (0, README_SPLIT, "")
+
+
+def test_edge_solve_n0_large_order(tmp_path):
+    # mu = 25 formed s^(-2 mu) = inf at r = 1e-8, below the support, and
+    # 0 * inf = NaN there ended in a traceback
+    from _manufactured import bump
+    grid = edge.log_grid()
+    rhs = _write_rhs(tmp_path / "rhs.csv", grid.tolist(),
+                     bump(0.25, 0.5)(grid).tolist())
+    code, out, err = run(["edge", "solve", "--n", "0", "--mu", "25",
+                          "--rhs", rhs])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == grid.size
+    ys = np.array([float(y) for _, y in rows])
+    assert np.all(np.isfinite(ys)) and ys[-1] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bessel", "eval", "--mu", "inf", "--x", "1"],
+    ["bessel", "eval", "--mu", "nan", "--x", "1"],
+    ["bessel", "eval", "--mu", "1e400", "--x", "1", "--verify"],
+    ["edge", "solve", "--n", "2", "--mu", "inf"],
+    ["edge", "solve", "--n", "0", "--mu", "nan"],
+    ["edge", "split", "--n", "1", "--mu", "nan", "--delta-p", "0",
+     "--delta-pp", "1"],
+])
+def test_non_finite_order_exits_2(tmp_path, argv):
+    if argv[0] == "edge":
+        argv = argv + ["--rhs", _readme_rhs(tmp_path)]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_quadrature_failure_exits_1_without_traceback(tmp_path):
+    # Gamma(dpp + 2 + mu) beyond the float range: no bound pair is claimed
+    code, out, err = run(["edge", "split", "--n", "1", "--mu", "1",
+                          "--rhs", _readme_rhs(tmp_path), "--delta-p", "0.5",
+                          "--delta-pp", "200"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: non-finite bound pair")
+    assert len(err.splitlines()) == 1

@@ -31,6 +31,11 @@ def test_mode_problem_validation():
     with pytest.raises(ValueError):
         edge.ModeProblem(n=1, mu=-1.0, grid=g, rhs=np.zeros_like(g),
                          support_max=0.5)
+    # inf overflowed in the Bessel pass, and NaN passed a check on mu < 0
+    for mu in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            edge.ModeProblem(n=2, mu=mu, grid=g, rhs=np.zeros_like(g),
+                             support_max=0.5)
 
 
 def test_smooth_cutoff_shape():
@@ -384,3 +389,62 @@ def test_kernel_modes_two_k_rows_per_order(monkeypatch):
     k_calls = _counting(monkeypatch, "bessel_k")
     edge.kernel_modes(4)
     assert calls == [4096] * 4 and k_calls == []
+
+
+def _n0_reference(mu, zfn, lo, hi, r, R=None):
+    """y(r) = (1/2mu) int [(r/t)^mu - (t/r)^mu] z dt/t by scipy quad, or with
+    R given, c = H(R) = (1/2mu) int [t^-mu - R^-2mu t^mu] z dt/t."""
+    from scipy.integrate import quad
+    if R is None:
+        f = lambda t: ((r / t) ** mu - (t / r) ** mu) * float(zfn(t)) / t
+        top = min(r, hi)
+    else:
+        f = lambda t: (t ** -mu - R ** (-2.0 * mu) * t ** mu) * float(zfn(t)) / t
+        top = hi
+    val, _ = quad(f, lo, top, epsabs=0.0, epsrel=1e-13, limit=400)
+    return val / (2.0 * mu)
+
+
+@pytest.mark.parametrize("mu", [0.3, 1.2, 5.0, 25.0])
+def test_n0_matches_quadrature_reference(mu):
+    # at mu = 25 the nested double quadrature formed 0 * inf = NaN below the
+    # support and raised QuadratureFailure
+    zfn = bump(0.25, 0.5)
+    prob = make_problem(0, mu, zfn, support=0.5)
+    y, c, i_row = edge._solve(prob)
+    assert i_row is None
+    for i in np.searchsorted(COARSE, [0.3, 0.4, 0.5, 0.7, 1.0]):
+        ref = _n0_reference(mu, zfn, 0.25, 0.5, COARSE[i])
+        assert y[i] == pytest.approx(ref, rel=1e-10)
+    assert np.all(y[COARSE <= 0.25] == 0.0)
+    assert c == pytest.approx(_n0_reference(mu, zfn, 0.25, 0.5, None, R=1.0),
+                              rel=1e-10)
+
+
+@pytest.mark.parametrize("mu", [0.7, 3.0])
+def test_n0_captured_coefficient_on_grid_ending_below_1(mu):
+    # c is H at R = grid[-1] < 1, where R^(-2mu) B(R) differs from B(R)
+    zfn = bump(0.25, 0.5)
+    grid = edge.log_grid(1e-8, 0.8, 2048)
+    prob = make_problem(0, mu, zfn, support=0.5, grid=grid)
+    sol = edge.split_solution(prob, 0.5, mu + 0.5)
+    ref = _n0_reference(mu, zfn, 0.25, 0.5, None, R=grid[-1])
+    unscaled = _n0_reference(mu, zfn, 0.25, 0.5, None, R=1.0)
+    assert abs(unscaled / ref - 1.0) > 1e-3
+    assert sol.c_low == pytest.approx(ref, rel=1e-10)
+
+
+def test_n0_samples_rhs_at_the_solve_nodes_only():
+    # one node set for every mode: the nested 4-point rule sampled the rhs
+    # again at 4x the nodes
+    calls = []
+    zf = bump(0.25, 0.5)
+
+    def zfn(x):
+        calls.append(np.size(x))
+        return zf(x)
+
+    prob = make_problem(0, 1.2, zfn, support=0.5)
+    calls.clear()
+    edge.solve_mode(prob)
+    assert calls == [(COARSE.size - 1) * 8]
