@@ -20,6 +20,12 @@ ulp, and never fewer than the neighbouring faster octave needs.  The counts
 are monotone in x, the points of a sorted batch still iterating form one
 slice, and each value is the same float in whatever batch it arrives.
 
+At the ends of the float range the values are the IEEE limits.  Below
+2^-1021 Temme's log(x/2) and r_nu are formed without 0.5 x, which loses
+bits there; where CF1's 2(mu + j)/x overflows, x^2 is far below an ulp and
+I_mu is its leading term (x/2)^mu / Gamma(mu + 1); from 2^54 on K_nu = 0 and
+r_nu = 1, as CF2 gives them until its q recurrence overflows.
+
 Since I is built from the Wronskian, wronskian_residual checks that I, I', K
 and K' are consistent; the scipy comparisons in the test suite are the
 independent accuracy oracle.  All functions accept scalars or numpy arrays
@@ -106,6 +112,8 @@ _RGAMMA = (
 _EPS = 2.0 ** -52  # a probe has converged when its increment is under this
 _OCTAVES = (-64, 10)  # x outside [2^-64, 2^11) takes the count of the end octave
 _CHUNK = 8192  # points per pass, so that the loops' arrays stay in cache
+_TINY = 2.0 ** -1021  # below it, 0.5 x loses bits
+_HUGE = 2.0 ** 54  # from here on K_nu = 0 (e^-x underflows) and r_nu rounds to 1
 
 
 def _temme(nu: float, x: np.ndarray, spans, probe=False):
@@ -116,6 +124,9 @@ def _temme(nu: float, x: np.ndarray, spans, probe=False):
     gam2 = float(polyval(t, _RGAMMA[0::2]))
     gam1 = -float(polyval(t, _RGAMMA[1::2]))
     d = -np.log(0.5 * x)
+    if x[0] < _TINY:
+        tiny = slice(0, int(np.searchsorted(x, _TINY)))
+        d[tiny] = math.log(2.0) - np.log(x[tiny])
     e = nu * d
     sinhc = np.divide(np.sinh(e), e, out=np.ones_like(e), where=e != 0.0)
     fact = math.pi * nu / math.sin(math.pi * nu) if nu else 1.0
@@ -136,7 +147,10 @@ def _temme(nu: float, x: np.ndarray, spans, probe=False):
         if probe and abs(f[0]) <= _EPS * abs(k[0]) \
                 and abs(dk1[0]) <= _EPS * abs(k1[0]):
             return i
-    return k, k1 / (0.5 * x * k)
+    r = k1 / (0.5 * x * k)
+    if x[0] < _TINY:
+        r[tiny] = 2.0 * k1[tiny] / (x[tiny] * k[tiny])
+    return k, r
 
 
 def _steed(nu: float, x: np.ndarray, spans, probe=False):
@@ -198,14 +212,19 @@ def _terms(loop, order: float, octave: int) -> int:
     return n
 
 
+def _octave(x: float) -> int:
+    """floor(log2 x), exactly, clipped to _OCTAVES."""
+    return min(max(math.frexp(x)[1] - 1, _OCTAVES[0]), _OCTAVES[1])
+
+
 def _spans(loop, order: float, x: np.ndarray) -> list[slice]:
     """Per iteration of loop, the slice of sorted x still iterating."""
-    if x.size == 0:
-        return []
-    octave = np.clip(np.frexp(x)[1] - 1, *_OCTAVES)  # floor(log2 x), exactly
-    edges = np.flatnonzero(octave[1:] != octave[:-1]) + 1
-    counts = np.array([_terms(loop, order, int(octave[g])) for g in (0, *edges)])
-    edges = np.array((0, *edges, x.size))
+    lo, hi = _octave(x[0]), _octave(x[-1])
+    # where octaves lo + 1 .. hi begin; an empty octave begins where the next
+    # one does, and as the counts are monotone it changes no slice
+    starts = np.searchsorted(x, np.ldexp(1.0, np.arange(lo + 1, hi + 1)))
+    counts = np.array([_terms(loop, order, j) for j in range(lo, hi + 1)])
+    edges = np.array((0, *starts, x.size))
     its = np.arange(1, counts.max() + 1)
     if loop is _steed:  # counts fall with x: a prefix
         return [slice(0, e) for e in edges[np.searchsorted(-counts, -its, "right")]]
@@ -226,14 +245,19 @@ def _pass(mu: float, x, with_i: bool):
     nu = mu - m
     k, r = np.empty_like(xs), np.empty_like(xs)
     i = np.empty_like(xs) if with_i else None
-    # K_mu may overflow to inf, and then I_mu = 0: both are the IEEE limits
-    with np.errstate(over="ignore", divide="ignore"):
+    # K_mu may overflow to inf, and then I_mu = 0: both are the IEEE limits;
+    # CF1's NaN where 2 (mu + j)/x overflows is replaced below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for lo in range(0, xs.size, _CHUNK):
             part = slice(lo, lo + _CHUNK)
             xc, kc, rc = xs[part], k[part], r[part]
-            split = int(np.searchsorted(xc, 2.0))
-            for loop, sub in ((_temme, slice(0, split)), (_steed, slice(split, None))):
-                kc[sub], rc[sub] = loop(nu, xc[sub], _spans(loop, nu, xc[sub]))
+            split, big = np.searchsorted(xc, (2.0, _HUGE))
+            # CF2 gives exactly these from _HUGE until its q recurrence
+            # overflows (about 2^341), and I_mu is inf there
+            kc[big:], rc[big:] = 0.0, 1.0
+            for loop, sub in ((_temme, slice(0, split)), (_steed, slice(split, big))):
+                if sub.start < sub.stop:
+                    kc[sub], rc[sub] = loop(nu, xc[sub], _spans(loop, nu, xc[sub]))
             for j in range(1, m + 1):
                 kc *= rc
                 rc[...] = 1.0 / rc + 2.0 * (nu + j) / xc
@@ -243,7 +267,17 @@ def _pass(mu: float, x, with_i: bool):
                     rc[...] = 2.0 * mu / xc
                     break
             if with_i:
-                i[part] = 1.0 / (xc * (_cf1(mu, xc, _spans(_cf1, mu, xc)) + rc)) / kc
+                ic, low = i[part][:big], xc[:big]
+                f = _cf1(mu, low, _spans(_cf1, mu, low)) if big else low
+                ic[...] = 1.0 / (low * (f + rc[:big])) / kc[:big]
+                if big and not math.isfinite(f[0]):
+                    # 2 (mu + j)/x overflowed: there x^2/(4 (mu + 1)) is far
+                    # below an ulp, and I is its leading term (below the
+                    # float range once Gamma(mu + 1) overflows)
+                    lead = ~np.isfinite(f)
+                    ic[lead] = low[lead] ** mu * (
+                        0.5 ** mu / math.gamma(mu + 1.0) if mu < 171 else 0.0)
+                i[part][big:] = np.inf
 
     def back(vals):
         vals = vals if perm is None else vals[np.argsort(perm)]

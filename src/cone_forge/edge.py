@@ -31,11 +31,14 @@ and enumerates the obstruction modes e^{in theta} built from (K_0, K_1) against
 a closed-and-coclosed link 2-form, two per nonzero Fourier mode.
 
 Grids are log-spaced so (r d/dr) is a uniform stencil; quadratures are
-composite Gauss-Legendre per grid interval on the smooth factors.  The kernels
-are evaluated on the rhs support only (Gauss nodes with z != 0; 0 elsewhere),
-for n != 0 by one bessel_ik pass there and another on the grid; the grid's
-decaying row enters y only where int_0^r g z ds/s is nonzero, since K_mu and
-r^-mu may overflow below the support.
+composite Gauss-Legendre per grid interval on the smooth factors.  The nodes
+are walked in blocks of 1024 intervals (8192 nodes, one Bessel chunk): per
+block the rhs is sampled once and the kernels are evaluated on its support
+only (nodes with z != 0; 0 elsewhere), for n != 0 by one bessel_ik pass, and
+not at all in a block without support; only the per-interval sums outlive
+the block.  One more pass gives the grid's kernel rows; the decaying row
+enters y only where int_0^r g z ds/s is nonzero, since K_mu and r^-mu may
+overflow below the support.
 """
 
 from __future__ import annotations
@@ -48,23 +51,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._spline import CubicHermite
-from .bessel import bessel_ik, bessel_k, gamma_fn
+from .bessel import _CHUNK, bessel_ik, bessel_k, gamma_fn
 
 __all__ = [
-    "UnsupportedMode",
-    "QuadratureFailure",
-    "WeightOrderViolation",
-    "DivergentConstant",
-    "ModeProblem",
-    "SplitSolution",
-    "ObstructionMode",
-    "log_grid",
-    "smooth_cutoff",
-    "solve_mode",
-    "operator_residual",
-    "split_solution",
-    "coefficient_bound_check",
-    "kernel_modes",
+    "UnsupportedMode", "QuadratureFailure", "WeightOrderViolation",
+    "DivergentConstant", "ModeProblem", "SplitSolution", "ObstructionMode",
+    "log_grid", "smooth_cutoff", "solve_mode", "operator_residual",
+    "split_solution", "coefficient_bound_check", "kernel_modes",
     "no_decaying_kernel_check",
 ]
 
@@ -107,7 +100,8 @@ def smooth_cutoff(s) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class ModeProblem:
-    """One separated radial problem: mode n, eigenvalue mu, sampled rhs."""
+    """One separated radial problem: mode n, eigenvalue mu, sampled rhs; a
+    given rhs_fn must be pointwise, as it is called once per block of nodes."""
 
     n: int
     mu: float
@@ -121,7 +115,9 @@ class ModeProblem:
         z = np.asarray(self.rhs, dtype=float)
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "rhs", z)
-        if g.ndim != 1 or np.any(np.diff(g) <= 0) or g[0] <= 0 or g[-1] > 1 + 1e-12:
+        if g.ndim != 1 or g.size < 2:
+            raise ValueError("a grid needs at least 2 knots")
+        if not (np.all(np.diff(g) > 0) and 0 < g[0] and g[-1] <= 1 + 1e-12):
             raise ValueError("grid must be increasing inside (0, 1]")
         if z.shape != g.shape:
             raise ValueError("rhs must be sampled on the grid")
@@ -158,50 +154,53 @@ class SplitSolution:
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
+_BLOCK = _CHUNK // 8  # grid intervals per node block: one Bessel chunk
 
 
-def _rhs_nodes(problem: ModeProblem):
-    """Gauss-Legendre nodes and weights per grid interval in the log variable,
-    and the rhs sampled at the nodes, each shaped (intervals, 8)."""
+def _node_blocks(problem: ModeProblem):
+    """Per block of _BLOCK grid intervals, its slice of intervals and, each
+    shaped (intervals, 8), the Gauss-Legendre nodes s and weights w in the log
+    variable, the rhs z at the nodes and its support z != 0: all cache-sized."""
     u = np.log(problem.grid)
-    mid = 0.5 * (u[1:] + u[:-1])
-    half = 0.5 * np.diff(u)
-    s_nodes = np.exp(mid[:, None] + half[:, None] * _GL_NODES[None, :])
-    w = half[:, None] * _GL_WEIGHTS[None, :]
-    z_nodes = problem.rhs_at(s_nodes.ravel()).reshape(s_nodes.shape)
-    return s_nodes, w, z_nodes
+    for lo in range(0, u.size - 1, _BLOCK):
+        ub = u[lo:lo + _BLOCK + 1]
+        mid = 0.5 * (ub[1:] + ub[:-1])
+        half = 0.5 * np.diff(ub)
+        s = np.exp(mid[:, None] + half[:, None] * _GL_NODES[None, :])
+        w = half[:, None] * _GL_WEIGHTS[None, :]
+        z = problem.rhs_at(s.ravel()).reshape(s.shape)
+        yield slice(lo, lo + mid.size), s, w, z, z != 0
 
 
-def _kernel_sums(support_vals, z_nodes, w) -> np.ndarray:
-    """Per-interval Gauss sums of kernel z ds/s, the kernel given on the support
-    of z (the nodes where z != 0, in row order) and 0 elsewhere."""
-    vals = np.zeros_like(z_nodes)
-    vals[z_nodes != 0] = support_vals
-    return np.sum(vals * z_nodes * w, axis=1)
+def _row_sums(support_vals, z, w, on) -> np.ndarray:
+    """Per-interval Gauss sums of kernel z ds/s, the kernel 0 off the support."""
+    vals = np.zeros_like(z)
+    vals[on] = support_vals
+    return np.sum(vals * z * w, axis=1)
 
 
 def _solve(problem: ModeProblem):
     """(y, c, I_mu(|n| grid)): the solution, its captured coefficient, the I row.
 
-    One pass of the mode's kernel pair (module docstring) over the Gauss
-    nodes on the rhs support gives the head integral B of the growing kernel
-    and, of the decaying one, the tail for n != 0 (c is it at grid[0] over
-    |n|) or the head A for n = 0.  There y = r^mu H, H = (A - r^(-2mu) B) /
+    Per block of Gauss nodes, one pass of the mode's kernel pair (module
+    docstring) on the rhs support gives the per-interval sums; their
+    cumulative sums are the head integral B of the growing kernel and, of
+    the decaying one, the tail for n != 0 (c is it at grid[0] over |n|) or
+    the head A for n = 0.  There y = r^mu H, H = (A - r^(-2mu) B) /
     (2 mu), and c = H(R) at R = grid[-1], which may be below 1 (no I row).
     """
     n, mu, grid = problem.n, problem.mu, problem.grid
     if n == 0 and mu == 0.0:
         raise UnsupportedMode("n = 0, mu = 0 is not invertible in this family")
-    s_nodes, w, z_nodes = _rhs_nodes(problem)
-    support = s_nodes[z_nodes != 0]
-    if n != 0:
-        a = abs(n)
-        grow, decay, _ = bessel_ik(mu, a * support)
-    else:
-        grow, decay = support ** mu, support ** -mu
-    gz = _kernel_sums(grow, z_nodes, w)
-    dz = _kernel_sums(decay, z_nodes, w)
-    del grow, decay
+    a = abs(n)
+    gz, dz = np.zeros((2, grid.size - 1))
+    for rows, s, w, z, on in _node_blocks(problem):
+        support = s[on]
+        if n == 0:
+            pair = support ** mu, support ** -mu
+        else:  # no Bessel pass in a block without support
+            pair = bessel_ik(mu, a * support)[:2] if support.size else (support,) * 2
+        gz[rows], dz[rows] = (_row_sums(g, z, w, on) for g in pair)
     head = np.concatenate([[0.0], np.cumsum(gz)])
     i_grid = None
     if n != 0:
@@ -323,13 +322,18 @@ def coefficient_bound_check(problem: ModeProblem,
     if 2.0 * delta_pp + 4.0 <= 2.0 * mu:
         raise DivergentConstant(
             f"2 dpp + 4 = {2 * delta_pp + 4} <= 2 mu = {2 * mu}")
-    s_nodes, w, z_nodes = _rhs_nodes(problem)
-    # the same sums, in the same order, as the solve's tail integral at grid[0]
-    kz = _kernel_sums(bessel_k(mu, abs(problem.n) * s_nodes[z_nodes != 0]),
-                      z_nodes, w)
-    c = abs(float(np.cumsum(kz[::-1])[-1])) / abs(problem.n)
-    weight = np.where(z_nodes != 0, s_nodes, 1.0) ** (-(delta_pp + 2.0))
-    znorm = math.sqrt(float(np.sum((weight * z_nodes) ** 2 * w)))
+    a = abs(problem.n)
+    kz = np.zeros(problem.grid.size - 1)
+    znorm_terms = np.empty((kz.size, _GL_NODES.size))
+    for rows, s, w, z, on in _node_blocks(problem):
+        support = s[on]
+        # the same sums, in the same order, as the solve's tail integral
+        kz[rows] = _row_sums(bessel_k(mu, a * support) if support.size
+                             else support, z, w, on)
+        weight = np.where(on, s, 1.0) ** (-(delta_pp + 2.0))
+        znorm_terms[rows] = (weight * z) ** 2 * w
+    c = abs(float(np.cumsum(kz[::-1])[-1])) / a
+    znorm = math.sqrt(float(np.sum(znorm_terms)))  # one sum: the same floats
     try:
         C = math.sqrt(_bound_constant_sq(mu, delta_pp))
     except OverflowError:  # a Gamma factor beyond the float range

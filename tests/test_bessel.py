@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -309,3 +309,131 @@ def test_k_prime_sign_past_the_recurrence_cutoff():
     assert np.all(bs.bessel_k_prime(5000.5, x) == -np.inf)
     kp = bs.bessel_k_prime(3000.25, np.array([2e4, 1e5]))
     assert np.all(kp == 0.0) and np.all(np.signbit(kp))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 3.0])
+def test_ieee_limits_at_large_arguments(mu):
+    # from about 6.5e102 CF2's q recurrence overflowed and all three came
+    # out NaN; e^-x underflows long before, so they are (inf, 0, 0)
+    x = np.geomspace(1e3, np.finfo(float).max, 500)
+    i, k, k1 = bs.bessel_ik(mu, x)
+    assert np.all(i == np.inf) and np.all(k == 0.0) and np.all(k1 == 0.0)
+    assert bs.bessel_ik(mu, 1e103) == (math.inf, 0.0, 0.0)
+    assert np.all(bs.bessel_k(mu, x) == 0.0)
+
+
+def _hankel(mu, x, terms=10):
+    """I_mu, K_mu by the large-argument series (A&S 9.7.1, 9.7.2)."""
+    a, si, sk = 1.0, 1.0, 1.0
+    for j in range(1, terms):
+        a = a * (4.0 * mu * mu - (2 * j - 1) ** 2) / (j * 8.0 * x)
+        si, sk = si + (-1) ** j * a, sk + a
+    return (np.exp(x) / np.sqrt(2.0 * np.pi * x) * si,
+            np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) * sk)
+
+
+def test_large_argument_asymptotic_form():
+    x = np.geomspace(300.0, 700.0, 60)
+    for mu in (0.0, 0.5, 3.0, 7.3):
+        i, k, k1 = bs.bessel_ik(mu, x)
+        ri, rk = _hankel(mu, x)
+        assert np.max(np.abs(i / ri - 1.0)) <= 1e-12
+        assert np.max(np.abs(k / rk - 1.0)) <= 1e-12
+        assert np.max(np.abs(k1 / _hankel(mu + 1.0, x)[1] - 1.0)) <= 1e-12
+
+
+def test_small_argument_leading_terms():
+    # below about 1e-308 2 (mu + j)/x overflowed in CF1 and I was NaN, and
+    # below 2^-1021 Temme's log(x/2) lost bits (K_0.5 was 13% off); at
+    # 5e-324 all three were NaN.  Here x^2 is far below an ulp: I_mu =
+    # (x/2)^mu / Gamma(mu + 1), K_0 = -log(x/2) - gamma, K_mu for 0 < mu < 1
+    # is pi / (2 sin(mu pi)) ((x/2)^-mu / Gamma(1 - mu) - (x/2)^mu / ...),
+    # and for mu >= 1 Gamma(mu) (x/2)^-mu / 2
+    x = np.geomspace(5e-324, 1e-300, 400)
+    logh = np.log(x) - math.log(2.0)  # log(x/2), without forming x/2
+    for mu in (0.0, 0.3, 0.5, 1.0, 3.0):
+        i, k, k1 = bs.bessel_ik(mu, x)
+        ref_i = np.exp(mu * logh) / math.gamma(mu + 1.0)
+        normal = ref_i > 1e-290
+        assert np.all(np.abs(i[normal] / ref_i[normal] - 1.0) <= 1e-12)
+        assert np.all(i[ref_i < 1e-330] == 0.0)
+        if mu == 0.0:
+            ref_k = -logh - EULER_GAMMA
+        elif mu < 1.0:
+            ref_k = math.pi / (2.0 * math.sin(mu * math.pi)) * (
+                np.exp(-mu * logh) / math.gamma(1.0 - mu)
+                - np.exp(mu * logh) / math.gamma(1.0 + mu))
+        else:
+            with np.errstate(over="ignore"):
+                ref_k = np.exp(math.log(0.5 * math.gamma(mu)) - mu * logh)
+        finite = np.isfinite(ref_k)
+        assert np.all(np.abs(k[finite] / ref_k[finite] - 1.0) <= 1e-12)
+        assert np.all(k[~finite] == np.inf)
+        assert not np.any(np.isnan(k1))
+    i, k, k1 = bs.bessel_ik(0.5, 5e-324)
+    assert i == pytest.approx(math.sqrt(2.0 * 5e-324 / math.pi), rel=1e-14)
+    assert k == pytest.approx(math.sqrt(math.pi / 2.0) / math.sqrt(5e-324),
+                              rel=1e-12)
+    assert bs.bessel_ik(0.0, 5e-324)[:2] == (1.0, pytest.approx(
+        744.440072 + math.log(2.0) - EULER_GAMMA, rel=1e-8))
+    assert bs.bessel_ik(1.0, 5e-324)[1] == math.inf
+    assert bs.bessel_ik(3.0, 5e-324)[0] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orders, st.lists(st.floats(5e-324, np.finfo(float).max), min_size=1,
+                         max_size=12))
+def test_batch_equals_pointwise_over_the_float_range(mu, xs):
+    # the small- and large-argument paths keep batch independence, and
+    # every x > 0 gives IEEE values, never NaN
+    batch = bs.bessel_ik(mu, np.array(xs))
+    assert not any(np.any(np.isnan(b)) for b in batch)
+    for j, x in enumerate(xs):
+        assert all(np.array_equal(b[j], v)
+                   for b, v in zip(batch, bs.bessel_ik(mu, x)))
+
+
+def _spans_by_frexp(loop, order, x):
+    """Reference: the octave of every point by frexp, grouped where it changes."""
+    octave = np.clip(np.frexp(x)[1] - 1, *bs._OCTAVES)
+    edges = np.flatnonzero(octave[1:] != octave[:-1]) + 1
+    counts = np.array([bs._terms(loop, order, int(octave[g]))
+                       for g in (0, *edges)])
+    edges = np.array((0, *edges, x.size))
+    its = np.arange(1, counts.max() + 1)
+    if loop is bs._steed:
+        return [slice(0, e) for e in edges[np.searchsorted(-counts, -its, "right")]]
+    return [slice(b, None) for b in edges[np.searchsorted(counts, its)]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_orders, st.lists(st.floats(5e-324, np.finfo(float).max), min_size=1,
+                         max_size=40))
+@example(1.3, [2.0 ** -70, 2.0 ** -64, 0.25, 0.5, 0.5, 1.0, 2.0, 4.0, 4.0,
+               2.0 ** 11, 2.0 ** 12])
+def test_spans_match_per_point_octaves(mu, xs):
+    # the octave edges come from a searchsorted of the powers of two between
+    # the ends, and give the same slices as each point's own octave
+    x = np.sort(np.array(xs))
+    nu = mu - int(mu + 0.5)
+    low, high = x[x < 2.0], x[x >= 2.0]
+    for loop, order, part in ((bs._temme, nu, low), (bs._steed, nu, high),
+                              (bs._cf1, mu, x)):
+        if part.size:
+            assert bs._spans(loop, order, part) == _spans_by_frexp(loop, order, part)
+
+
+def test_empty_regime_runs_no_loop(monkeypatch):
+    # a chunk with every x < 2 ran Steed's set-up on an empty slice
+    sizes = []
+    real = bs._steed
+
+    def spy(nu, x, spans, probe=False):
+        if not probe:
+            sizes.append(x.size)
+        return real(nu, x, spans, probe)
+
+    monkeypatch.setattr(bs, "_steed", spy)
+    bs.bessel_ik(0.7, np.geomspace(1e-3, 1.9, 50))
+    bs.bessel_ik(0.7, np.geomspace(1e-3, 9.0, 50))
+    assert sizes == [int(np.count_nonzero(np.geomspace(1e-3, 9.0, 50) >= 2.0))]

@@ -514,6 +514,19 @@ def test_bessel_eval_non_finite_prints_null():
         assert "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("x, i, k", [("1e103", None, 0.0),
+                                     ("1.7976931348623157e308", None, 0.0),
+                                     ("5e-324", 1.7735e-162, 5.6386e161)])
+def test_bessel_eval_extreme_arguments_print_ieee_limits(x, i, k):
+    # from x ~ 6.5e102 and below ~1e-308 the values were NaN and printed
+    # null; I overflows to inf (null) beyond e^x's range, K underflows to 0
+    code, out, err = run(["bessel", "eval", "--mu", "0.5", "--x", x])
+    assert code == 0
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert doc["k"] == pytest.approx(k, rel=1e-4)
+    assert doc["i"] == (None if i is None else pytest.approx(i, rel=1e-4))
+
+
 @pytest.mark.parametrize("end_rates", ["nan:2", "inf:1", "-inf:1", "0:-3",
                                        "0:2,nan:1"])
 def test_index_change_refuses_bad_end_rates(end_rates):

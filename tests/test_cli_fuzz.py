@@ -1,14 +1,18 @@
-"""Hypothesis fuzz of the `bessel eval`, `edge solve` and `edge split` argv.
+"""Hypothesis fuzz of the `bessel eval`, `edge solve` and `edge split` argv,
+and of the rhs CSV that the README `edge solve` and `edge split` read.
 
 Each run goes through `cli.dispatch` in-process.  Whatever the numbers,
 finite, NaN, infinite, beyond the float range or negative, the exit code is
 one of the documented ones (0 ok, 1 verification or numerical failure, 2
-usage or input error) and no exception escapes.
+usage or input error), no exception escapes, and the rhs fuzz prints no
+NaN or Infinity.
 """
 
 import contextlib
 import io
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,3 +74,44 @@ def test_edge_solve_fuzz(rhs_csv, n, mu, support, verify):
 def test_edge_split_fuzz(rhs_csv, n, mu, dp, dpp, verify):
     _exit_code(["edge", "split", f"--n={n}", f"--mu={mu}", "--rhs", rhs_csv,
                 f"--delta-p={dp}", f"--delta-pp={dpp}", *verify])
+
+
+# rhs CSV contents for the README `edge solve` and `edge split` argv
+_README_EDGE = {
+    "solve": ["edge", "solve", "--n", "2", "--mu", "1.0"],
+    "split": ["edge", "split", "--n", "2", "--mu", "1.0", "--delta-p", "0.5",
+              "--delta-pp", "1.5"],
+}
+_CELL = st.one_of(
+    st.floats(-2.0, 2.0), st.floats(1e-9, 1.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 0.0]))
+
+
+@st.composite
+def _rhs_rows(draw):
+    """0-12 rows r,z: log-uniform or drawn r, maybe a duplicate r, maybe sorted."""
+    count = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        rs = [float(r) for r in np.geomspace(1e-3, 0.9, count)]
+    else:
+        rs = draw(st.lists(_CELL, min_size=count, max_size=count))
+    rows = [(r, draw(_CELL)) for r in rs]
+    if rows and draw(st.booleans()):
+        j = draw(st.integers(0, len(rows) - 1))
+        rows.insert(j, (rows[j][0], draw(_CELL)))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: row[0] if row[0] == row[0] else math.inf)
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=_rhs_rows(), header=st.booleans(),
+       cmd=st.sampled_from(sorted(_README_EDGE)), verify=_VERIFY)
+def test_edge_rhs_csv_fuzz(tmp_path_factory, rows, header, cmd, verify):
+    path = tmp_path_factory.mktemp("csv") / "rhs.csv"
+    path.write_text(("r,z\n" if header else "")
+                    + "".join(f"{r!r},{z!r}\n" for r, z in rows))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _exit_code(_README_EDGE[cmd] + ["--rhs", str(path), *verify])
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,22 @@ from _manufactured import manufactured_pair, bump
 
 FINE = edge.log_grid(1e-8, 1.0, 16384)
 COARSE = edge.log_grid()
+BLOCK_NODES = 8192  # Gauss nodes per block: 1024 intervals, one Bessel chunk
+
+
+def gauss_nodes(grid):
+    """The 8 Gauss-Legendre nodes per interval in log r, in row order."""
+    u = np.log(grid)
+    gl, _ = np.polynomial.legendre.leggauss(8)
+    return np.exp(0.5 * (u[1:] + u[:-1])[:, None]
+                  + 0.5 * np.diff(u)[:, None] * gl[None, :]).ravel()
+
+
+def assert_blocked(calls, total):
+    """The calls see `total` points between them, a block at most each, and
+    every block but the last is full."""
+    assert sum(calls) == total and len(calls) == -(-total // BLOCK_NODES)
+    assert all(c == BLOCK_NODES for c in calls[:-1])
 
 
 def make_problem(n, mu, zfn, support=0.8, grid=COARSE):
@@ -36,6 +53,16 @@ def test_mode_problem_validation():
         with pytest.raises(ValueError, match="finite"):
             edge.ModeProblem(n=2, mu=mu, grid=g, rhs=np.zeros_like(g),
                              support_max=0.5)
+    # with rhs_fn a 1-point grid solved and split_solution then failed in
+    # np.gradient; a NaN knot failed every "<= 0" comparison
+    for grid, message in (([0.1], "at least 2 knots"),
+                          ([0.1, math.nan, 0.5], "increasing"),
+                          ([math.nan, 0.5], "increasing"),
+                          ([0.1, 0.5, math.nan], "increasing")):
+        for rhs_fn in (None, lambda x: np.zeros_like(x)):
+            with pytest.raises(ValueError, match=message):
+                edge.ModeProblem(n=1, mu=1.0, grid=grid, rhs=np.zeros(len(grid)),
+                                 support_max=0.05, rhs_fn=rhs_fn)
 
 
 def test_smooth_cutoff_shape():
@@ -209,7 +236,7 @@ def test_rhs_sampled_once_per_call(monkeypatch):
     prob = make_problem(3, 1.0, zfn, support=0.5)
     calls.clear()
     edge.coefficient_bound_check(prob, 1.5)
-    assert calls == [(COARSE.size - 1) * 8]
+    assert_blocked(calls, (COARSE.size - 1) * 8)
 
     fits = []
     real = edge.CubicHermite
@@ -367,19 +394,25 @@ def _counting(monkeypatch, name):
 
 
 def test_kernels_run_on_rhs_support_only(monkeypatch):
-    # each Gauss-node kernel sum evaluates exactly the nodes where z != 0;
-    # the solve takes I and K there from one pass, and both grid rows from one
-    prob = make_problem(3, 1.5, bump(0.25, 0.5), support=0.5)
-    _, _, z_nodes = edge._rhs_nodes(prob)
-    support = int(np.count_nonzero(z_nodes))
-    assert 0 < support < z_nodes.size // 4
-    k_calls = _counting(monkeypatch, "bessel_k")
-    ik_calls = _counting(monkeypatch, "bessel_ik")
-    edge.coefficient_bound_check(prob, 1.5)
-    assert k_calls == [support] and ik_calls == []
-    k_calls.clear()
-    edge.solve_mode(prob)
-    assert k_calls == [] and ik_calls == [support, COARSE.size]
+    # each Gauss-node kernel sum evaluates exactly the nodes where z != 0,
+    # a node block at a time, with no call for a block without support; the
+    # solve takes I and K there from one pass, and both grid rows from one
+    for grid, blocks in ((COARSE, 1), (FINE, 2)):
+        prob = make_problem(3, 1.5, bump(0.25, 0.5), support=0.5, grid=grid)
+        nodes = gauss_nodes(grid)
+        support = int(np.count_nonzero(prob.rhs_at(nodes)))
+        assert 0 < support < nodes.size // 4
+        k_calls = _counting(monkeypatch, "bessel_k")
+        ik_calls = _counting(monkeypatch, "bessel_ik")
+        edge.coefficient_bound_check(prob, 1.5)
+        assert ik_calls == [] and len(k_calls) == blocks
+        assert sum(k_calls) == support and max(k_calls) <= BLOCK_NODES
+        k_calls.clear()
+        edge.solve_mode(prob)
+        assert k_calls == [] and len(ik_calls) == blocks + 1
+        assert sum(ik_calls[:-1]) == support and max(ik_calls[:-1]) <= BLOCK_NODES
+        assert ik_calls[-1] == grid.size
+        monkeypatch.undo()
 
 
 def test_kernel_modes_two_k_rows_per_order(monkeypatch):
@@ -447,4 +480,67 @@ def test_n0_samples_rhs_at_the_solve_nodes_only():
     prob = make_problem(0, 1.2, zfn, support=0.5)
     calls.clear()
     edge.solve_mode(prob)
-    assert calls == [(COARSE.size - 1) * 8]
+    assert_blocked(calls, (COARSE.size - 1) * 8)
+
+
+def test_node_calls_stay_within_one_block(monkeypatch):
+    # a 16384-point solve samples the rhs and runs the node kernels a block
+    # at a time; only the grid's kernel row takes the whole grid
+    ystar, zfn = manufactured_pair(3, 0.7)
+    sizes = []
+
+    def spy(x):
+        sizes.append(np.size(x))
+        return zfn(x)
+
+    prob = make_problem(3, 0.7, spy, grid=FINE)
+    ik_calls = _counting(monkeypatch, "bessel_ik")
+    sizes.clear()
+    y = edge.solve_mode(prob)
+    assert_blocked(sizes, (FINE.size - 1) * 8)
+    assert len(ik_calls) == 17 and max(ik_calls[:-1]) <= BLOCK_NODES
+    assert sum(ik_calls[:-1]) == np.count_nonzero(zfn(gauss_nodes(FINE)))
+    assert ik_calls[-1] == FINE.size
+    assert np.max(np.abs(y - ystar(FINE))) <= 1e-6
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_recoveries_bit_identical_to_whole_grid_passes():
+    # the 20 criterion-5 recoveries give the same bytes as when every node
+    # quantity was one whole-grid array (digest captured from that code)
+    ys = []
+    for n in (1, 2, 3, 5, 7, 9, 12, 16, 20, 25):
+        for mu in (0.7, 1.5):
+            _, zfn = manufactured_pair(n, mu)
+            ys.append(edge.solve_mode(make_problem(n, mu, zfn, grid=FINE)))
+    assert _digest(ys) == (
+        "209025ec940357041afca4bcf0d5e5ccdc9409c0143ba01a24f6318b742bd558")
+
+
+def test_split_and_bound_bit_identical_to_whole_grid_passes():
+    # seeded 2048-point split/bound instances, n = 0 included, with the rhs
+    # callable and from the sampled spline; digest as above
+    rng = np.random.default_rng(16)
+    parts = []
+    for k in range(24):
+        n = int(rng.integers(0, 51))
+        mu = float(rng.choice([0.7, 1.0, 2.3]))
+        a = float(rng.uniform(0.05, 0.4))
+        b = float(rng.uniform(a + 0.05, 0.85))
+        amp = float(rng.uniform(0.1, 10.0))
+        zf = bump(a, b)
+        zfn = lambda x, zf=zf, amp=amp: amp * zf(x)
+        prob = edge.ModeProblem(n=n, mu=mu, grid=COARSE, rhs=zfn(COARSE),
+                                support_max=b, rhs_fn=zfn if k % 2 else None)
+        sol = edge.split_solution(prob, 0.5 * mu, mu + 0.5)
+        parts += [sol.y, [sol.c_low], sol.shell_norms]
+        if n:
+            parts.append(edge.coefficient_bound_check(prob, mu + 0.5))
+    assert _digest(parts) == (
+        "42c336021d982c10e76ac238f63b35fa398237241b29310ae9716ee5442c1dd9")
