@@ -311,9 +311,16 @@ def bessel_i_prime(mu: float, x) -> float | np.ndarray:
 
 
 def bessel_k_prime(mu: float, x) -> float | np.ndarray:
-    """dK_mu/dx = K_mu (mu/x - K_mu+1/K_mu); K_0' = -K_1 is the mu=0 case."""
+    """dK_mu/dx = K_mu (mu/x - K_mu+1/K_mu); K_0' = -K_1 is the mu=0 case.
+
+    Where mu/x or K_mu+1/K_mu overflows (subnormal x), K' ~ -mu K/x is
+    beyond the float range and the value is its IEEE limit -inf.
+    """
     xs, _, k, r, back = _pass(mu, x, False)
-    return back(k * (mu / xs - r))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = mu / xs
+        return back(np.where(np.isinf(slope) | np.isinf(r), -np.inf,
+                             k * (slope - r)))
 
 
 def wronskian_residual(mu: float, x) -> float | np.ndarray:

@@ -285,8 +285,9 @@ def _shell_norm(grid: np.ndarray, w: np.ndarray, vals: np.ndarray,
                 delta: float, lo: float, hi: float) -> float:
     """delta-weighted L2 norm of vals on [lo, hi); w is the log-r weight."""
     mask = (grid >= lo) & (grid < hi)
-    return math.sqrt(float(np.sum(
-        (grid[mask] ** (-delta) * vals[mask]) ** 2 * w[mask])))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf norm stays inf
+        return math.sqrt(float(np.sum(
+            (grid[mask] ** (-delta) * vals[mask]) ** 2 * w[mask])))
 
 
 def _shell_norms(grid: np.ndarray, vals: np.ndarray, delta: float) -> np.ndarray:
@@ -330,8 +331,9 @@ def coefficient_bound_check(problem: ModeProblem,
         # the same sums, in the same order, as the solve's tail integral
         kz[rows] = _row_sums(bessel_k(mu, a * support) if support.size
                              else support, z, w, on)
-        weight = np.where(on, s, 1.0) ** (-(delta_pp + 2.0))
-        znorm_terms[rows] = (weight * z) ** 2 * w
+        with np.errstate(over="ignore"):  # refused below as non-finite
+            weight = np.where(on, s, 1.0) ** (-(delta_pp + 2.0))
+            znorm_terms[rows] = (weight * z) ** 2 * w
     c = abs(float(np.cumsum(kz[::-1])[-1])) / a
     znorm = math.sqrt(float(np.sum(znorm_terms)))  # one sum: the same floats
     try:

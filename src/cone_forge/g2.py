@@ -8,6 +8,13 @@ A k-form is stored as a coefficient vector over the increasing k-tuples of
 induces a metric g through  g(u,v) Vol = (1/6) (u . phi) ^ (v . phi) ^ phi,
 a Hodge star, and the 1 + 7 + 27 splitting of 3-forms.  All operations are
 pure functions of dense numpy arrays.
+
+The metric and theta(phi) = *_phi phi have one implementation, a stacked
+pass over an (s, 35) array of forms: the metrics of every row from batched
+products and one det and Cholesky call, then theta by raising the indices
+of the dense (s, 7, 7, 7) tensors with three batched 7x7 products.
+induced_metric, theta and projector_matrices are its stack of one, and
+linearization_residual evaluates all of phi0 +- h*gamma as one stack.
 """
 
 from __future__ import annotations
@@ -157,6 +164,41 @@ PHI0 = _phi0()
 PHI0.setflags(write=False)
 
 
+def _metrics(phis: np.ndarray, tol: float = 1e-12
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Metrics (s, 7, 7) and volumes (s,) of an (s, 35) stack of 3-forms,
+    one array pass for the whole stack.
+
+    B_ij e^{1..7} = (1/6)(e_i . phi)^(e_j . phi)^phi is g * vol with
+    det(B) = vol**9, so g = B / det(B)**(1/9).  DegenerateForm if any row
+    has a det(B) that is not finite and above tol (degenerate,
+    orientation-reversing, or a NaN or infinite coefficient), or else a B
+    that is not positive definite.
+    """
+    # a huge or non-finite coefficient overflows here; det(B) refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        iota = (phis @ _wedge_tensor(1, 2).reshape(147, 35).T).reshape(-1, 7, 21)
+        # pair[a, b]: top coefficient of e_a ^ e_b ^ phi for 2-tuples a, b;
+        # adding X to its transpose keeps B exactly symmetric
+        pair = ((phis @ _wedge_tensor(4, 3)[:, :, 0].T)
+                @ _wedge_tensor(2, 2).reshape(441, 35).T).reshape(-1, 21, 21)
+        X = iota @ pair @ iota.transpose(0, 2, 1)
+        B = (X + X.transpose(0, 2, 1)) / 12.0
+        det = np.linalg.det(B)
+    bad = ~(np.isfinite(det) & (det > tol))
+    if bad.any():
+        raise DegenerateForm(
+            f"det(B) = {det[bad][0]:.3e} is not finite and positive")
+    vol = det ** (1.0 / 9.0)
+    g = B / vol[:, None, None]
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        # split-type forms can reach det(B) > 0 with signature (3,4)
+        raise DegenerateForm("bilinear form is indefinite") from None
+    return g, vol
+
+
 def induced_metric(phi: np.ndarray, tol: float = 1e-12) -> Metric7:
     """Metric and volume from  B_ij e^{1..7} = (1/6)(e_i . phi)^(e_j . phi)^phi.
 
@@ -164,23 +206,8 @@ def induced_metric(phi: np.ndarray, tol: float = 1e-12) -> Metric7:
     det(B) <= tol (degenerate or orientation-reversing), or with a det(B)
     that is not finite (a NaN or infinite coefficient), are rejected.
     """
-    iota = np.einsum("iab,b->ia", _wedge_tensor(1, 2), phi)
-    # pair[a, b]: top coefficient of e_a ^ e_b ^ phi for 2-tuples a, b;
-    # adding X to its transpose keeps B exactly symmetric
-    pair = _wedge_tensor(2, 2) @ (_wedge_tensor(4, 3)[:, :, 0] @ phi)
-    X = iota @ pair @ iota.T
-    B = (X + X.T) / 12.0
-    det = np.linalg.det(B)
-    if not (math.isfinite(det) and det > tol):
-        raise DegenerateForm(f"det(B) = {det:.3e} is not finite and positive")
-    vol = det ** (1.0 / 9.0)
-    g = B / vol
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        # split-type forms can reach det(B) > 0 with signature (3,4)
-        raise DegenerateForm("bilinear form is indefinite") from None
-    return Metric7(g=g, vol=vol)
+    g, vol = _metrics(np.asarray(phi, dtype=float)[None], tol)
+    return Metric7(g=g[0], vol=float(vol[0]))
 
 
 def hodge_star(metric: Metric7, form: np.ndarray, k: int) -> np.ndarray:
@@ -216,31 +243,39 @@ def _dense_3() -> tuple[np.ndarray, np.ndarray]:
     return S, increasing
 
 
-def theta(phi: np.ndarray) -> np.ndarray:
-    """Hodge dual of phi in its own induced metric (a 4-form).
+def _thetas(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta of each row of an (s, 35) stack, and the metrics, from one
+    _metrics pass.
 
-    The indices of phi are raised on its dense (7, 7, 7) tensor, one 7x7
-    contraction with inv(g) per slot, and the raised coefficients are read
+    The indices of phi are raised on its dense (7, 7, 7) tensor, one batched
+    7x7 product with inv(g) per slot, and the raised coefficients are read
     back at the increasing triples: the same numbers as
     _compound(inv(g), 3) @ phi without its 1225 3x3 determinants.
     """
-    metric = induced_metric(phi)
+    g, _ = _metrics(phis)
     S, increasing = _dense_3()
-    G = np.linalg.inv(metric.g)
-    T = G @ (S @ phi).reshape(7, 7, 7)          # [a, j, c]: slot j raised
-    T = np.tensordot(T, G, ([2], [1]))          # [a, j, k]: slot k raised
-    T = np.tensordot(G, T, 1)                   # [i, j, k]: slot i raised
-    return _star(metric.g, T.reshape(343)[increasing], 3)
+    G = np.linalg.inv(g)[:, None]                   # one per slice of T
+    T = (phis @ S.T).reshape(-1, 7, 7, 7)
+    T = G @ T                                       # [a, j, c]: slot j raised
+    T = T @ G.transpose(0, 1, 3, 2)                 # [a, j, k]: slot k raised
+    T = G[:, 0] @ T.reshape(-1, 7, 49)              # [i, (j, k)]: slot i raised
+    raised = T.reshape(-1, 343)[:, increasing]
+    root_det = np.sqrt(np.linalg.det(g))[:, None]
+    return root_det * (raised @ _wedge_tensor(3, 4)[:, :, 0]), g
+
+
+def theta(phi: np.ndarray) -> np.ndarray:
+    """Hodge dual of phi in its own induced metric (a 4-form)."""
+    return _thetas(np.asarray(phi, dtype=float)[None])[0][0]
 
 
 def projector_matrices(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three 35x35 projector matrices (ranks 1, 7, 27): P1 and P7 are the
     orthogonal projections onto phi and onto the span W of the e_i . *phi."""
-    metric = induced_metric(phi)
-    M = _compound(np.linalg.inv(metric.g), 3)
+    star_phi, g = _thetas(np.asarray(phi, dtype=float)[None])
+    M = _compound(np.linalg.inv(g[0]), 3)
     P1 = np.outer(phi, phi @ M) / (phi @ M @ phi)
-    W = np.einsum("iab,b->ai", _wedge_tensor(1, 3),
-                  _star(metric.g, M @ phi, 3))
+    W = np.einsum("iab,b->ai", _wedge_tensor(1, 3), star_phi[0])
     P7 = W @ np.linalg.solve(W.T @ M @ W, W.T @ M)
     return P1, P7, np.eye(35) - P1 - P7
 
@@ -281,14 +316,22 @@ def linearization_candidate(gamma: np.ndarray) -> np.ndarray:
     return _linearization_matrix() @ gamma
 
 
-def linearization_residual(gamma: np.ndarray, h: float = 1e-4) -> float:
+def linearization_residual(gamma: np.ndarray,
+                           h: float = 1e-4) -> float | np.ndarray:
     """Norm of the central difference of theta at phi0 minus the candidate.
 
     O(h**2) for every gamma; DegenerateForm if phi0 +- h*gamma leaves the
-    positive cone.
+    positive cone.  gamma is one direction (a float is returned) or a
+    (k, 35) stack of them (k residuals); the 2k forms phi0 +- h*gamma go
+    through one theta pass.
     """
-    diff = (theta(PHI0 + h * gamma) - theta(PHI0 - h * gamma)) / (2.0 * h)
-    return float(np.linalg.norm(diff - linearization_candidate(gamma)))
+    gammas = np.asarray(gamma, dtype=float)
+    rows = gammas.reshape(-1, 35)
+    steps = h * rows
+    th, _ = _thetas(np.concatenate((PHI0 + steps, PHI0 - steps)))
+    diff = (th[:len(rows)] - th[len(rows):]) / (2.0 * h)
+    res = np.linalg.norm(diff - rows @ _linearization_matrix().T, axis=1)
+    return float(res[0]) if gammas.ndim == 1 else res
 
 
 def pullback(A: np.ndarray, form: np.ndarray, k: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,18 @@ def test_k_prime_sign_past_the_recurrence_cutoff():
     assert np.all(bs.bessel_k_prime(5000.5, x) == -np.inf)
     kp = bs.bessel_k_prime(3000.25, np.array([2e4, 1e5]))
     assert np.all(kp == 0.0) and np.all(np.signbit(kp))
+
+
+def test_k_prime_is_minus_inf_at_subnormal_arguments():
+    # mu/x and K_mu+1/K_mu overflow there, and K (mu/x - r) met inf - inf:
+    # NaN for mu > 0, where K' ~ -mu K/x lies beyond the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bs.bessel_k_prime(0.5, 1e-310) == -math.inf
+        assert bs.bessel_k_prime(2.3, 5e-324) == -math.inf
+        kp = bs.bessel_k_prime(0.5, np.array([5e-324, 1e-310, 1e-3]))
+    assert kp[:2].tolist() == [-math.inf, -math.inf]
+    assert kp[2] == pytest.approx(special.kvp(0.5, 1e-3), rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 3.0])

@@ -544,11 +544,14 @@ def test_index_change_zero_dimension_end_rate():
 
 
 def _nan_first(real):
+    """real, with the first call's value (a residual or an array of them)
+    made NaN."""
     calls = []
 
     def fake(*args, **kwargs):
         calls.append(1)
-        return math.nan if len(calls) == 1 else real(*args, **kwargs)
+        value = real(*args, **kwargs)
+        return value * math.nan if len(calls) == 1 else value
     return fake
 
 
@@ -640,6 +643,21 @@ def test_non_finite_order_exits_2(tmp_path, argv):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["g2", "lincheck", "--samples", "2", "--step", "1e300"], 2),
+    (["edge", "split", "--n", "1", "--mu", "1", "--rhs", "rhs.csv",
+      "--delta-p", "0.5", "--delta-pp", "200"], 1),
+])
+def test_overflow_prints_one_error_line_and_no_warning(tmp_path, argv, code):
+    # a fresh process, since pytest captures warnings in-process: numpy's
+    # overflow warnings used to precede the one error line on stderr
+    _readme_rhs(tmp_path)
+    proc = run_python(["-m", "cone_forge.cli", *argv], cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_quadrature_failure_exits_1_without_traceback(tmp_path):

@@ -1,16 +1,18 @@
-"""Hypothesis fuzz of the `bessel eval`, `edge solve` and `edge split` argv,
-and of the rhs CSV that the README `edge solve` and `edge split` read.
+"""Hypothesis fuzz of the `g2 lincheck`, `bessel eval`, `edge solve` and
+`edge split` argv, and of the rhs CSV that the README `edge solve` and
+`edge split` read.
 
 Each run goes through `cli.dispatch` in-process.  Whatever the numbers,
 finite, NaN, infinite, beyond the float range or negative, the exit code is
 one of the documented ones (0 ok, 1 verification or numerical failure, 2
-usage or input error), no exception escapes, and the rhs fuzz prints no
-NaN or Infinity.
+usage or input error), no exception escapes, and the rhs and `g2 lincheck`
+fuzzes print no NaN or Infinity; `g2 lincheck` raises no RuntimeWarning.
 """
 
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,14 +46,42 @@ def rhs_csv(tmp_path_factory):
     return str(path)
 
 
-def _exit_code(argv):
+def _dispatch(argv):
+    """(exit code, stdout, stderr, RuntimeWarnings) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = cli.dispatch(argv)  # an escaping exception fails the test
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     if code:
         assert "Traceback" not in err.getvalue()
-    return code
+    return (code, out.getvalue(), err.getvalue(),
+            [w for w in caught if issubclass(w.category, RuntimeWarning)])
+
+
+def _exit_code(argv):
+    return _dispatch(argv)[0]
+
+
+# tiny, moderate and huge steps as text, beside any float and the specials
+_STEPS = st.one_of(
+    _numbers(), st.floats(5e-324, 1e-280).map(repr),
+    st.floats(1e-8, 10.0).map(repr), st.floats(1e200, 1e308).map(repr),
+    st.sampled_from(["5e-324", "1e-310", "1e300", "1.7976931348623157e308"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=st.integers(1, 3), step=_STEPS,
+       seed=st.integers(0, 2 ** 32 - 1), verify=_VERIFY)
+def test_g2_lincheck_fuzz(samples, step, seed, verify):
+    code, out, err, runtime_warnings = _dispatch(
+        ["g2", "lincheck", f"--samples={samples}", f"--step={step}",
+         f"--seed={seed}", *verify])
+    assert "RuntimeWarning" not in err and not runtime_warnings
+    assert "NaN" not in out and "Infinity" not in out
+    if code == 0:
+        assert len(out.splitlines()) == 1 + 3 * samples
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,7 +141,5 @@ def test_edge_rhs_csv_fuzz(tmp_path_factory, rows, header, cmd, verify):
     path = tmp_path_factory.mktemp("csv") / "rhs.csv"
     path.write_text(("r,z\n" if header else "")
                     + "".join(f"{r!r},{z!r}\n" for r, z in rows))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        _exit_code(_README_EDGE[cmd] + ["--rhs", str(path), *verify])
-    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+    out = _dispatch(_README_EDGE[cmd] + ["--rhs", str(path), *verify])[1]
+    assert "NaN" not in out and "Infinity" not in out

@@ -455,3 +455,61 @@ def test_linearization_order_two():
 def test_linearization_rejects_large_step():
     with pytest.raises(g2.DegenerateForm):
         g2.linearization_residual(-10.0 * g2.PHI0, 1.0)
+
+
+# the stacked metric and theta pass
+
+def test_theta_stack_matches_rows():
+    rng = np.random.default_rng(72)
+    phis = np.array([g2.PHI0 + t * g2.random_unit_3form(rng)
+                     for t in np.geomspace(1e-4, 1e-1, 64)])
+    stacked, g = g2._thetas(phis)
+    for phi, th, gi in zip(phis, stacked, g):
+        row = g2.theta(phi)
+        assert np.linalg.norm(th - row) <= 1e-14 * np.linalg.norm(row)
+        assert np.array_equal(gi, g2.induced_metric(phi).g)
+
+
+@pytest.mark.parametrize("bad", ["degenerate", "nan"])
+def test_stack_with_one_bad_row_raises(bad):
+    rng = np.random.default_rng(73)
+    phis = np.array([g2.PHI0 + 0.01 * g2.random_unit_3form(rng)
+                     for _ in range(5)])
+    if bad == "degenerate":
+        phis[2] = -10.0 * g2.PHI0
+    else:
+        phis[2, 7] = math.nan
+    with pytest.raises(g2.DegenerateForm):
+        g2._thetas(phis)
+    gammas = phis - g2.PHI0
+    with pytest.raises(g2.DegenerateForm):
+        g2.linearization_residual(gammas, 1.0)
+
+
+def test_stacked_residual_matches_per_direction():
+    rng = np.random.default_rng(74)
+    gammas = np.array([g2.random_unit_3form(rng) for _ in range(12)])
+    for h in (1e-2, 1e-3, 1e-4):
+        stacked = g2.linearization_residual(gammas, h)
+        assert stacked.shape == (12,)
+        for gamma, res in zip(gammas, stacked):
+            assert abs(res - g2.linearization_residual(gamma, h)) <= 1e-11
+    assert isinstance(g2.linearization_residual(gammas[0]), float)
+    assert g2.linearization_residual(np.zeros((3, 35))).tolist() == [0.0] * 3
+    assert g2.linearization_residual(np.zeros(35)) == 0.0
+
+
+def test_one_metric_pass_per_residual(monkeypatch):
+    passes = []
+    real = g2._metrics
+
+    def counted(phis, *args):
+        passes.append(len(phis))
+        return real(phis, *args)
+
+    monkeypatch.setattr(g2, "_metrics", counted)
+    gamma = g2.random_unit_3form(np.random.default_rng(75))
+    g2.linearization_residual(gamma)
+    assert passes == [2]
+    g2.linearization_residual(np.stack((gamma, 2 * gamma, 3 * gamma)))
+    assert passes == [2, 6]
