@@ -3,7 +3,10 @@
 Exit codes: 0 when the run and all internal verifications succeed, 1 when a
 verification fails (a residual above tolerance, an inequality violated) or
 an edge quadrature comes out non-finite, 2 on usage or input errors.
-Results go to stdout, diagnostics to stderr.
+Results go to stdout, diagnostics to stderr.  `_check` holds the one pass
+rule (finite and at or below tolerance, so NaN fails), every failed check
+raises `VerificationFailed`, and `dispatch` alone prints the `verification
+failed:` line.  `_emit_json` writes all JSON, a non-finite float as null.
 Configuration (tolerances, grid sizes, seed, output format) is read from
 the JSON file named by CONE_FORGE_CONFIG or --config; identical inputs and
 config produce byte-identical output.
@@ -18,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,9 +81,38 @@ class RunConfig:
         return cfg
 
 
+class VerificationFailed(Exception):
+    """A check of a command's own output failed: exit 1."""
+
+
+def _check(name: str, worst: float, tol: float) -> None:
+    """A check passes only on a finite value at or below tol, so NaN fails."""
+    if not (math.isfinite(worst) and worst <= tol):
+        raise VerificationFailed(f"{name} {worst:.3e} > {tol:.1e}")
+
+
+def _plain(obj):
+    """obj with numpy arrays and scalars as Python values and every
+    non-finite float as None (JSON null)."""
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_plain(val) for val in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _emit_json(obj, indent=2, file=None):
+    """The one JSON writer: strict JSON, on stdout unless file is given."""
+    print(json.dumps(_plain(obj), indent=indent, allow_nan=False), file=file)
+
+
 def _emit_rows(header, rows, fmt):
     if fmt == "json":
-        print(json.dumps([dict(zip(header, r)) for r in rows], indent=2))
+        _emit_json([dict(zip(header, r)) for r in rows])
         return
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
@@ -89,21 +121,11 @@ def _emit_rows(header, rows, fmt):
     sys.stdout.write(out.getvalue())
 
 
-def _fail(msg: str) -> int:
-    print(f"verification failed: {msg}", file=sys.stderr)
-    return VERIFY_ERROR
-
-
-def _passes(value: float, tol: float) -> bool:
-    """A check passes only on a finite value at or below tol, so NaN fails."""
-    return math.isfinite(value) and value <= tol
-
-
 # ---------------------------------------------------------------------------
 # g2
 
 
-def _cmd_g2_lincheck(args, cfg: RunConfig) -> int:
+def _cmd_g2_lincheck(args, cfg: RunConfig) -> None:
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     h = args.step if args.step is not None else cfg.g2_step
     rows, residuals = [], []
@@ -117,48 +139,38 @@ def _cmd_g2_lincheck(args, cfg: RunConfig) -> int:
             residuals.append(r)
             rows.append((k, name, f"{r:.6e}"))
     _emit_rows(("sample", "component", "residual"), rows, cfg.format)
-    worst = float(np.max(residuals))  # NaN propagates, unlike max()
-    if args.verify and not _passes(worst, cfg.g2_tol):
-        return _fail(f"linearization residual {worst:.3e} > {cfg.g2_tol:.1e}")
-    return 0
+    if args.verify:  # np.max, unlike max(), propagates NaN
+        _check("linearization residual", np.max(residuals), cfg.g2_tol)
 
 
 # ---------------------------------------------------------------------------
 # bessel
 
 
-def _finite_or_null(value: float) -> float | None:
-    """JSON has no NaN or Infinity: a non-finite value prints as null."""
-    return value if math.isfinite(value) else None
-
-
-def _cmd_bessel_eval(args, cfg: RunConfig) -> int:
+def _cmd_bessel_eval(args, cfg: RunConfig) -> None:
     # an overflowed K gives 0 * inf in the Wronskian: reported as null and
     # failed by the gate below, so numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         ev = _bessel.bessel_eval(args.mu, args.x)
         res = _bessel.wronskian_residual(args.mu, args.x)
-    print(json.dumps({"mu": args.mu, "x": args.x,
-                      "i": _finite_or_null(ev.value_i),
-                      "k": _finite_or_null(ev.value_k), "regime": ev.regime,
-                      "wronskian_residual": _finite_or_null(res)}, indent=2))
-    if args.verify and not _passes(res, 1e-9):
-        return _fail(f"Wronskian residual {res:.3e} > 1e-9")
-    return 0
+    _emit_json({"mu": args.mu, "x": args.x, "i": ev.value_i,
+                "k": ev.value_k, "regime": ev.regime,
+                "wronskian_residual": res})
+    if args.verify:
+        _check("Wronskian residual", res, 1e-9)
 
 
 # ---------------------------------------------------------------------------
 # stenzel
 
 
-def _cmd_stenzel_profile(args, cfg: RunConfig) -> int:
+def _cmd_stenzel_profile(args, cfg: RunConfig) -> None:
     prof = _stenzel.solve_profile(
         args.n, args.wmax if args.wmax is not None else cfg.stenzel_wmax,
         args.steps if args.steps is not None else cfg.stenzel_steps)
-    if args.verify:
-        if prof.f[0] != 0.0 or prof.fprime[0] != 0.0 or \
-                not np.all(np.diff(prof.fprime) > 0):
-            return _fail("profile boundary/monotonicity invariant")
+    if args.verify and (prof.f[0] != 0.0 or prof.fprime[0] != 0.0
+                        or not np.all(np.diff(prof.fprime) > 0)):
+        raise VerificationFailed("profile boundary/monotonicity invariant")
     rows = [(f"{w:.12g}", f"{f:.12g}", f"{fp:.12g}")
             for w, f, fp in zip(prof.w, prof.f, prof.fprime)]
     if args.out:
@@ -169,7 +181,6 @@ def _cmd_stenzel_profile(args, cfg: RunConfig) -> int:
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
         _emit_rows(("w", "f", "fprime"), rows, cfg.format)
-    return 0
 
 
 def _positive_int(text: str) -> int:
@@ -199,7 +210,7 @@ def _parse_eps(text: str) -> complex:
     return complex(*vals)
 
 
-def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> int:
+def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> None:
     eps = args.eps if args.eps is not None else 0.0
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
     if eps == 0:
@@ -219,9 +230,7 @@ def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> int:
     worst = float(np.max(residuals))  # NaN propagates, unlike max()
     print(f"max residual {worst:.3e} over {args.points} points "
           f"(tolerance {tol:.1e})", file=sys.stderr)
-    if not _passes(worst, tol):
-        return _fail(f"Monge-Ampere residual {worst:.3e} > {tol:.1e}")
-    return 0
+    _check("Monge-Ampere residual", worst, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +242,7 @@ def _parse_window(text: str) -> tuple[float, float]:
     return float(a), float(b)
 
 
-def _cmd_spectra_rates(args, cfg: RunConfig) -> int:
+def _cmd_spectra_rates(args, cfg: RunConfig) -> None:
     if args.verify and args.kind in ("one-form", "paired"):
         raise ValueError(f"--verify has no check for --kind {args.kind}")
     spec = load_spectrum(args.input)
@@ -251,7 +260,7 @@ def _cmd_spectra_rates(args, cfg: RunConfig) -> int:
         cat = _spectra.function_rates(args.n, spec.coclosed(0), window)
         degrees = (0,)
         report = _spectra.function_gap_report(args.n, spec.coclosed(0))
-        print(json.dumps(report), file=sys.stderr)
+        _emit_json(report, indent=None, file=sys.stderr)
     for p in degrees:
         print(f"catalog complete below mu = {spec.completeness(p)} "
               f"in link degree {p}", file=sys.stderr)
@@ -274,8 +283,8 @@ def _cmd_spectra_rates(args, cfg: RunConfig) -> int:
                 where[key] = r.lam
         for (size, side), mult in tally.items():
             if tally.get((size, -side)) != mult:
-                return _fail(f"hat-pair symmetry broken at lambda = "
-                             f"{where[size, side]}")
+                raise VerificationFailed(f"hat-pair symmetry broken at "
+                                         f"lambda = {where[size, side]}")
     if args.verify and args.kind == "functions":
         # every rate solves (lam + n - 1)^2 = mu + (n - 1)^2 exactly for a
         # listed mode of its multiplicity and lies strictly inside the
@@ -288,10 +297,9 @@ def _cmd_spectra_rates(args, cfg: RunConfig) -> int:
                 a * a + x.d == m.mu_exact + shift * shift
                 and m.mult == r.multiplicity for m in spec.coclosed(0))
             if not (solves and x.cmp(window[0]) > 0 > x.cmp(window[1])):
-                return _fail(f"function rate {r.lam} does not solve "
-                             f"(lam + {shift})^2 = mu + {shift * shift} "
-                             f"inside the window")
-    return 0
+                raise VerificationFailed(
+                    f"function rate {r.lam} does not solve (lam + {shift})^2 "
+                    f"= mu + {shift * shift} inside the window")
 
 
 def _parse_end_rates(text: str):
@@ -309,7 +317,7 @@ def _parse_end_rates(text: str):
     return out
 
 
-def _cmd_spectra_index_change(args, cfg: RunConfig) -> int:
+def _cmd_spectra_index_change(args, cfg: RunConfig) -> None:
     spec = load_spectrum(args.input)
     deltas = [float(x) for x in args.delta.split(",")]
     dprimes = [float(x) for x in args.delta_prime.split(",")]
@@ -329,10 +337,9 @@ def _cmd_spectra_index_change(args, cfg: RunConfig) -> int:
         cats, end_cat,
         _spectra.WeightVector(cone_w, end_w),
         _spectra.WeightVector(cone_wp, end_wp))
-    print(json.dumps({"N": N}))
+    _emit_json({"N": N}, indent=None)
     if args.verify and N < 0:
-        return _fail("index change must be nonnegative")
-    return 0
+        raise VerificationFailed("index change must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -376,38 +383,40 @@ def _mode_problem(args) -> _edge.ModeProblem:
                              support_max=support)
 
 
-def _cmd_edge_solve(args, cfg: RunConfig) -> int:
+def _cmd_edge_solve(args, cfg: RunConfig) -> None:
     prob = _mode_problem(args)
     y = _edge.solve_mode(prob)
     res = _edge.operator_residual(prob, y)
     _emit_rows(("r", "y"), [(f"{r:.12g}", f"{v:.12g}")
                             for r, v in zip(prob.grid, y)], cfg.format)
     print(f"operator residual {res:.3e}", file=sys.stderr)
-    if args.verify and not _passes(
-            res, 1e-6 * (1.0 + float(np.max(np.abs(prob.rhs))))):
-        return _fail(f"operator residual {res:.3e}")
-    return 0
+    if args.verify:
+        _check("operator residual", res,
+               1e-6 * (1.0 + float(np.max(np.abs(prob.rhs)))))
 
 
-def _cmd_edge_split(args, cfg: RunConfig) -> int:
+def _cmd_edge_split(args, cfg: RunConfig) -> None:
     prob = _mode_problem(args)
     sol = _edge.split_solution(prob, args.delta_p, args.delta_pp)
     lhs, rhs = (None, None)
     if prob.n != 0:
         lhs, rhs = _edge.coefficient_bound_check(prob, args.delta_pp)
-    print(json.dumps({
+    # checked after the bound pair, whose Gamma factors overflow first
+    if not np.all(np.isfinite(sol.shell_norms)):
+        raise _edge.QuadratureFailure(
+            f"shell norm beyond the float range at delta'' = {args.delta_pp}")
+    _emit_json({
         "c_low": sol.c_low,
         "c_low_regularized": sol.c_low_regularized,
         "delta_pp": sol.delta_pp,
-        "shell_norms": [float(x) for x in sol.shell_norms],
+        "shell_norms": sol.shell_norms,
         "coefficient_bound": {"lhs": lhs, "rhs": rhs},
-    }, indent=2))
-    if args.verify and lhs is not None and not _passes(lhs, rhs):
-        return _fail(f"coefficient bound violated: {lhs} > {rhs}")
-    return 0
+    })
+    if args.verify and lhs is not None:
+        _check("coefficient bound", lhs, rhs)
 
 
-def _cmd_edge_kernel(args, cfg: RunConfig) -> int:
+def _cmd_edge_kernel(args, cfg: RunConfig) -> None:
     modes = _edge.kernel_modes(args.nmax)
     rows = [(m.n, f"{m.identity_residual:.6e}", f"{m.ode0_residual:.6e}",
              f"{m.ode1_residual:.6e}", f"{m.log_ratio:.8f}",
@@ -417,9 +426,7 @@ def _cmd_edge_kernel(args, cfg: RunConfig) -> int:
     worst = float(np.max([(m.identity_residual, m.ode0_residual,
                            m.ode1_residual) for m in modes]))
     print(f"{len(modes)} modes, worst residual {worst:.3e}", file=sys.stderr)
-    if not _passes(worst, cfg.kernel_tol):
-        return _fail(f"kernel residual {worst:.3e} > {cfg.kernel_tol:.1e}")
-    return 0
+    _check("kernel residual", worst, cfg.kernel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -432,37 +439,27 @@ def _named_vectors():
     return L, dict(zip(emb.labels, emb.images)), emb
 
 
-def _cmd_lattice_build(args, cfg: RunConfig) -> int:
+def _cmd_lattice_build(args, cfg: RunConfig) -> None:
     L = _lattice.build_k3_lattice()
-    print(json.dumps({
-        "rank": L.rank,
-        "determinant": int(L.determinant()),
-        "signature": list(L.signature()),
-        "even": L.is_even(),
-    }, indent=2))
+    _emit_json({"rank": L.rank, "determinant": L.determinant(),
+                "signature": L.signature(), "even": L.is_even()})
     if args.verify:
         rng = np.random.default_rng(cfg.seed)
         for _ in range(200):
             v = rng.integers(-9, 10, L.rank)
             if int(_lattice.pairing(L, v, v)) % 2 != 0:
-                return _fail("even-lattice square parity")
-    return 0
+                raise VerificationFailed("even-lattice square parity")
 
 
-def _cmd_lattice_match(args, cfg: RunConfig) -> int:
+def _cmd_lattice_match(args, cfg: RunConfig) -> None:
     L, named, emb = _named_vectors()
-    print(json.dumps({
-        "labels": list(emb.labels),
-        "gram": [[int(x) for x in row] for row in emb.source_gram],
-        "images": {lab: [int(x) for x in vec]
-                   for lab, vec in zip(emb.labels, emb.images)},
-    }, indent=2))
+    _emit_json({"labels": emb.labels, "gram": emb.source_gram,
+                "images": named})
     if args.verify:
         got = [[int(_lattice.pairing(L, a, b)) for b in emb.images]
                for a in emb.images]
-        if got != [[int(x) for x in row] for row in emb.source_gram]:
-            return _fail("embedding Gram mismatch")
-    return 0
+        if got != emb.source_gram.tolist():
+            raise VerificationFailed("embedding Gram mismatch")
 
 
 def _named_vector(named, name):
@@ -481,47 +478,40 @@ def _parse_dots(text, named):
     return out
 
 
-def _cmd_lattice_search(args, cfg: RunConfig) -> int:
+def _cmd_lattice_search(args, cfg: RunConfig) -> None:
     L, named, emb = _named_vectors()
     dots = _parse_dots(args.dots, named)
     res = _lattice.constrained_class_search(list(emb.images), args.square,
                                             dots, args.bound, L=L)
-    cert = None
-    if res.certificate:
-        cert = {"modulus": res.certificate.modulus,
-                "lhs_residues": list(res.certificate.lhs_residues),
-                "rhs_residue": res.certificate.rhs_residue,
-                "reduced_form": res.certificate.reduced_form}
-    print(json.dumps({"solutions": [list(s) for s in res.solutions],
-                      "certificate": cert}, indent=2))
+    cert = asdict(res.certificate) if res.certificate else None
+    _emit_json({"solutions": res.solutions, "certificate": cert})
     if args.verify:
         if res.certificate is not None and res.solutions:
-            return _fail("certificate contradicts a found solution")
+            raise VerificationFailed(
+                "certificate contradicts a found solution")
         for sol in res.solutions:
             vec = sum(c * v for c, v in zip(sol, emb.images))
             if int(_lattice.pairing(L, vec, vec)) != args.square or any(
                     int(_lattice.pairing(L, vec, w)) != val
                     for w, val in dots):
-                return _fail(f"solution {sol} fails the exact constraints")
-    return 0
+                raise VerificationFailed(
+                    f"solution {sol} fails the exact constraints")
 
 
-def _cmd_lattice_complement(args, cfg: RunConfig) -> int:
+def _cmd_lattice_complement(args, cfg: RunConfig) -> None:
     L, named, emb = _named_vectors()
     names = args.of.split(",") if args.of else ["pi", "kplus", "kminus"]
     vecs = [_named_vector(named, n) for n in names]
     basis = _lattice.orthogonal_complement(L, vecs)
-    rows = [[int(x) for x in b] for b in basis]
-    _emit_rows(tuple(f"e{i}" for i in range(L.rank)), rows, cfg.format)
+    _emit_rows(tuple(f"e{i}" for i in range(L.rank)), basis, cfg.format)
     print(f"complement rank {len(basis)}", file=sys.stderr)
     if args.verify:
         for b in basis:
             if any(int(_lattice.pairing(L, b, v)) != 0 for v in vecs):
-                return _fail("complement vector pairs nonzero")
-    return 0
+                raise VerificationFailed("complement vector pairs nonzero")
 
 
-def _cmd_lattice_generic(args, cfg: RunConfig) -> int:
+def _cmd_lattice_generic(args, cfg: RunConfig) -> None:
     L, named, emb = _named_vectors()
     basis = _lattice.orthogonal_complement(L, list(emb.images))
     avoid = []
@@ -535,21 +525,21 @@ def _cmd_lattice_generic(args, cfg: RunConfig) -> int:
     gd = _lattice.generic_direction(L, basis, avoid,
                                     seed=args.seed if args.seed is not None
                                     else cfg.seed)
-    print(json.dumps({
+    _emit_json({
         "coords": [str(c) for c in gd.coords],
         "square": str(gd.square),
         "normalized": gd.normalized,
         "avoid_count": len(avoid),
         "avoid_vacuous": not avoid,
-    }, indent=2))
+    })
     if args.verify:
         from fractions import Fraction
         vec = np.array([Fraction(c) for c in gd.coords], dtype=object)
         if gd.square <= 0 or any(
                 (vec @ L.gram @ np.asarray(C, dtype=object)) == 0
                 for C in avoid):
-            return _fail("generic direction hits an avoid hyperplane")
-    return 0
+            raise VerificationFailed(
+                "generic direction hits an avoid hyperplane")
 
 
 # ---------------------------------------------------------------------------
@@ -676,13 +666,17 @@ def dispatch(argv) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         cfg = RunConfig.load(args.config)
-        return args.func(args, cfg)
+        args.func(args, cfg)
+    except VerificationFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return VERIFY_ERROR
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except _edge.QuadratureFailure as exc:  # numerical, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return VERIFY_ERROR
+    return 0
 
 
 def main() -> None:

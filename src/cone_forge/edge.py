@@ -52,6 +52,7 @@ from numpy.polynomial.legendre import leggauss
 
 from ._spline import CubicHermite
 from .bessel import _CHUNK, bessel_ik, bessel_k, gamma_fn
+from .spectra import WeightOrderViolation
 
 __all__ = [
     "UnsupportedMode", "QuadratureFailure", "WeightOrderViolation",
@@ -68,10 +69,6 @@ class UnsupportedMode(ValueError):
 
 class QuadratureFailure(RuntimeError):
     """Non-finite values in the Green-kernel quadrature or its bound."""
-
-
-class WeightOrderViolation(ValueError):
-    """Weights must satisfy -mu < delta' < mu < delta''."""
 
 
 class DivergentConstant(ValueError):
@@ -256,15 +253,17 @@ def split_solution(problem: ModeProblem, delta_p: float,
                    delta_pp: float) -> SplitSolution:
     """Split y into the captured I-mode and a remainder in the dpp space.
 
-    Requires -mu < delta_p < mu < delta_pp.  The remainder's dyadic shell
-    norms toward r = 0 certify membership in the delta_pp-weighted space.
-    For n = 0 the captured piece is the r^mu coefficient of y at grid[-1],
-    past the whole support.
+    Requires finite weights with -mu < delta_p < mu < delta_pp.  The
+    remainder's dyadic shell norms toward r = 0 certify membership in the
+    delta_pp-weighted space; a norm beyond the float range is inf.  For
+    n = 0 the captured piece is the r^mu coefficient of y at grid[-1], past
+    the whole support.
     """
     mu = problem.mu
-    if not (-mu < delta_p < mu < delta_pp):
+    if not (-mu < delta_p < mu < delta_pp < math.inf):
         raise WeightOrderViolation(
-            f"need -mu < delta' < mu < delta'', got ({delta_p}, {mu}, {delta_pp})")
+            f"need finite weights with -mu < delta' < mu < delta'', "
+            f"got ({delta_p}, {mu}, {delta_pp})")
     y, c_low, i_grid = _solve(problem)
     grid = problem.grid
     if problem.n != 0:
@@ -283,11 +282,18 @@ def split_solution(problem: ModeProblem, delta_p: float,
 
 def _shell_norm(grid: np.ndarray, w: np.ndarray, vals: np.ndarray,
                 delta: float, lo: float, hi: float) -> float:
-    """delta-weighted L2 norm of vals on [lo, hi); w is the log-r weight."""
+    """delta-weighted L2 norm of vals on [lo, hi); w is the log-r weight.
+
+    The terms are scaled by 2^-e, e the exponent of the largest, before
+    they are squared, and the root by 2^e after: power-of-two scaling is
+    exact, and the norm is inf only where it is beyond the float range.
+    """
     mask = (grid >= lo) & (grid < hi)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf norm stays inf
-        return math.sqrt(float(np.sum(
-            (grid[mask] ** (-delta) * vals[mask]) ** 2 * w[mask])))
+        t = grid[mask] ** (-delta) * vals[mask]
+        e = int(np.frexp(np.max(np.abs(t), initial=0.0))[1])
+        root = math.sqrt(float(np.sum(np.ldexp(t, -e) ** 2 * w[mask])))
+        return float(np.ldexp(root, e))
 
 
 def _shell_norms(grid: np.ndarray, vals: np.ndarray, delta: float) -> np.ndarray:
@@ -320,6 +326,8 @@ def coefficient_bound_check(problem: ModeProblem,
     mu = problem.mu
     if problem.n == 0:
         raise UnsupportedMode("the |n|-decay bound concerns n != 0")
+    if not math.isfinite(delta_pp):
+        raise WeightOrderViolation(f"delta'' must be finite, got {delta_pp}")
     if 2.0 * delta_pp + 4.0 <= 2.0 * mu:
         raise DivergentConstant(
             f"2 dpp + 4 = {2 * delta_pp + 4} <= 2 mu = {2 * mu}")

@@ -82,7 +82,9 @@ class CriticalEndpoint(ValueError):
 
 
 class WeightOrderViolation(ValueError):
-    """Weights not strictly increasing componentwise."""
+    """Weights out of their required order: strictly increasing
+    componentwise for an index change, finite with -mu < delta' < mu <
+    delta'' for an edge split."""
 
 
 class WindowOutOfRange(ValueError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from _fresh_python import run_python
+from _manufactured import bump
 from cone_forge import cli, edge, spectra
 from cone_forge.spectra import ConstraintViolation
 
@@ -636,6 +637,14 @@ def test_edge_solve_n0_large_order(tmp_path):
     ["edge", "solve", "--n", "0", "--mu", "nan"],
     ["edge", "split", "--n", "1", "--mu", "nan", "--delta-p", "0",
      "--delta-pp", "1"],
+    ["edge", "split", "--n", "0", "--mu", "1", "--delta-p", "0.5",
+     "--delta-pp", "inf"],
+    ["edge", "split", "--n", "0", "--mu", "1", "--delta-p", "0.5",
+     "--delta-pp", "nan"],
+    ["edge", "split", "--n", "2", "--mu", "1", "--delta-p", "0.5",
+     "--delta-pp", "inf"],
+    ["edge", "split", "--n", "2", "--mu", "1", "--delta-p", "0.5",
+     "--delta-pp", "nan"],
 ])
 def test_non_finite_order_exits_2(tmp_path, argv):
     if argv[0] == "edge":
@@ -668,3 +677,84 @@ def test_quadrature_failure_exits_1_without_traceback(tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("error: non-finite bound pair")
     assert len(err.splitlines()) == 1
+
+
+def test_edge_split_shell_norms_finite_up_to_the_float_range(tmp_path):
+    # the squared terms overflowed long before the norms did: at delta'' = 40
+    # three norms of 8.4e160 to 5.5e184 printed as Infinity; at 400 the norms
+    # are beyond the float range, and the run claims nothing
+    argv = ["edge", "split", "--n", "0", "--mu", "1", "--rhs",
+            _readme_rhs(tmp_path), "--delta-p", "0.5", "--delta-pp"]
+    code, out, err = run(argv + ["40"])
+    norms = json.loads(out, parse_constant=_refuse_constant)["shell_norms"]
+    assert (code, err) == (0, "")
+    assert len(norms) == 16 and all(math.isfinite(v) for v in norms)
+    assert max(norms) == pytest.approx(5.45e184, rel=1e-3)
+    code, out, err = run(argv + ["400"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: shell norm") and len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# one verdict line and one JSON writer for every command
+
+_TIGHT = {"g2_tol": 1e-30, "stenzel_cone_tol": 1e-30, "kernel_tol": 1e-30}
+_README_RHS_TOL = 1e-6 * (1.0 + float(np.max(
+    bump(0.25, 0.5)(edge.log_grid(1e-6, 1.0, 512)))))
+
+
+@pytest.mark.parametrize("argv, name, tol, worst", [
+    (["g2", "lincheck", "--samples", "2", "--verify"],
+     "linearization residual", 1e-30,
+     lambda out, err: max(float(row.split(",")[2])
+                          for row in out.splitlines()[1:])),
+    (["stenzel", "ma-check", "--points", "2", "--seed", "1"],
+     "Monge-Ampere residual", 1e-30,
+     lambda out, err: float(err.split()[2])),  # max residual X over ...
+    (["edge", "kernel", "--nmax", "1"], "kernel residual", 1e-30,
+     lambda out, err: float(err.split()[4])),  # 2 modes, worst residual X
+    (["bessel", "eval", "--mu", "1000", "--x", "1", "--verify"],
+     "Wronskian residual", 1e-9, lambda out, err: math.nan),
+    (["edge", "solve", "--n", "2", "--mu", "1.0", "--rhs", "RHS", "--verify"],
+     "operator residual", _README_RHS_TOL, lambda out, err: 0.5),
+], ids=["g2", "stenzel", "kernel", "bessel", "edge-solve"])
+def test_failed_check_prints_one_verdict_line(tmp_path, monkeypatch, argv,
+                                              name, tol, worst):
+    cfg = tmp_path / "tight.json"
+    cfg.write_text(json.dumps(_TIGHT))
+    monkeypatch.setattr(cli._edge, "operator_residual", lambda prob, y: 0.5)
+    argv = [_readme_rhs(tmp_path) if a == "RHS" else a for a in argv]
+    code, out, err = run(["--config", str(cfg), *argv])
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        f"verification failed: {name} {worst(out, err):.3e} > {tol:.1e}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bessel", "eval", "--mu", "1000", "--x", "1"],
+    ["edge", "split", "--n", "2", "--mu", "1.0", "--rhs", "RHS",
+     "--delta-p", "0.5", "--delta-pp", "1.5"],
+    README_SPECTRA[2][0],
+    ["lattice", "build"],
+    ["lattice", "match"],
+    ["lattice", "search", "--square=-2", "--dots", "kplus:0", "--bound", "200"],
+    ["lattice", "complement"],
+    ["lattice", "generic", "--seed", "1"],
+    ["g2", "lincheck", "--samples", "1"],
+    ["stenzel", "profile", "--n", "3", "--wmax", "5", "--steps", "200"],
+    ["stenzel", "ma-check", "--points", "1"],
+    README_SPECTRA[0][0],
+    ["edge", "solve", "--n", "2", "--mu", "1.0", "--rhs", "RHS"],
+    ["edge", "kernel", "--nmax", "1"],
+])
+def test_json_output_is_strict(tmp_path, argv):
+    # every JSON output parses without NaN or Infinity; the row commands
+    # print JSON under {"format": "json"}
+    cfg = tmp_path / "json.json"
+    cfg.write_text(json.dumps({"format": "json"}))
+    argv = [_readme_rhs(tmp_path) if a == "RHS" else a for a in argv]
+    code, out, err = run(["--config", str(cfg), *argv])
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    if argv[0] == "bessel":
+        assert doc["k"] is None and doc["wronskian_residual"] is None

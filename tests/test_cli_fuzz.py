@@ -87,7 +87,8 @@ def test_g2_lincheck_fuzz(samples, step, seed, verify):
 @settings(max_examples=60, deadline=None)
 @given(mu=_ORDERS, x=_numbers(), verify=_VERIFY)
 def test_bessel_eval_fuzz(mu, x, verify):
-    _exit_code(["bessel", "eval", f"--mu={mu}", f"--x={x}", *verify])
+    out = _dispatch(["bessel", "eval", f"--mu={mu}", f"--x={x}", *verify])[1]
+    assert "NaN" not in out and "Infinity" not in out
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,8 +103,10 @@ def test_edge_solve_fuzz(rhs_csv, n, mu, support, verify):
 @settings(max_examples=40, deadline=None)
 @given(n=_MODES, mu=_ORDERS, dp=_numbers(), dpp=_numbers(), verify=_VERIFY)
 def test_edge_split_fuzz(rhs_csv, n, mu, dp, dpp, verify):
-    _exit_code(["edge", "split", f"--n={n}", f"--mu={mu}", "--rhs", rhs_csv,
-                f"--delta-p={dp}", f"--delta-pp={dpp}", *verify])
+    out = _dispatch(["edge", "split", f"--n={n}", f"--mu={mu}", "--rhs",
+                     rhs_csv, f"--delta-p={dp}", f"--delta-pp={dpp}",
+                     *verify])[1]
+    assert "NaN" not in out and "Infinity" not in out
 
 
 # rhs CSV contents for the README `edge solve` and `edge split` argv

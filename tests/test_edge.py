@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cone_forge import edge
+from cone_forge import edge, spectra
 from cone_forge.bessel import bessel_i, bessel_k
 
 from _manufactured import manufactured_pair, bump
@@ -295,6 +295,18 @@ def test_coefficient_bound_divergent_constant():
     prob = make_problem(2, 1.0, bump(0.25, 0.5), support=0.5)
     with pytest.raises(edge.DivergentConstant):
         edge.coefficient_bound_check(prob, -1.5)
+
+
+@pytest.mark.parametrize("dpp", [math.inf, math.nan])
+def test_non_finite_weight_refused(dpp):
+    # inf passed the order test and gave Infinity norms or a NaN bound; the
+    # one WeightOrderViolation class is shared with spectra's weight vectors
+    prob = make_problem(2, 1.0, bump(0.25, 0.5), support=0.5)
+    assert edge.WeightOrderViolation is spectra.WeightOrderViolation
+    for check in (lambda: edge.split_solution(prob, 0.5, dpp),
+                  lambda: edge.coefficient_bound_check(prob, dpp)):
+        with pytest.raises(edge.WeightOrderViolation, match="finite"):
+            check()
 
 
 def test_kernel_modes_counts_and_residuals():
