@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 
 def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray,
                        m: np.ndarray) -> np.ndarray:
@@ -65,16 +67,16 @@ class CubicHermite:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.size < 2:
-            raise ValueError("a spline needs at least 2 knots")
+            raise InputError("a spline needs at least 2 knots")
         if y.shape != x.shape:
-            raise ValueError("a spline needs one value per knot")
+            raise InputError("a spline needs one value per knot")
         if not np.all(np.isfinite(x)):
-            raise ValueError("spline knots must be finite")
+            raise InputError("spline knots must be finite")
         if not np.all(np.isfinite(y)):
-            raise ValueError("spline values must be finite")
+            raise InputError("spline values must be finite")
         dx = np.diff(x)
         if np.any(dx <= 0):
-            raise ValueError("spline knots must be strictly increasing")
+            raise InputError("spline knots must be strictly increasing")
         m = np.diff(y) / dx
         d = (_not_a_knot_slopes(x, dx, m) if dydx is None
              else np.asarray(dydx, dtype=float))

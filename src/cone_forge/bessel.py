@@ -42,8 +42,9 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from .errors import InputError
+
 __all__ = [
-    "PoleArgument",
     "BesselEval",
     "gamma_fn",
     "bessel_ik",
@@ -54,10 +55,6 @@ __all__ = [
     "wronskian_residual",
     "bessel_eval",
 ]
-
-
-class PoleArgument(ValueError):
-    """Gamma evaluated at a non-positive integer."""
 
 
 # Lanczos approximation, g = 7, 9 coefficients (double precision).
@@ -86,7 +83,7 @@ def _sinpi(x: float) -> float:
 def gamma_fn(x: float) -> float:
     """Gamma function for real non-pole arguments, ~1e-14 relative error."""
     if x <= 0 and abs(x - round(x)) < _INTEGER_TOL:
-        raise PoleArgument(f"Gamma has a pole at {x}")
+        raise InputError(f"Gamma has a pole at {x}")
     if x < 0.5:
         return math.pi / (_sinpi(x) * gamma_fn(1.0 - x))
     x = x - 1.0
@@ -194,7 +191,9 @@ def _cf1(mu: float, x: np.ndarray, spans, probe=False):
         np.add(b, 1.0 / cs, out=cs)
         delta = cs * ds
         fs *= delta
-        if probe and abs(delta[0] - 1.0) <= _EPS:
+        # a probe where b overflows (delta NaN) stops at once: the points
+        # there take I's leading term (_pass), so any count serves
+        if probe and not abs(delta[0] - 1.0) > _EPS:
             return j - 1
     return 1.0 / f
 
@@ -234,10 +233,10 @@ def _spans(loop, order: float, x: np.ndarray) -> list[slice]:
 def _pass(mu: float, x, with_i: bool):
     """(sorted flat x, I_mu or None, K_mu, K_mu+1/K_mu, map back to x's layout)."""
     if not math.isfinite(mu):
-        raise ValueError(f"order must be finite, got {mu}")
+        raise InputError(f"order must be finite, got {mu}")
     xs = np.asarray(x, dtype=float)
     if not np.all((xs > 0) & (xs < np.inf)):  # NaN fails both
-        raise ValueError("argument must be positive and finite")
+        raise InputError("argument must be positive and finite")
     shape, xs = xs.shape, xs.ravel()
     perm = None if np.all(xs[1:] >= xs[:-1]) else np.argsort(xs, kind="stable")
     xs = xs if perm is None else xs[perm]
@@ -272,11 +271,12 @@ def _pass(mu: float, x, with_i: bool):
                 ic[...] = 1.0 / (low * (f + rc[:big])) / kc[:big]
                 if big and not math.isfinite(f[0]):
                     # 2 (mu + j)/x overflowed: there x^2/(4 (mu + 1)) is far
-                    # below an ulp, and I is its leading term (below the
-                    # float range once Gamma(mu + 1) overflows)
+                    # below an ulp, and I is its leading term.  From mu = 170
+                    # on (Gamma(mu + 1) overflows at 170.62) that term is
+                    # far below the float range, though x^mu may overflow
                     lead = ~np.isfinite(f)
                     ic[lead] = low[lead] ** mu * (
-                        0.5 ** mu / math.gamma(mu + 1.0) if mu < 171 else 0.0)
+                        0.5 ** mu / math.gamma(mu + 1.0)) if mu < 170 else 0.0
                 i[part][big:] = np.inf
 
     def back(vals):
@@ -288,7 +288,7 @@ def _pass(mu: float, x, with_i: bool):
 def bessel_ik(mu: float, x) -> tuple:
     """(I_mu(x), K_mu(x), K_mu+1(x)) from one pass, mu >= 0, x > 0."""
     if mu < 0:
-        raise ValueError("order must be >= 0")
+        raise InputError("order must be >= 0")
     _, i, k, r, back = _pass(mu, x, True)
     with np.errstate(over="ignore"):
         return back(i), back(k), back(r * k)

@@ -2,11 +2,13 @@
 
 Exit codes: 0 when the run and all internal verifications succeed, 1 when a
 verification fails (a residual above tolerance, an inequality violated) or
-an edge quadrature comes out non-finite, 2 on usage or input errors.
-Results go to stdout, diagnostics to stderr.  `_check` holds the one pass
-rule (finite and at or below tolerance, so NaN fails), every failed check
-raises `VerificationFailed`, and `dispatch` alone prints the `verification
-failed:` line.  `_emit_json` writes all JSON, a non-finite float as null.
+a computation gives no usable result, 2 on usage or input errors.  Each
+code has one exception class in `errors.py`, and `dispatch` maps each class
+to its code and its one stderr line: `InputError` (and `OSError`) to 2,
+`NumericalFailure` and `VerificationFailed` to 1.  Results go to stdout,
+diagnostics to stderr.  `_check` holds the one pass rule (finite and at or
+below tolerance, so NaN fails).  `_emit_json` writes all JSON, a non-finite
+float as null.
 Configuration (tolerances, grid sizes, seed, output format) is read from
 the JSON file named by CONE_FORGE_CONFIG or --config; identical inputs and
 config produce byte-identical output.
@@ -31,6 +33,7 @@ from . import g2 as _g2
 from . import lattice as _lattice
 from . import spectra as _spectra
 from . import stenzel as _stenzel
+from .errors import InputError, NumericalFailure, VerificationFailed
 from .spectra import load_spectrum  # re-exported: the ingestion surface
 
 __all__ = ["RunConfig", "dispatch", "main", "load_spectrum"]
@@ -56,39 +59,49 @@ class RunConfig:
         cfg = cls()
         source = path or os.environ.get("CONE_FORGE_CONFIG")
         if source:
-            with open(source) as fh:
-                doc = json.load(fh)
+            doc = _spectra._read_json(source)
+            if not isinstance(doc, dict):
+                raise InputError("config must be a JSON object")
             for key, val in doc.items():
                 if not hasattr(cfg, key):
-                    raise ValueError(f"unknown config key {key!r}")
+                    raise InputError(f"unknown config key {key!r}")
                 kind = type(getattr(cfg, key))
                 # an int key takes a JSON integer only, so 1.9 is refused
                 # rather than truncated; bool is an int subclass, refused too
                 if isinstance(val, bool) or not isinstance(
                         val, (int, float) if kind is float else kind):
-                    raise ValueError(f"config key {key!r} must be "
+                    raise InputError(f"config key {key!r} must be "
                                      f"{kind.__name__}, not {val!r}")
-                setattr(cfg, key, kind(val))
+                try:
+                    setattr(cfg, key, kind(val))
+                except OverflowError:  # an integer beyond the float range
+                    raise InputError(f"config key {key!r} must be positive "
+                                     "and finite") from None
         for key in ("g2_tol", "g2_step", "stenzel_cone_tol",
                     "stenzel_smoothing_tol", "kernel_tol", "stenzel_steps",
                     "stenzel_wmax"):
             if not 0 < getattr(cfg, key) < math.inf:
-                raise ValueError(f"config key {key!r} must be positive and "
+                raise InputError(f"config key {key!r} must be positive and "
                                  f"finite, not {getattr(cfg, key)!r}")
         if cfg.format not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', "
+            raise InputError(f"format must be 'csv' or 'json', "
                              f"not {cfg.format!r}")
         return cfg
-
-
-class VerificationFailed(Exception):
-    """A check of a command's own output failed: exit 1."""
 
 
 def _check(name: str, worst: float, tol: float) -> None:
     """A check passes only on a finite value at or below tol, so NaN fails."""
     if not (math.isfinite(worst) and worst <= tol):
         raise VerificationFailed(f"{name} {worst:.3e} > {tol:.1e}")
+
+
+def _parsed(convert, value):
+    """convert(value), with its ValueError (a malformed number, a negative
+    seed) as an input error that keeps the message."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _plain(obj):
@@ -126,7 +139,8 @@ def _emit_rows(header, rows, fmt):
 
 
 def _cmd_g2_lincheck(args, cfg: RunConfig) -> None:
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
+    rng = _parsed(np.random.default_rng,
+                  args.seed if args.seed is not None else cfg.seed)
     h = args.step if args.step is not None else cfg.g2_step
     rows, residuals = [], []
     for k in range(args.samples):
@@ -212,7 +226,8 @@ def _parse_eps(text: str) -> complex:
 
 def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> None:
     eps = args.eps if args.eps is not None else 0.0
-    rng = np.random.default_rng(args.seed if args.seed is not None else cfg.seed)
+    rng = _parsed(np.random.default_rng,
+                  args.seed if args.seed is not None else cfg.seed)
     if eps == 0:
         potential = _stenzel.cone_potential_fn(3)
         tol = cfg.stenzel_cone_tol
@@ -239,12 +254,12 @@ def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> None:
 
 def _parse_window(text: str) -> tuple[float, float]:
     a, _, b = text.partition(":")
-    return float(a), float(b)
+    return _parsed(float, a), _parsed(float, b)
 
 
 def _cmd_spectra_rates(args, cfg: RunConfig) -> None:
     if args.verify and args.kind in ("one-form", "paired"):
-        raise ValueError(f"--verify has no check for --kind {args.kind}")
+        raise InputError(f"--verify has no check for --kind {args.kind}")
     spec = load_spectrum(args.input)
     window = _parse_window(args.window)
     if args.kind == "harmonic":
@@ -308,9 +323,9 @@ def _parse_end_rates(text: str):
     out = []
     for part in text.split(","):
         lam, _, dim = part.partition(":")
-        rate, mult = float(lam), int(dim)
+        rate, mult = _parsed(float, lam), _parsed(int, dim)
         if not math.isfinite(rate) or mult < 0:
-            raise ValueError(f"end rate {part!r} needs a finite rate and a "
+            raise InputError(f"end rate {part!r} needs a finite rate and a "
                              "dimension >= 0")
         out.append(_spectra.CriticalRate(lam=rate, degree=0,
                                          multiplicity=mult, gen_type="end"))
@@ -319,10 +334,10 @@ def _parse_end_rates(text: str):
 
 def _cmd_spectra_index_change(args, cfg: RunConfig) -> None:
     spec = load_spectrum(args.input)
-    deltas = [float(x) for x in args.delta.split(",")]
-    dprimes = [float(x) for x in args.delta_prime.split(",")]
+    deltas = [_parsed(float, x) for x in args.delta.split(",")]
+    dprimes = [_parsed(float, x) for x in args.delta_prime.split(",")]
     if len(deltas) != len(dprimes) or len(deltas) < 1:
-        raise ValueError("delta and delta-prime must have equal length >= 1")
+        raise InputError("delta and delta-prime must have equal length >= 1")
     cone_w, end_w = tuple(deltas[:-1]), deltas[-1]
     cone_wp, end_wp = tuple(dprimes[:-1]), dprimes[-1]
     cats = []
@@ -350,25 +365,29 @@ def _read_rhs(path: str):
     """(r, z) columns of an rhs CSV; only line 1 may be a header.
 
     Blank lines are skipped.  Any other row that is short or does not parse,
-    and a file without data rows, is an input error.
+    a file that is not UTF-8 CSV, and a file without data rows, is an input
+    error.
     """
     rs, zs = [], []
-    with open(path) as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                r, z = float(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                if reader.line_num == 1:
-                    continue  # header
-                raise ValueError(f"{path}: line {reader.line_num}: expected "
-                                 f"two numbers 'r,z', got {row!r}")
-            rs.append(r)
-            zs.append(z)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    r, z = float(row[0]), float(row[1])
+                except (IndexError, ValueError):
+                    if reader.line_num == 1:
+                        continue  # header
+                    raise InputError(f"{path}: line {reader.line_num}: "
+                                     f"expected two numbers 'r,z', got {row!r}")
+                rs.append(r)
+                zs.append(z)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if not rs:
-        raise ValueError(f"{path}: no data rows")
+        raise InputError(f"{path}: no data rows")
     return np.array(rs), np.array(zs)
 
 
@@ -403,7 +422,7 @@ def _cmd_edge_split(args, cfg: RunConfig) -> None:
         lhs, rhs = _edge.coefficient_bound_check(prob, args.delta_pp)
     # checked after the bound pair, whose Gamma factors overflow first
     if not np.all(np.isfinite(sol.shell_norms)):
-        raise _edge.QuadratureFailure(
+        raise NumericalFailure(
             f"shell norm beyond the float range at delta'' = {args.delta_pp}")
     _emit_json({
         "c_low": sol.c_low,
@@ -444,7 +463,7 @@ def _cmd_lattice_build(args, cfg: RunConfig) -> None:
     _emit_json({"rank": L.rank, "determinant": L.determinant(),
                 "signature": L.signature(), "even": L.is_even()})
     if args.verify:
-        rng = np.random.default_rng(cfg.seed)
+        rng = _parsed(np.random.default_rng, cfg.seed)
         for _ in range(200):
             v = rng.integers(-9, 10, L.rank)
             if int(_lattice.pairing(L, v, v)) % 2 != 0:
@@ -464,7 +483,7 @@ def _cmd_lattice_match(args, cfg: RunConfig) -> None:
 
 def _named_vector(named, name):
     if name not in named:
-        raise ValueError(f"unknown vector {name!r}; use pi, kplus, kminus")
+        raise InputError(f"unknown vector {name!r}; use pi, kplus, kminus")
     return named[name]
 
 
@@ -474,7 +493,7 @@ def _parse_dots(text, named):
         return out
     for part in text.split(","):
         name, _, val = part.partition(":")
-        out.append((_named_vector(named, name), int(val)))
+        out.append((_named_vector(named, name), _parsed(int, val)))
     return out
 
 
@@ -653,15 +672,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# the package's input exceptions all subclass ValueError; OSError covers
-# paths that are missing, directories or unreadable
-_INPUT_ERRORS = (OSError, ValueError, KeyError)
+# OSError covers paths that are missing, directories or unreadable
+_INPUT_ERRORS = (OSError, InputError)
 
 
 def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse before Python 3.12 reads "--opt=--" as an empty list
+        if [] in vars(args).values():
+            parser.error("expected one argument")
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:
@@ -673,7 +694,7 @@ def dispatch(argv) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except _edge.QuadratureFailure as exc:  # numerical, not a usage error
+    except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     return 0

@@ -52,27 +52,14 @@ from numpy.polynomial.legendre import leggauss
 
 from ._spline import CubicHermite
 from .bessel import _CHUNK, bessel_ik, bessel_k, gamma_fn
-from .spectra import WeightOrderViolation
+from .errors import InputError, NumericalFailure
 
 __all__ = [
-    "UnsupportedMode", "QuadratureFailure", "WeightOrderViolation",
-    "DivergentConstant", "ModeProblem", "SplitSolution", "ObstructionMode",
+    "ModeProblem", "SplitSolution", "ObstructionMode",
     "log_grid", "smooth_cutoff", "solve_mode", "operator_residual",
     "split_solution", "coefficient_bound_check", "kernel_modes",
     "no_decaying_kernel_check",
 ]
-
-
-class UnsupportedMode(ValueError):
-    """n = 0, mu = 0 has no decaying kernel normalization here."""
-
-
-class QuadratureFailure(RuntimeError):
-    """Non-finite values in the Green-kernel quadrature or its bound."""
-
-
-class DivergentConstant(ValueError):
-    """The bound constant integral diverges at 0 for this weight."""
 
 
 def log_grid(r_min: float = 1e-8, r_max: float = 1.0, num: int = 2048) -> np.ndarray:
@@ -113,17 +100,19 @@ class ModeProblem:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "rhs", z)
         if g.ndim != 1 or g.size < 2:
-            raise ValueError("a grid needs at least 2 knots")
+            raise InputError("a grid needs at least 2 knots")
         if not (np.all(np.diff(g) > 0) and 0 < g[0] and g[-1] <= 1 + 1e-12):
-            raise ValueError("grid must be increasing inside (0, 1]")
+            raise InputError("grid must be increasing inside (0, 1]")
         if z.shape != g.shape:
-            raise ValueError("rhs must be sampled on the grid")
+            raise InputError("rhs must be sampled on the grid")
         if not 0 <= self.mu < math.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+            raise InputError(f"mu must be finite and >= 0, got {self.mu}")
+        if not abs(self.n) < 2 ** 1024:  # |n| r is formed in floats
+            raise InputError("mode n must be finite as a float")
         if not self.support_max < 1.0:
-            raise ValueError("rhs support must be bounded away from r = 1")
+            raise InputError("rhs support must be bounded away from r = 1")
         if np.any(z[g > self.support_max] != 0.0):
-            raise ValueError("rhs does not vanish beyond its support record")
+            raise InputError("rhs does not vanish beyond its support record")
 
     @cached_property
     def _rhs_spline(self) -> CubicHermite:
@@ -188,7 +177,7 @@ def _solve(problem: ModeProblem):
     """
     n, mu, grid = problem.n, problem.mu, problem.grid
     if n == 0 and mu == 0.0:
-        raise UnsupportedMode("n = 0, mu = 0 is not invertible in this family")
+        raise InputError("n = 0, mu = 0 is not invertible in this family")
     a = abs(n)
     gz, dz = np.zeros((2, grid.size - 1))
     for rows, s, w, z, on in _node_blocks(problem):
@@ -216,7 +205,7 @@ def _solve(problem: ModeProblem):
     live = head != 0
     y[live] -= decay_grid[live] * head[live]
     if not (np.all(np.isfinite(y)) and math.isfinite(c)):
-        raise QuadratureFailure("non-finite quadrature output")
+        raise NumericalFailure("non-finite quadrature output")
     return y, float(c), i_grid
 
 
@@ -236,11 +225,11 @@ def operator_residual(problem: ModeProblem, y: np.ndarray) -> float:
     Fourth-order stencil in log r, so the grid needs at least 5 points.
     """
     if problem.grid.size < 5:
-        raise ValueError("operator_residual needs at least 5 grid points")
+        raise InputError("operator_residual needs at least 5 grid points")
     u = np.log(problem.grid)
     h = u[1] - u[0]
     if np.max(np.abs(np.diff(u) - h)) > 1e-9 * h:
-        raise ValueError("operator_residual requires a uniform log grid")
+        raise InputError("operator_residual requires a uniform log grid")
     d2 = _log_second_difference(y, h)
     mid = slice(2, -2)
     r = problem.grid[mid]
@@ -261,7 +250,7 @@ def split_solution(problem: ModeProblem, delta_p: float,
     """
     mu = problem.mu
     if not (-mu < delta_p < mu < delta_pp < math.inf):
-        raise WeightOrderViolation(
+        raise InputError(
             f"need finite weights with -mu < delta' < mu < delta'', "
             f"got ({delta_p}, {mu}, {delta_pp})")
     y, c_low, i_grid = _solve(problem)
@@ -321,15 +310,15 @@ def coefficient_bound_check(problem: ModeProblem,
 
     C (module docstring) is finite for 2 dpp + 4 > 2 mu; ||z|| is the radial
     delta''+2 weighted norm, taken on the support of z (s^-(dpp+2) overflows
-    toward 0).  A pair that is not finite raises QuadratureFailure.
+    toward 0).  A pair that is not finite raises NumericalFailure.
     """
     mu = problem.mu
     if problem.n == 0:
-        raise UnsupportedMode("the |n|-decay bound concerns n != 0")
+        raise InputError("the |n|-decay bound concerns n != 0")
     if not math.isfinite(delta_pp):
-        raise WeightOrderViolation(f"delta'' must be finite, got {delta_pp}")
+        raise InputError(f"delta'' must be finite, got {delta_pp}")
     if 2.0 * delta_pp + 4.0 <= 2.0 * mu:
-        raise DivergentConstant(
+        raise InputError(
             f"2 dpp + 4 = {2 * delta_pp + 4} <= 2 mu = {2 * mu}")
     a = abs(problem.n)
     kz = np.zeros(problem.grid.size - 1)
@@ -350,7 +339,7 @@ def coefficient_bound_check(problem: ModeProblem,
         C = math.inf
     bound = C * abs(problem.n) ** (-delta_pp - 2.0) * znorm
     if not (math.isfinite(c) and math.isfinite(bound)):
-        raise QuadratureFailure(f"non-finite bound pair ({c}, {bound})")
+        raise NumericalFailure(f"non-finite bound pair ({c}, {bound})")
     return c, bound
 
 
@@ -388,7 +377,7 @@ def kernel_modes(n_max: int, r_grid: np.ndarray | None = None) -> list[Obstructi
     infinite-dimensional obstruction space.
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InputError("n_max must be >= 1")
     grid = log_grid(num=4096) if r_grid is None else np.asarray(r_grid)
     u = np.log(grid)
     h = u[1] - u[0]
@@ -422,7 +411,7 @@ def no_decaying_kernel_check(mu_hat: float, delta: float,
     admissibility system only has the zero solution.  Valid input delta > -2.
     """
     if delta <= -2.0:
-        raise ValueError("the statement concerns delta > -2")
+        raise InputError("the statement concerns delta > -2")
     order = math.sqrt(mu_hat)
     grid = np.geomspace(1e-6, 60.0, 4096) if grid is None else np.asarray(grid)
     weight = delta + 2.0  # hat-modes carry the built-in r^-2

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError, VerificationFailed
+
 __all__ = [
-    "DegenerateForm",
-    "NonPositiveMetric",
     "Metric7",
     "FormDecomposition",
     "PHI0",
@@ -48,14 +48,6 @@ __all__ = [
     "g2_lie_algebra_basis",
     "random_unit_3form",
 ]
-
-
-class DegenerateForm(ValueError):
-    """The 3-form does not induce a positive metric in the fixed orientation."""
-
-
-class NonPositiveMetric(ValueError):
-    """Hodge star requested for a metric that is not positive definite."""
 
 
 COMBOS = {k: tuple(itertools.combinations(range(7), k)) for k in range(8)}
@@ -170,7 +162,7 @@ def _metrics(phis: np.ndarray, tol: float = 1e-12
     one array pass for the whole stack.
 
     B_ij e^{1..7} = (1/6)(e_i . phi)^(e_j . phi)^phi is g * vol with
-    det(B) = vol**9, so g = B / det(B)**(1/9).  DegenerateForm if any row
+    det(B) = vol**9, so g = B / det(B)**(1/9).  InputError if any row
     has a det(B) that is not finite and above tol (degenerate,
     orientation-reversing, or a NaN or infinite coefficient), or else a B
     that is not positive definite.
@@ -187,7 +179,7 @@ def _metrics(phis: np.ndarray, tol: float = 1e-12
         det = np.linalg.det(B)
     bad = ~(np.isfinite(det) & (det > tol))
     if bad.any():
-        raise DegenerateForm(
+        raise InputError(
             f"det(B) = {det[bad][0]:.3e} is not finite and positive")
     vol = det ** (1.0 / 9.0)
     g = B / vol[:, None, None]
@@ -195,7 +187,7 @@ def _metrics(phis: np.ndarray, tol: float = 1e-12
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         # split-type forms can reach det(B) > 0 with signature (3,4)
-        raise DegenerateForm("bilinear form is indefinite") from None
+        raise InputError("bilinear form is indefinite") from None
     return g, vol
 
 
@@ -214,11 +206,11 @@ def hodge_star(metric: Metric7, form: np.ndarray, k: int) -> np.ndarray:
     """Hodge star of a k-form for the orientation e^{1..7} positive."""
     g = metric.g
     if not np.allclose(g, g.T):
-        raise NonPositiveMetric("metric is not symmetric")
+        raise InputError("metric is not symmetric")
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
-        raise NonPositiveMetric("metric is not positive definite") from None
+        raise InputError("metric is not positive definite") from None
     return _star(g, _compound(np.linalg.inv(g), k) @ form, k)
 
 
@@ -320,7 +312,7 @@ def linearization_residual(gamma: np.ndarray,
                            h: float = 1e-4) -> float | np.ndarray:
     """Norm of the central difference of theta at phi0 minus the candidate.
 
-    O(h**2) for every gamma; DegenerateForm if phi0 +- h*gamma leaves the
+    O(h**2) for every gamma; InputError if phi0 +- h*gamma leaves the
     positive cone.  gamma is one direction (a float is returned) or a
     (k, 35) stack of them (k residuals); the 2k forms phi0 +- h*gamma go
     through one theta pass.
@@ -351,8 +343,8 @@ def g2_lie_algebra_basis() -> np.ndarray:
     _, s, vt = np.linalg.svd(rows.T, full_matrices=True)
     null = vt[np.sum(s > 1e-10):]
     if null.shape[0] != 14:
-        raise RuntimeError(f"g2 null space has dimension {null.shape[0]}, "
-                           "not 14")
+        raise VerificationFailed(
+            f"g2 null space has dimension {null.shape[0]}, not 14")
     return null
 
 

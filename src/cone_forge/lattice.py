@@ -52,9 +52,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .errors import InputError, NumericalFailure, VerificationFailed
+
 __all__ = [
-    "DimensionMismatch",
-    "UnavoidableHyperplane",
     "GramLattice",
     "EmbeddingRecord",
     "UnsatCertificate",
@@ -69,14 +69,6 @@ __all__ = [
     "integer_kernel",
     "generic_direction",
 ]
-
-
-class DimensionMismatch(ValueError):
-    """Vector length does not match the lattice rank."""
-
-
-class UnavoidableHyperplane(ValueError):
-    """An avoid-vector annihilates the whole subspace."""
 
 
 def _as_object_matrix(rows) -> np.ndarray:
@@ -101,7 +93,7 @@ class GramLattice:
     def __post_init__(self):
         g = _as_object_matrix(self.gram)
         if g.shape[0] != g.shape[1] or not (g == g.T).all():
-            raise ValueError("gram must be a symmetric square integer matrix")
+            raise InputError("gram must be a symmetric square integer matrix")
         object.__setattr__(self, "gram", g)
 
     @property
@@ -181,8 +173,8 @@ def build_k3_lattice() -> GramLattice:
     L = GramLattice(gram=g)
     if not (L.rank == 22 and L.is_even() and abs(L.determinant()) == 1
             and L.signature() == (3, 19)):
-        raise RuntimeError("2(-E8) + 3U fails rank 22, evenness, "
-                           "|det| = 1 or signature (3, 19)")
+        raise VerificationFailed("2(-E8) + 3U fails rank 22, evenness, "
+                                 "|det| = 1 or signature (3, 19)")
     return L
 
 
@@ -190,7 +182,7 @@ def _as_vector(v, rank: int) -> np.ndarray:
     arr = np.array([x if isinstance(x, Fraction) else int(x) for x in v],
                    dtype=object)
     if arr.shape != (rank,):
-        raise DimensionMismatch(f"expected length {rank}, got {arr.shape}")
+        raise InputError(f"expected length {rank}, got {arr.shape}")
     return arr
 
 
@@ -244,7 +236,7 @@ def matching_embedding(L: GramLattice | None = None) -> EmbeddingRecord:
     expected = _as_object_matrix([[-2, 1, 0], [1, 4, 0], [0, 0, 4]])
     S = _rows(L, images)
     if not (_gram(L, S, S) == expected).all():
-        raise RuntimeError("embedding Gram mismatch")
+        raise VerificationFailed("embedding Gram mismatch")
     return EmbeddingRecord(source_gram=expected, images=images,
                            labels=("pi", "kplus", "kminus"))
 
@@ -333,7 +325,7 @@ def orthogonal_complement(L: GramLattice, vectors) -> list[np.ndarray]:
     V = _rows(L, vectors)
     basis = integer_kernel(V @ L.gram)
     if _gram(L, V, _rows(L, basis)).any():
-        raise RuntimeError("complement basis vector pairs nonzero")
+        raise VerificationFailed("complement basis vector pairs nonzero")
     return basis
 
 
@@ -358,7 +350,7 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
     if L is None:
         L = build_k3_lattice()
     if bound < 1:
-        raise ValueError("bound must be >= 1")
+        raise InputError("bound must be >= 1")
     S = _rows(L, span)
     W = _rows(L, [w for w, _ in dot_constraints])
     k = len(S)
@@ -395,8 +387,8 @@ def constrained_class_search(span, square: int, dot_constraints, bound: int,
 
     solutions = tuple(_enumerate(Qm, x0, Z, Qr, lin, const, square, bound))
     if cert is not None and solutions:
-        raise RuntimeError(f"mod-{cert.modulus} certificate contradicts "
-                           f"the found solution {solutions[0]}")
+        raise VerificationFailed(f"mod-{cert.modulus} certificate contradicts "
+                                 f"the found solution {solutions[0]}")
     return SearchResult(solutions=solutions, certificate=cert,
                         reduced_quadratic=(Qr, lin, const))
 
@@ -526,7 +518,7 @@ def _enumerate(Qm, x0, Z, Qr, lin, const, square, bound):
     g = f - 1
     heads = limits[:g]
     if math.prod(hi - lo + 1 for lo, hi in heads) > 5e7:
-        raise ValueError("enumeration box too large; lower the bound")
+        raise InputError("enumeration box too large; lower the bound")
     Qi = [[int(v) for v in row] for row in Qr]
     li = [int(v) for v in lin]
     c_shift = const - square
@@ -648,13 +640,13 @@ def generic_direction(L: GramLattice, T_basis, avoid,
     """Positive-square k in span(T_basis) with k . C != 0 for all C in avoid.
 
     Rescaled to square 1 when the square is a rational square, otherwise
-    returned unnormalized with its square.  Raises UnavoidableHyperplane if
+    returned unnormalized with its square.  Raises InputError if
     some avoid-vector pairs to 0 with every basis vector.
     """
     T = _rows(L, T_basis)
     A = _rows(L, avoid)
     if (_gram(L, T, A) == 0).all(axis=0).any():
-        raise UnavoidableHyperplane(
+        raise InputError(
             "an avoid-vector is orthogonal to the whole subspace")
     # deterministic positive direction: the P column of the first positive
     # pivot of the exact diagonalization
@@ -662,7 +654,7 @@ def generic_direction(L: GramLattice, T_basis, avoid,
     base = next((col for piv, col in _congruence_diagonalization(G)
                  if piv > 0), None)
     if base is None:
-        raise ValueError("span contains no positive-square vector")
+        raise InputError("span contains no positive-square vector")
     rng = random.Random(seed)
     for trial in range(_GENERIC_TRIES):
         scale = 1 + trial // 10
@@ -683,4 +675,5 @@ def generic_direction(L: GramLattice, T_basis, avoid,
         return GenericDirection(coords=tuple(int(v) for v in vec),
                                 t_coefficients=tuple(t),
                                 square=Fraction(sq), normalized=False)
-    raise RuntimeError("no generic direction found; avoid set too dense?")
+    raise NumericalFailure(
+        "no generic direction found; avoid set too dense?")

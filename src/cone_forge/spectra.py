@@ -6,9 +6,8 @@ multiplicity), optional lower-bound constraint records, and per-degree
 completeness bounds.  Harmonic modes (mu = 0) are implied by the Betti
 numbers and never need listing.
 
-From a spectrum the module produces the hat-eigenvalues of the separated
-radial system on the 6-real-dimensional cone, the homogeneous harmonic-form
-catalog by the seven generator types
+From a spectrum the module produces the homogeneous harmonic-form catalog
+on the 6-real-dimensional cone by the seven generator types
 
     T1  dr ^ d_F(phi_{p-2})          mu = (lam+p-2)(lam-p+6) != 0
     T2  dr ^ phi_{p-1}, mu = 0       lam = 2-p, lam != -2
@@ -26,7 +25,7 @@ index-change count N(delta, delta') between non-critical weights.
 Eigenvalues are rational: integers and "p/q" strings are read exactly, and
 a float is taken exactly.  So every rate is c +- sqrt(d) with c, d rational,
 and every decision on it is exact: window membership, a tie with a window
-or weight endpoint (CriticalEndpoint, except at the closed right end of the
+or weight endpoint (an InputError, except at the closed right end of the
 1-form and paired catalogs, where the rate is kept), lambda = -2 (log_mode,
 T5's exclusion) and T7's exclusion of lambda = -p in favour of T6.  A tie
 is exact equality; CriticalRate.lam is a float for printing only.
@@ -40,21 +39,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InputError
+
 __all__ = [
-    "SchemaError",
-    "ConstraintViolation",
-    "CriticalEndpoint",
-    "WeightOrderViolation",
-    "WindowOutOfRange",
-    "DegreeOutOfRange",
     "Mode",
     "ConstraintRecord",
     "LinkSpectrum",
     "CriticalRate",
     "WeightVector",
-    "RadialCouplings",
-    "laplacian_coefficients",
-    "hat_eigenvalues",
     "harmonic_rate_catalog",
     "one_form_catalog",
     "paired_catalog",
@@ -67,32 +59,6 @@ __all__ = [
 ]
 
 LINK_DIM = 5
-
-
-class SchemaError(ValueError):
-    """Spectrum document is structurally malformed."""
-
-
-class ConstraintViolation(ValueError):
-    """Spectrum data contradicts its own invariants or constraint records."""
-
-
-class CriticalEndpoint(ValueError):
-    """A window or weight endpoint coincides with a critical rate."""
-
-
-class WeightOrderViolation(ValueError):
-    """Weights out of their required order: strictly increasing
-    componentwise for an index change, finite with -mu < delta' < mu <
-    delta'' for an edge split."""
-
-
-class WindowOutOfRange(ValueError):
-    """Requested window leaves the range the catalog is proved on."""
-
-
-class DegreeOutOfRange(ValueError):
-    """Form degree outside 0..6 on the 6-dimensional cone."""
 
 
 # ---------------------------------------------------------------------------
@@ -145,25 +111,25 @@ class LinkSpectrum:
 
     def __post_init__(self):
         if len(self.betti) != LINK_DIM + 1 or any(h < 0 for h in self.betti):
-            raise SchemaError("betti must be six non-negative integers")
+            raise InputError("betti must be six non-negative integers")
         for p in range(LINK_DIM + 1):
             if self.betti[p] != self.betti[LINK_DIM - p]:
-                raise ConstraintViolation(
+                raise InputError(
                     f"Poincare duality fails: h_{p} != h_{LINK_DIM - p}")
         for m in self.modes:
             if not 0 <= m.p <= LINK_DIM:
-                raise SchemaError(f"mode degree {m.p} outside 0..5")
+                raise InputError(f"mode degree {m.p} outside 0..5")
             if m.mult < 1:
-                raise SchemaError("multiplicity must be >= 1")
+                raise InputError("multiplicity must be >= 1")
             if m.mu < 0:
-                raise ConstraintViolation("negative eigenvalue")
+                raise InputError("negative eigenvalue")
             if m.mu == 0 and m.mult != self.betti[m.p]:
-                raise ConstraintViolation(
+                raise InputError(
                     f"mu = 0 in degree {m.p} must have multiplicity h_p "
                     f"= {self.betti[m.p]}")
             for rec in self.constraints:
                 if not rec.allows(m):
-                    raise ConstraintViolation(
+                    raise InputError(
                         f"mode (p={m.p}, mu={m.mu}) violates bound "
                         f"{'>' if rec.strict else '>='} {rec.bound}")
 
@@ -186,15 +152,25 @@ class LinkSpectrum:
         return float(self.complete_below.get(p, 0.0))
 
 
+def _entries(doc: dict, key: str) -> list:
+    """The list doc[key], empty when the key is absent."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise InputError(f"{key!r} must be a list")
+    return entries
+
+
 def spectrum_from_dict(doc: dict) -> LinkSpectrum:
+    """Validate a spectrum document.  A number that is not finite, or beyond
+    the float range where a float is needed, is an input error."""
     if not isinstance(doc, dict):
-        raise SchemaError("spectrum document must be a JSON object")
+        raise InputError("spectrum document must be a JSON object")
     try:
         betti = tuple(int(h) for h in doc["betti"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError("missing or malformed 'betti'") from exc
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError("missing or malformed 'betti'") from exc
     modes = []
-    for entry in doc.get("coexact_modes", []):
+    for entry in _entries(doc, "coexact_modes"):
         try:
             mu = entry["mu"]  # an int, a float or a "p/q" string
             if isinstance(mu, bool) or not isinstance(mu, (int, float, str)):
@@ -204,29 +180,43 @@ def spectrum_from_dict(doc: dict) -> LinkSpectrum:
                               mult=int(entry["mult"]),
                               tag=entry.get("tag"), mu_exact=exact))
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise SchemaError(f"malformed mode entry {entry!r}") from exc
+            raise InputError(f"malformed mode entry {entry!r}") from exc
     constraints = []
-    for entry in doc.get("constraints", []):
+    for entry in _entries(doc, "constraints"):
         try:
+            bound = float(entry["bound"])
+            if math.isnan(bound):
+                raise ValueError("NaN bound")
             constraints.append(ConstraintRecord(
-                p=int(entry["p"]), bound=float(entry["bound"]),
+                p=int(entry["p"]), bound=bound,
                 strict=bool(entry.get("strict", True)),
                 tag=entry.get("tag")))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed constraint entry {entry!r}") from exc
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            raise InputError(f"malformed constraint entry {entry!r}") from exc
     raw_cb = doc.get("complete_below", {})
-    if isinstance(raw_cb, (int, float)):
-        cb = {p: float(raw_cb) for p in range(LINK_DIM + 1)}
-    elif isinstance(raw_cb, dict):
-        try:
-            cb = {int(k): float(v) for k, v in raw_cb.items()}
-        except (TypeError, ValueError) as exc:
-            raise SchemaError("malformed 'complete_below'") from exc
-    else:
-        raise SchemaError("'complete_below' must be a number or an object")
+    if not isinstance(raw_cb, (int, float, dict)):
+        raise InputError("'complete_below' must be a number or an object")
+    try:
+        cb = ({int(k): float(v) for k, v in raw_cb.items()}
+              if isinstance(raw_cb, dict)
+              else dict.fromkeys(range(LINK_DIM + 1), float(raw_cb)))
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError("malformed 'complete_below'") from exc
+    if not all(0 <= v < math.inf for v in cb.values()):
+        raise InputError("a completeness bound must be finite and >= 0")
     return LinkSpectrum(betti=betti, modes=tuple(modes),
                         constraints=tuple(constraints), complete_below=cb,
                         name=str(doc.get("name", "")))
+
+
+def _read_json(path):
+    """The JSON document in a UTF-8 file; one that does not decode, does not
+    parse or nests too deeply is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def shipped_spectrum(name: str) -> LinkSpectrum:
@@ -244,12 +234,7 @@ def load_spectrum(path) -> LinkSpectrum:
             return shipped_spectrum(str(path))
         except FileNotFoundError:
             pass
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
-    return spectrum_from_dict(doc)
+    return spectrum_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -324,72 +309,6 @@ class WeightVector:
     cone_weights: tuple[float, ...]
     end_weight: float
 
-    def is_critical(self, cone_catalogs, end_catalog) -> bool:
-        """True when a weight equals a rate of its catalog exactly."""
-        for w, cat in zip(self.cone_weights, cone_catalogs):
-            if any(r.root == w for r in cat):
-                return True
-        return any(r.root == self.end_weight for r in end_catalog)
-
-
-@dataclass(frozen=True)
-class RadialCouplings:
-    """Scalar couplings of the separated Laplacian at degree p, rate lam.
-
-    alpha_factor = (lam+p-2)(lam-p+6), beta_factor = (lam+p)(lam-p+4);
-    both cross couplings equal -2 (on d_F* beta and d_F alpha).  The lam = -2
-    normal form replaces the factors by -(p-4)^2 and -(p-2)^2.
-    """
-
-    degree: int
-    lam: float
-    alpha_factor: float | None
-    beta_factor: float | None
-    alpha_cross: float
-    beta_cross: float
-    hat_alpha_shift: int
-    hat_beta_shift: int
-
-
-def laplacian_coefficients(p: int, lam: float) -> RadialCouplings:
-    """Couplings of the radial system on the 6-dimensional cone."""
-    if not 0 <= p <= 6:
-        raise DegreeOutOfRange(f"degree {p} outside 0..6")
-    has_alpha = 1 <= p <= 6
-    has_beta = 0 <= p <= 5
-    return RadialCouplings(
-        degree=p, lam=lam,
-        alpha_factor=(lam + p - 2.0) * (lam - p + 6.0) if has_alpha else None,
-        beta_factor=(lam + p) * (lam - p + 4.0) if has_beta else None,
-        alpha_cross=-2.0, beta_cross=-2.0,
-        hat_alpha_shift=(p - 4) ** 2, hat_beta_shift=(p - 2) ** 2)
-
-
-def hat_eigenvalues(spec: LinkSpectrum, p: int) -> list[tuple[float, int, int]]:
-    """Eigenvalues mu_hat of the lam = -2 normal form, as (mu_hat, mult, family).
-
-    Families: (1) exact modes d_F phi_{p-2}; (2) coclosed p-modes;
-    (3) harmonic (p-1)-modes; (4) coupled pairs from nonzero (p-1)-modes,
-    two values each.
-    """
-    if not 0 <= p <= 6:
-        raise DegreeOutOfRange(f"degree {p} outside 0..6")
-    out: list[tuple[float, int, int]] = []
-    if 2 <= p <= 6:
-        for m in spec.nonzero(p - 2):
-            out.append((m.mu + (p - 4) ** 2, m.mult, 1))
-    if p <= 5:
-        for m in spec.coclosed(p):
-            out.append((m.mu + (p - 2) ** 2, m.mult, 2))
-    if 1 <= p <= 6 and spec.betti[p - 1] > 0:
-        out.append((float((p - 4) ** 2), spec.betti[p - 1], 3))
-    if 1 <= p <= 5:
-        for m in spec.nonzero(p - 1):
-            root = math.sqrt((p - 3) ** 2 + m.mu)
-            out.append(((root - 1.0) ** 2, m.mult, 4))
-            out.append(((root + 1.0) ** 2, m.mult, 4))
-    return sorted(out)
-
 
 # ---------------------------------------------------------------------------
 # root arithmetic
@@ -418,13 +337,13 @@ def _quad_roots(center: int, shift_sq: int, mode: Mode):
 class _Catalog:
     """The rates of one catalog that lie in its window.
 
-    A rate equal to a window end raises CriticalEndpoint, except at a closed
+    A rate equal to a window end raises InputError, except at a closed
     right end, where it is kept.  With logs, the rate -2 is a log mode.
     """
 
     def __init__(self, window, degree, closed_right=False, logs=False):
         if not window[0] < window[1]:
-            raise WindowOutOfRange("window must be an increasing pair")
+            raise InputError("window must be an increasing pair")
         self.window, self.degree, self.rates = window, degree, []
         self.closed_right, self.logs = closed_right, logs
 
@@ -432,7 +351,7 @@ class _Catalog:
         below, above = root.cmp(self.window[0]), root.cmp(self.window[1])
         if below == 0 or (above == 0 and not self.closed_right):
             edge = self.window[0] if below == 0 else self.window[1]
-            raise CriticalEndpoint(
+            raise InputError(
                 f"rate {lam} ties the window endpoint {edge}")
         if below > 0 and above <= 0:
             self.rates.append(CriticalRate(
@@ -459,7 +378,7 @@ def harmonic_rate_catalog(spec: LinkSpectrum, p: int,
     Window endpoints must be non-critical.
     """
     if not 0 <= p <= 6:
-        raise DegreeOutOfRange(f"degree {p} outside 0..6")
+        raise InputError(f"degree {p} outside 0..6")
     cat = _Catalog(window, p, logs=True)
     # T1: exact-mode dr-slot, roots of (lam+p-2)(lam-p+6) = mu
     if 2 <= p <= 6:
@@ -498,16 +417,16 @@ def one_form_catalog(spec: LinkSpectrum,
     """
     a, b = window
     if not (a < b and a >= -3 and b <= 1):
-        raise WindowOutOfRange("one-form catalog proved only inside [-3, 1]")
+        raise InputError("one-form catalog proved only inside [-3, 1]")
     if spec.betti[1] != 0:
-        raise ConstraintViolation("catalog requires h_1 = 0")
+        raise InputError("catalog requires h_1 = 0")
     for m in spec.nonzero(0):
         if m.mu_exact <= 5:
-            raise ConstraintViolation(
+            raise InputError(
                 f"Obata bound violated: mu_0 = {m.mu} <= 5")
     for m in spec.nonzero(1):
         if m.mu_exact < 8:
-            raise ConstraintViolation(
+            raise InputError(
                 f"Killing bound violated: mu_1 = {m.mu} < 8")
     cat = _Catalog(window, 1, closed_right=True)
     for m in spec.nonzero(0):
@@ -534,7 +453,7 @@ def paired_catalog(spec: LinkSpectrum,
     """
     a, b = window
     if not (a < b and a >= -2 and b <= 0):
-        raise WindowOutOfRange("paired catalog proved only inside (-2, 0]")
+        raise InputError("paired catalog proved only inside (-2, 0]")
     cat = _Catalog(window, 2, closed_right=True)
     for tag in ("P1-phi", "P2-6ReOmega+4dtheta^omega", "P3-6ImOmega"):
         cat.rate(0, 1, tag)
@@ -544,6 +463,16 @@ def paired_catalog(spec: LinkSpectrum,
     return cat.sorted()
 
 
+def _shift(n_complex: int) -> int:
+    """n - 1 for the complex dimension n; up to 2^52, 2n - 1 and the rate
+    -(2n - 2) are exact floats."""
+    if n_complex < 2:
+        raise InputError("complex dimension must be >= 2")
+    if n_complex > 2 ** 52:
+        raise InputError("complex dimension must be <= 2^52")
+    return n_complex - 1
+
+
 def function_rates(n_complex: int, modes: Sequence[Mode],
                    window: tuple[float, float]) -> list[CriticalRate]:
     """Rates of the function Laplacian, mu = lam (lam + 2n - 2), open window.
@@ -551,13 +480,11 @@ def function_rates(n_complex: int, modes: Sequence[Mode],
     mu = 0 gives lam in {0, -(2n-2)} with the constants spanning the rate-0
     kernel; no log terms ever occur for functions.
     """
-    if n_complex < 2:
-        raise ValueError("complex dimension must be >= 2")
-    shift = n_complex - 1
+    shift = _shift(n_complex)
     cat = _Catalog(window, 0)
     for m in modes:
         if m.mu < 0:
-            raise ConstraintViolation("negative eigenvalue")
+            raise InputError("negative eigenvalue")
         cat.roots(-shift, shift * shift, m, "function")
     return cat.sorted()
 
@@ -568,7 +495,7 @@ def function_gap_report(n_complex: int, modes: Sequence[Mode]) -> dict:
     The interval (-2n+2, 0) is rate-free automatically; (0, 1] is rate-free
     exactly when no nonzero eigenvalue lies in (0, 2n-1].
     """
-    shift = n_complex - 1
+    shift = _shift(n_complex)
     gap_negative = not any(
         root.cmp(-2 * shift) > 0 > root.cmp(0)
         for m in modes for _, root in _quad_roots(-shift, shift * shift, m))
@@ -592,16 +519,16 @@ def index_change(cone_catalogs: Sequence[Sequence[CriticalRate]],
     """
     if len(delta.cone_weights) != len(cone_catalogs) or \
             len(delta_prime.cone_weights) != len(cone_catalogs):
-        raise WeightOrderViolation("weight length does not match catalogs")
+        raise InputError("weight length does not match catalogs")
     los = (*delta.cone_weights, delta.end_weight)
     his = (*delta_prime.cone_weights, delta_prime.end_weight)
     total = 0
     for lo, hi, cat in zip(los, his, [*cone_catalogs, end_catalog]):
         if not lo < hi:
-            raise WeightOrderViolation(f"need delta < delta', got {lo} >= {hi}")
+            raise InputError(f"need delta < delta', got {lo} >= {hi}")
         for rate in cat:
             if rate.root == lo or rate.root == hi:
-                raise CriticalEndpoint(
+                raise InputError(
                     f"weight endpoint ties critical rate {rate.lam}")
             if rate.root.cmp(lo) > 0 > rate.root.cmp(hi):
                 total += rate.dim

@@ -36,14 +36,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._spline import CubicHermite
+from .errors import InputError, NumericalFailure
 
 __all__ = [
-    "GridTooCoarse",
-    "OriginPoint",
-    "OutOfProfileRange",
-    "BelowVertex",
-    "BranchCut",
-    "StepTooLarge",
     "RadialProfile",
     "QuadricPoint",
     "solve_profile",
@@ -53,30 +48,6 @@ __all__ = [
     "monge_ampere_residual",
     "random_chart_point",
 ]
-
-
-class GridTooCoarse(ValueError):
-    """Profile grid fails the ODE residual check."""
-
-
-class OriginPoint(ValueError):
-    """Cone potential evaluated at z = 0."""
-
-
-class OutOfProfileRange(ValueError):
-    """arccosh(|z|^2/|eps|) exceeds the solved profile range."""
-
-
-class BelowVertex(ValueError):
-    """|z|^2 < |eps| cannot happen on the quadric; bad evaluation point."""
-
-
-class BranchCut(ValueError):
-    """The chart coordinate being solved for degenerates at this point."""
-
-
-class StepTooLarge(ValueError):
-    """Richardson halving disagrees; the finite-difference step is unusable."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +76,7 @@ class QuadricPoint:
         object.__setattr__(self, "z", z)
         res = abs(np.sum(z * z) - self.eps)
         if res > 1e-12 * (1.0 + float(np.sum(np.abs(z) ** 2))):
-            raise ValueError(f"constraint residual {res:.3e} too large")
+            raise InputError(f"constraint residual {res:.3e} too large")
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
@@ -126,13 +97,13 @@ def solve_profile(n: int, w_max: float, steps: int,
     """Solve (f'^n)' = n sinh^{n-1} w with f(0) = f'(0) = 0 by quadrature.
 
     f' = (n * int_0^w sinh^{n-1})^(1/n), then f = int f'.  Raises
-    GridTooCoarse when the central difference of f'^n misses n sinh^{n-1} w
+    NumericalFailure when the central difference of f'^n misses n sinh^{n-1} w
     by more than ode_tol relative.
     """
     if n < 2:
-        raise ValueError("complex dimension n must be >= 2")
+        raise InputError("complex dimension n must be >= 2")
     if w_max <= 0 or steps < 100:
-        raise ValueError("need w_max > 0 and steps >= 100")
+        raise InputError("need w_max > 0 and steps >= 100")
     w = np.linspace(0.0, w_max, steps + 1)
     a, b = w[:-1], w[1:]
     sinh_pow = lambda s: np.power(np.sinh(s, out=s), n - 1, out=s)
@@ -149,7 +120,7 @@ def solve_profile(n: int, w_max: float, steps: int,
     lhs = ((fprime[2:] ** n) - (fprime[:-2] ** n)) / (w[2] - w[0])
     resid = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))
     if resid > ode_tol:
-        raise GridTooCoarse(f"ODE residual {resid:.3e} > {ode_tol:.1e}")
+        raise NumericalFailure(f"ODE residual {resid:.3e} > {ode_tol:.1e}")
     return RadialProfile(n=n, w=w, f=f, fprime=fprime)
 
 
@@ -157,12 +128,12 @@ def cone_potential(n: int, z):
     """(n/(n-1))^((n+1)/n) * (|z|^2)^((n-1)/n) on the eps = 0 cone.
 
     z is one point (a float comes back) or a (..., n + 1) stack of points
-    (an array of one value per point); OriginPoint if any point is 0.
+    (an array of one value per point); InputError if any point is 0.
     """
     zz = z.z if isinstance(z, QuadricPoint) else np.asarray(z, dtype=complex)
     s = np.sum(np.abs(zz) ** 2, axis=-1)
     if np.any(s == 0.0):
-        raise OriginPoint("cone potential undefined at the vertex")
+        raise InputError("cone potential undefined at the vertex")
     u = (n / (n - 1.0)) ** ((n + 1.0) / n) * s ** ((n - 1.0) / n)
     return float(u) if zz.ndim == 1 else u
 
@@ -172,10 +143,9 @@ def stenzel_potential_fn(profile: RadialProfile, eps: complex):
     coordinate arrays, one point or a (..., n + 1) stack, with n the
     profile's dimension and f the cubic Hermite interpolant of the profile's
     exact (w, f, f'), which keeps the potential convex across grid joints.
-    BelowVertex or OutOfProfileRange if any point of a stack is off the
-    profile."""
+    InputError if any point of a stack is off the profile."""
     if eps == 0:
-        raise ValueError("eps = 0 is the cone; use cone_potential")
+        raise InputError("eps = 0 is the cone; use cone_potential")
     spline = CubicHermite(profile.w, profile.f, profile.fprime)
     scale = abs(eps) ** ((profile.n - 1.0) / profile.n)
     w_max = profile.w_max
@@ -184,11 +154,11 @@ def stenzel_potential_fn(profile: RadialProfile, eps: complex):
         s = np.sum(np.abs(zarr) ** 2, axis=-1)
         ratio = s / abs(eps)
         if np.any(ratio < 1.0 - 1e-12):
-            raise BelowVertex(f"|z|^2 = {np.min(s):.6g} below "
+            raise InputError(f"|z|^2 = {np.min(s):.6g} below "
                               f"|eps| = {abs(eps):.6g}")
         wval = np.arccosh(np.maximum(ratio, 1.0))
         if np.any(wval > w_max):
-            raise OutOfProfileRange(f"arccosh argument {np.max(wval):.4g} "
+            raise InputError(f"arccosh argument {np.max(wval):.4g} "
                                     "beyond grid")
         return scale * spline(wval)
 
@@ -244,8 +214,9 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
 
     The chart solves for coordinate `chart` via the principal square root
     branch nearest the point's own value; 4-point central stencils per
-    coordinate pair, one Richardson halving.  Raises BranchCut when
-    |z_chart| < 10 h and StepTooLarge when the halved step disagrees badly.
+    coordinate pair, one Richardson halving.  Raises InputError when
+    |z_chart| < 10 h and NumericalFailure when the halved step disagrees
+    badly.
 
     Both steps' stencils are one (2, 73) stack of points.  A potential with
     a true `accepts_stack` attribute (those of cone_potential_fn and
@@ -254,9 +225,9 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
     """
     z0 = point.z
     if len(z0) != 4:
-        raise ValueError("the Monge-Ampere check is wired for n = 3")
+        raise InputError("the Monge-Ampere check is wired for n = 3")
     if abs(z0[chart]) < 10.0 * h:
-        raise BranchCut(f"|z[{chart}]| = {abs(z0[chart]):.3g} < 10h")
+        raise InputError(f"|z[{chart}]| = {abs(z0[chart]):.3g} < 10h")
     offsets, a, b = _stencil()
     steps = np.array([h, h / 2.0])[:, None, None]
     # (Re w1, Im w1, ..., Im w3) + each offset times each step
@@ -281,7 +252,7 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
     H1, H2 = 0.25 * (xx + 1j * xy)
     d1, d2_ = np.linalg.det(H1), np.linalg.det(H2)
     if abs(d1 - d2_) > 0.5 * abs(d2_):
-        raise StepTooLarge(f"det {d1:.6g} vs {d2_:.6g} under halving")
+        raise NumericalFailure(f"det {d1:.6g} vs {d2_:.6g} under halving")
     det = np.linalg.det((4.0 * H2 - H1) / 3.0)
     return float(abs(det * abs(z0[chart]) ** 2 - 1.0))
 
@@ -297,4 +268,4 @@ def random_chart_point(eps: complex, rng: np.random.Generator,
             continue
         root = np.sqrt(s2) * (1 if rng.random() < 0.5 else -1)
         return QuadricPoint(z=_assemble(w, root, chart), eps=eps)
-    raise RuntimeError("could not sample a chart-valid point")
+    raise NumericalFailure("could not sample a chart-valid point")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from cone_forge import bessel as bs
+from cone_forge.errors import InputError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -37,7 +38,7 @@ def test_gamma_values():
 
 def test_gamma_pole():
     for x in (0.0, -1.0, -2.0):
-        with pytest.raises(bs.PoleArgument):
+        with pytest.raises(InputError, match="pole"):
             bs.gamma_fn(x)
 
 

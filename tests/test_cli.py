@@ -10,7 +10,6 @@ import pytest
 from _fresh_python import run_python
 from _manufactured import bump
 from cone_forge import cli, edge, spectra
-from cone_forge.spectra import ConstraintViolation
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cone_forge" / "data"
 
@@ -136,7 +135,8 @@ def test_config_format_must_be_csv_or_json(tmp_path):
 @pytest.mark.parametrize("doc", [{"seed": 1.9}, {"stenzel_steps": 150.7},
                                  {"stenzel_steps": 0}, {"stenzel_steps": -5},
                                  {"stenzel_wmax": 0.0}, {"seed": True},
-                                 {"g2_tol": float("nan")}])
+                                 {"g2_tol": float("nan")},
+                                 {"g2_tol": 10 ** 400}])
 def test_config_bad_value_exits_2(tmp_path, doc):
     # a fractional integer is refused, not truncated (1.9 is not seed 1),
     # and grid sizes are checked at load, whatever the command reads
@@ -528,6 +528,21 @@ def test_bessel_eval_extreme_arguments_print_ieee_limits(x, i, k):
     assert doc["i"] == (None if i is None else pytest.approx(i, rel=1e-4))
 
 
+@pytest.mark.parametrize("mu, x", [
+    # CF1's probe never converged where 2 (mu + j)/x overflows, returned
+    # [nan] for a count, and _spans failed: "arange: cannot compute length"
+    ("1e300", "5e-324"), ("1e300", "1e-300"),
+    # Gamma(mu + 1) of the leading term overflowed for 170.62 < mu < 171
+    ("170.8", "1e-307"),
+])
+def test_bessel_eval_huge_order_prints_ieee_limits(mu, x):
+    # I is far below the float range there, and K beyond it (null)
+    code, out, err = run(["bessel", "eval", "--mu", mu, "--x", x])
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert (doc["i"], doc["k"]) == (0.0, None)
+
+
 @pytest.mark.parametrize("end_rates", ["nan:2", "inf:1", "-inf:1", "0:-3",
                                        "0:2,nan:1"])
 def test_index_change_refuses_bad_end_rates(end_rates):
@@ -645,6 +660,9 @@ def test_edge_solve_n0_large_order(tmp_path):
      "--delta-pp", "inf"],
     ["edge", "split", "--n", "2", "--mu", "1", "--delta-p", "0.5",
      "--delta-pp", "nan"],
+    # float(|n|) overflowed forming |n| r: an OverflowError traceback
+    ["edge", "solve", "--n", str(10 ** 400), "--mu", "1"],
+    ["edge", "split", "--n", str(-10 ** 400), "--mu", "1", "--delta-pp", "2"],
 ])
 def test_non_finite_order_exits_2(tmp_path, argv):
     if argv[0] == "edge":
@@ -758,3 +776,157 @@ def test_json_output_is_strict(tmp_path, argv):
     doc = json.loads(out, parse_constant=_refuse_constant)
     if argv[0] == "bessel":
         assert doc["k"] is None and doc["wronskian_residual"] is None
+
+
+# ---------------------------------------------------------------------------
+# one error taxonomy: each exception class has one exit code
+
+
+def test_package_defines_three_exception_classes():
+    import importlib
+    import inspect
+    import pkgutil
+    from cone_forge import errors
+
+    classes = set()
+    for info in pkgutil.iter_modules([str(Path(cli.__file__).parent)]):
+        module = importlib.import_module(f"cone_forge.{info.name}")
+        classes |= {obj for _, obj in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(obj, BaseException)
+                    and obj.__module__.startswith("cone_forge")}
+    assert classes == {errors.InputError, errors.NumericalFailure,
+                       errors.VerificationFailed}
+    assert cli._INPUT_ERRORS == (OSError, errors.InputError)
+
+
+@pytest.mark.parametrize("fault", [ValueError, KeyError, ZeroDivisionError])
+def test_program_fault_is_not_an_input_error(monkeypatch, fault):
+    # a numpy or Python error inside a command is a fault of the program:
+    # it escapes dispatch rather than passing as a usage error (exit 2)
+    def broken(mu, x):
+        raise fault("boom")
+    monkeypatch.setattr(cli._bessel, "bessel_eval", broken)
+    with pytest.raises(fault):
+        run(["bessel", "eval", "--mu", "1", "--x", "1"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    # GridTooCoarse, an input error at the parent
+    (["stenzel", "profile", "--n", "3", "--steps", "100", "--wmax", "40"],
+     "error: ODE residual 1.467e-01 > 1.0e-03"),
+    # StepTooLarge: at |eps| = 1e10 the h = 1e-3 stencil is rounding noise
+    (["stenzel", "ma-check", "--eps", "1e10", "--points", "3", "--seed", "1"],
+     "error: det -1.176e-11+3.26407e-28j vs 1.09475e-09+0j under halving"),
+])
+def test_numerical_failure_exits_1(argv, message):
+    code, out, err = run(argv)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
+def test_library_self_check_prints_one_verdict_line(monkeypatch):
+    # build_k3_lattice's own invariant check raised a bare RuntimeError: a
+    # traceback; now it is a failed verification like any other
+    monkeypatch.setattr(cli._lattice.GramLattice, "signature",
+                        lambda self: (2, 20))
+    code, out, err = run(["lattice", "build"])
+    assert (code, out) == (1, "")
+    assert err == ("verification failed: 2(-E8) + 3U fails rank 22, "
+                   "evenness, |det| = 1 or signature (3, 19)\n")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"json"', "3", "null", "{not json",
+                                  "[" * 100_000])
+def test_config_not_a_json_object_exits_2(tmp_path, text):
+    # [1, 2] escaped RunConfig.load as an AttributeError traceback; a
+    # document nested too deeply as a RecursionError
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(text)
+    code, out, err = run(["--config", str(cfgf), "lattice", "build"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["g2", "lincheck", "--samples", "1", "--seed=-1"],
+    ["stenzel", "ma-check", "--points", "1", "--seed=-1"],
+])
+def test_negative_seed_exits_2(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+_NOT_UTF8 = b"\xff\xfe r,z\n0.5,\xe9\n"
+
+
+@pytest.mark.parametrize("which", ["config", "spectrum", "rhs"])
+def test_non_utf8_file_exits_2(tmp_path, which):
+    bad = tmp_path / "bad"
+    bad.write_bytes(_NOT_UTF8)
+    argv = {"config": ["--config", str(bad), "lattice", "build"],
+            "spectrum": ["spectra", "rates", "--input", str(bad),
+                         "--window=0:1"],
+            "rhs": EDGE_ARGS["solve"] + ["--rhs", str(bad)]}[which]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "utf-8" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_rhs_field_beyond_csv_limit_exits_2(tmp_path):
+    # csv.Error escaped as a traceback
+    rhs = tmp_path / "rhs.csv"
+    rhs.write_text("r,z\n0.5," + "1" * 200_000 + "\n")
+    code, out, err = run(EDGE_ARGS["solve"] + ["--rhs", str(rhs)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "field limit" in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    # the first two escaped spectrum_from_dict as OverflowError tracebacks
+    ('{"betti": [1e400, 0, 0, 0, 0, 1]}', "missing or malformed 'betti'"),
+    ('{"betti": [1, 0, 0, 0, 0, 1], "constraints": [{"p": 1e400, '
+     '"bound": 1}]}', "malformed constraint entry"),
+    # NaN was accepted: "catalog complete below mu = nan", exit 0
+    ('{"betti": [1, 0, 0, 0, 0, 1], "complete_below": NaN}',
+     "a completeness bound must be finite and >= 0"),
+    ('{"betti": [1, 0, 0, 0, 0, 1], "complete_below": {"0": -1}}',
+     "a completeness bound must be finite and >= 0"),
+    ('{"betti": [1, 0, 0, 0, 0, 1], "complete_below": 1' + "0" * 400 + "}",
+     "malformed 'complete_below'"),
+    ('{"betti": [1, 0, 0, 0, 0, 1], "constraints": [{"p": 0, '
+     '"bound": NaN}]}', "malformed constraint entry"),
+    ('{"betti": [1, 0, 0, 0, 0, 1], "coexact_modes": 5}',
+     "'coexact_modes' must be a list"),
+])
+def test_spectrum_huge_or_nan_value_exits_2(tmp_path, doc, message):
+    f = tmp_path / "spec.json"
+    f.write_text(doc)
+    code, out, err = run(["spectra", "rates", "--input", str(f),
+                          "--window=-9:9"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+def test_function_rates_refuse_huge_dimension():
+    # int + float overflowed in the rate's float (OverflowError) from n of
+    # about 1e154 on; 2n - 1 stops being an exact float above 2^52
+    code, out, err = run(["spectra", "rates", "--input", "s5",
+                          "--window=-1:1", f"--n={2 ** 52 + 1}"])
+    assert (code, out, err) == (2, "", "error: complex dimension must be "
+                                "<= 2^52\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bessel", "eval", "--mu=--", "--x", "1"],
+    ["spectra", "rates", "--input=--", "--window=0:1"],
+    ["spectra", "rates", "--input", "s5", "--window=--"],
+    ["lattice", "search", "--square=-2", "--dots=--"],
+    ["--config=--", "lattice", "build"],
+])
+def test_double_dash_value_exits_2(argv):
+    # argparse before Python 3.12 reads "--opt=--" as [], which escaped as
+    # a TypeError or AttributeError traceback
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err

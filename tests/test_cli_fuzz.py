@@ -1,16 +1,21 @@
-"""Hypothesis fuzz of the `g2 lincheck`, `bessel eval`, `edge solve` and
-`edge split` argv, and of the rhs CSV that the README `edge solve` and
-`edge split` read.
+"""Hypothesis fuzz of the cone-forge inputs: the argv of `g2 lincheck`,
+`bessel eval`, `edge solve`, `edge split`, `spectra rates`, `spectra
+index-change` and `lattice search`, the rhs CSV that the README `edge solve`
+and `edge split` read, spectrum and config JSON documents, and files that
+are not UTF-8.
 
 Each run goes through `cli.dispatch` in-process.  Whatever the numbers,
-finite, NaN, infinite, beyond the float range or negative, the exit code is
-one of the documented ones (0 ok, 1 verification or numerical failure, 2
-usage or input error), no exception escapes, and the rhs and `g2 lincheck`
-fuzzes print no NaN or Infinity; `g2 lincheck` raises no RuntimeWarning.
+finite, NaN, infinite, beyond the float range or negative, and whatever the
+JSON types, the exit code is one of the documented ones (0 ok, 1
+verification or numerical failure, 2 usage or input error), no exception
+escapes, and stdout holds no NaN or Infinity (except for `edge solve`,
+whose argv fuzz checks exit codes only); `g2 lincheck` raises no
+RuntimeWarning.
 """
 
 import contextlib
 import io
+import json
 import math
 import warnings
 
@@ -33,7 +38,7 @@ def _numbers(bound=None):
 
 
 _ORDERS = _numbers(1e6)
-_MODES = st.integers(-50, 50).map(str)
+_MODES = st.one_of(st.integers(-50, 50), st.integers()).map(str)
 _VERIFY = st.sampled_from([[], ["--verify"]])
 
 
@@ -64,6 +69,13 @@ def _exit_code(argv):
     return _dispatch(argv)[0]
 
 
+def _clean(argv):
+    """Exit code of one run whose stdout must hold no NaN or Infinity."""
+    code, out = _dispatch(argv)[:2]
+    assert "NaN" not in out and "Infinity" not in out, (argv, out)
+    return code
+
+
 # tiny, moderate and huge steps as text, beside any float and the specials
 _STEPS = st.one_of(
     _numbers(), st.floats(5e-324, 1e-280).map(repr),
@@ -87,8 +99,7 @@ def test_g2_lincheck_fuzz(samples, step, seed, verify):
 @settings(max_examples=60, deadline=None)
 @given(mu=_ORDERS, x=_numbers(), verify=_VERIFY)
 def test_bessel_eval_fuzz(mu, x, verify):
-    out = _dispatch(["bessel", "eval", f"--mu={mu}", f"--x={x}", *verify])[1]
-    assert "NaN" not in out and "Infinity" not in out
+    _clean(["bessel", "eval", f"--mu={mu}", f"--x={x}", *verify])
 
 
 @settings(max_examples=40, deadline=None)
@@ -103,10 +114,8 @@ def test_edge_solve_fuzz(rhs_csv, n, mu, support, verify):
 @settings(max_examples=40, deadline=None)
 @given(n=_MODES, mu=_ORDERS, dp=_numbers(), dpp=_numbers(), verify=_VERIFY)
 def test_edge_split_fuzz(rhs_csv, n, mu, dp, dpp, verify):
-    out = _dispatch(["edge", "split", f"--n={n}", f"--mu={mu}", "--rhs",
-                     rhs_csv, f"--delta-p={dp}", f"--delta-pp={dpp}",
-                     *verify])[1]
-    assert "NaN" not in out and "Infinity" not in out
+    _clean(["edge", "split", f"--n={n}", f"--mu={mu}", "--rhs", rhs_csv,
+            f"--delta-p={dp}", f"--delta-pp={dpp}", *verify])
 
 
 # rhs CSV contents for the README `edge solve` and `edge split` argv
@@ -144,5 +153,162 @@ def test_edge_rhs_csv_fuzz(tmp_path_factory, rows, header, cmd, verify):
     path = tmp_path_factory.mktemp("csv") / "rhs.csv"
     path.write_text(("r,z\n" if header else "")
                     + "".join(f"{r!r},{z!r}\n" for r, z in rows))
-    out = _dispatch(_README_EDGE[cmd] + ["--rhs", str(path), *verify])[1]
-    assert "NaN" not in out and "Infinity" not in out
+    _clean(_README_EDGE[cmd] + ["--rhs", str(path), *verify])
+
+
+# ---------------------------------------------------------------------------
+# spectrum and config JSON documents
+
+
+class _Raw(str):
+    """JSON text written as it is: numbers that no float holds (1e400)."""
+
+
+def _to_json(value) -> str:
+    if isinstance(value, _Raw):
+        return str(value)
+    if isinstance(value, dict):
+        return "{%s}" % ", ".join(f"{json.dumps(k)}: {_to_json(v)}"
+                                  for k, v in value.items())
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(map(_to_json, value))
+    return json.dumps(value)  # NaN and +-Infinity as Python writes them
+
+
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf, _Raw("1e400"),
+                        _Raw("-1e400"), _Raw("1" + "0" * 400)])
+_LEAF = st.one_of(_ODD, st.integers(-3, 12), st.floats(-20.0, 80.0),
+                  st.text(max_size=4), st.booleans(), st.none())
+# any JSON value: odd numbers, strings, lists and nested objects
+_VALUE = st.recursive(_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.text(max_size=3), inner, max_size=2)), max_leaves=4)
+
+
+def _or_value(strategy):
+    return st.one_of(strategy, _VALUE)
+
+
+_MODE = st.fixed_dictionaries(
+    {"p": _or_value(st.integers(0, 5)),
+     "mu": _or_value(st.one_of(st.integers(0, 60),
+                               st.sampled_from(["33/4", "1/2", "1e400"]))),
+     "mult": _or_value(st.integers(1, 3))},
+    optional={"tag": _VALUE})
+_CONSTRAINT = st.fixed_dictionaries(
+    {"p": _or_value(st.integers(0, 5)), "bound": _or_value(st.integers(0, 10))},
+    optional={"strict": _VALUE, "tag": _VALUE})
+_SPECTRUM = _or_value(st.fixed_dictionaries({}, optional={
+    "betti": _or_value(st.one_of(
+        st.sampled_from([[1, 0, 0, 0, 0, 1], [1, 0, 1, 1, 0, 1]]),
+        st.lists(_or_value(st.integers(0, 2)), min_size=6, max_size=6))),
+    "coexact_modes": _or_value(st.lists(_MODE, max_size=3)),
+    "constraints": _or_value(st.lists(_CONSTRAINT, max_size=2)),
+    "complete_below": _or_value(st.one_of(
+        st.floats(0.0, 100.0),
+        st.dictionaries(st.sampled_from(["0", "1", "2", "x"]),
+                        _or_value(st.floats(0.0, 60.0)), max_size=2))),
+    "name": _VALUE}))
+# a window inside the range each catalog is proved on
+_KIND_WINDOW = {"functions": "-9:9", "harmonic": "-9:9", "one-form": "-3:1",
+                "paired": "-1.5:0"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_SPECTRUM, kind=st.sampled_from(sorted(_KIND_WINDOW)),
+       p=st.integers(0, 6), verify=_VERIFY)
+def test_spectrum_json_fuzz(tmp_path_factory, doc, kind, p, verify):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    path.write_text(_to_json(doc))
+    _clean(["spectra", "rates", "--input", str(path), "--kind", kind,
+            f"--window={_KIND_WINDOW[kind]}", f"--p={p}", *verify])
+
+
+_CONFIG_KEYS = st.sampled_from(sorted(vars(cli.RunConfig())) + ["bogus"])
+# commands that read the seed, the format or a tolerance, and no grid size
+_CONFIG_COMMANDS = st.sampled_from([
+    ["lattice", "build", "--verify"], ["g2", "lincheck", "--samples", "1"],
+    ["bessel", "eval", "--mu", "1", "--x", "1", "--verify"],
+    ["edge", "kernel", "--nmax", "1"]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_or_value(st.dictionaries(_CONFIG_KEYS, _or_value(st.one_of(
+           st.sampled_from(["csv", "json"]), st.integers(-2, 2 ** 64),
+           st.floats())), max_size=3)),
+       argv=_CONFIG_COMMANDS)
+def test_config_json_fuzz(tmp_path_factory, doc, argv):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(_to_json(doc))
+    _clean(["--config", str(path), *argv])
+
+
+# bytes that occur nowhere in UTF-8, between arbitrary bytes
+_NOT_UTF8 = st.tuples(st.binary(max_size=30),
+                      st.sampled_from([b"\xff", b"\xfe", b"\xc0", b"\xf5"]),
+                      st.binary(max_size=30)).map(b"".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_NOT_UTF8, which=st.sampled_from(["config", "spectrum", "rhs"]))
+def test_non_utf8_file_fuzz(tmp_path_factory, data, which):
+    path = tmp_path_factory.mktemp("bytes") / "input"
+    path.write_bytes(data)
+    argv = {"config": ["--config", str(path), "lattice", "build"],
+            "spectrum": ["spectra", "rates", "--input", str(path),
+                         "--window=0:1"],
+            "rhs": _README_EDGE["solve"] + ["--rhs", str(path)]}[which]
+    assert _clean(argv) == 2
+
+
+# ---------------------------------------------------------------------------
+# spectra and lattice argv
+
+_MALFORMED = st.sampled_from(["", "x", "1:2", "0x1", "1e", "--"])
+_NUMBER_TEXT = st.one_of(_numbers(100.0), _MALFORMED)
+_DIMENSIONS = st.one_of(st.integers(-3, 12), st.integers(), st.sampled_from(
+    [2 ** 52, 2 ** 52 + 1, 10 ** 160, 10 ** 400])).map(str)
+_SHIPPED = st.sampled_from(["s5", "s2xs3_partial"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_SHIPPED, lo=_NUMBER_TEXT, hi=_NUMBER_TEXT,
+       sep=st.sampled_from([":", ":", "", "::"]),
+       kind=st.sampled_from(sorted(_KIND_WINDOW)), p=_DIMENSIONS,
+       n=_DIMENSIONS, verify=_VERIFY)
+def test_spectra_rates_argv_fuzz(spec, lo, hi, sep, kind, p, n, verify):
+    _clean(["spectra", "rates", "--input", spec, f"--window={lo}{sep}{hi}",
+            "--kind", kind, f"--p={p}", f"--n={n}", *verify])
+
+
+_END_RATE = st.tuples(_NUMBER_TEXT, st.one_of(
+    st.integers(-2, 5).map(str), _MALFORMED, st.just(str(10 ** 30)))).map(
+        ":".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=_SHIPPED, delta=st.lists(_NUMBER_TEXT, min_size=1, max_size=3),
+       dprime=st.lists(_NUMBER_TEXT, min_size=1, max_size=3),
+       end=st.lists(_END_RATE, min_size=1, max_size=3),
+       functions=st.booleans(), p=_DIMENSIONS, n=_DIMENSIONS, verify=_VERIFY)
+def test_spectra_index_change_argv_fuzz(spec, delta, dprime, end, functions,
+                                        p, n, verify):
+    _clean(["spectra", "index-change", "--input", spec,
+            f"--delta={','.join(delta)}", f"--delta-prime={','.join(dprime)}",
+            f"--end-rates={','.join(end)}", f"--p={p}", f"--n={n}",
+            *(["--functions"] if functions else []), *verify])
+
+
+_DOT = st.tuples(
+    st.sampled_from(["pi", "kplus", "kminus", "", "x"]),
+    st.one_of(st.integers(-50, 50), st.integers(), st.just(2 ** 63)).map(str)
+    | _MALFORMED).map(":".join)
+
+
+@settings(max_examples=80, deadline=None)
+@given(square=st.one_of(st.integers(-100, 100), st.integers()),
+       dots=st.lists(_DOT, max_size=3), bound=st.integers(-2, 1000),
+       verify=_VERIFY)
+def test_lattice_search_argv_fuzz(square, dots, bound, verify):
+    _clean(["lattice", "search", f"--square={square}",
+            f"--dots={','.join(dots)}", f"--bound={bound}", *verify])

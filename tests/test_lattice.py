@@ -14,6 +14,7 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as hst
 
 from cone_forge import lattice as lat
+from cone_forge.errors import InputError
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +84,7 @@ def test_u_block_pairings(L):
 
 
 def test_dimension_mismatch(L):
-    with pytest.raises(lat.DimensionMismatch):
+    with pytest.raises(InputError, match="expected length"):
         lat.pairing(L, [1, 2, 3], [1] * 22)
 
 
@@ -443,7 +444,7 @@ def test_search_rejects_wrong_length_vectors(L, embedding, where):
         span[1] = span[1][:21]
     else:
         dots = [(np.append(dots[0][0], 0), dots[0][1])]
-    with pytest.raises(lat.DimensionMismatch):
+    with pytest.raises(InputError, match="expected length"):
         lat.constrained_class_search(span, square, dots, bound, L=L)
 
 
@@ -538,13 +539,14 @@ def test_invariant_breach_raises_under_optimize():
     # the certificate/solution consistency check must survive python -O
     script = textwrap.dedent("""
         from cone_forge import lattice as lat
+        from cone_forge.errors import VerificationFailed
         lat._enumerate = lambda *args: iter([(1, 0, 0)])
         L = lat.build_k3_lattice()
         images = list(lat.matching_embedding(L).images)
         try:
             lat.constrained_class_search(images, -2, [(images[1], 0)],
                                          bound=5, L=L)
-        except RuntimeError as exc:
+        except VerificationFailed as exc:
             print("raised:", exc)
         """)
     src = str(Path(lat.__file__).resolve().parents[1])
@@ -617,7 +619,7 @@ def test_generic_direction_toy_avoid():
 
 def test_generic_direction_unavoidable(L, embedding):
     basis = lat.orthogonal_complement(L, list(embedding.images))
-    with pytest.raises(lat.UnavoidableHyperplane):
+    with pytest.raises(InputError, match="orthogonal to the whole subspace"):
         lat.generic_direction(L, basis, [embedding.images[0]], seed=0)
 
 

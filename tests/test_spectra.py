@@ -10,6 +10,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as hst
 
 from cone_forge import spectra as sp
+from cone_forge.errors import InputError
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cone_forge" / "data"
 
@@ -26,18 +27,18 @@ def make_spec(betti=(1, 0, 1, 1, 0, 1), modes=()):
 
 
 def test_poincare_duality_enforced():
-    with pytest.raises(sp.ConstraintViolation):
+    with pytest.raises(InputError, match="Poincare duality fails"):
         sp.LinkSpectrum(betti=(1, 1, 0, 0, 0, 1))
 
 
 def test_zero_mode_multiplicity_must_match_betti():
-    with pytest.raises(sp.ConstraintViolation):
+    with pytest.raises(InputError, match="must have multiplicity h_p"):
         make_spec(modes=[(2, 0, 3)])
 
 
 def test_constraint_records_enforced():
     rec = sp.ConstraintRecord(p=0, bound=5.0, strict=True)
-    with pytest.raises(sp.ConstraintViolation):
+    with pytest.raises(InputError, match="violates bound"):
         sp.LinkSpectrum(betti=(1, 0, 1, 1, 0, 1),
                         modes=(sp.Mode(p=0, mu=4.0, mult=1),),
                         constraints=(rec,))
@@ -51,19 +52,19 @@ def test_tagged_constraint_scopes():
     sp.LinkSpectrum(betti=(1, 0, 1, 1, 0, 1),
                     modes=(sp.Mode(p=2, mu=4.0, mult=1, tag="other"),),
                     constraints=(rec,))
-    with pytest.raises(sp.ConstraintViolation):
+    with pytest.raises(InputError, match="violates bound"):
         sp.LinkSpectrum(betti=(1, 0, 1, 1, 0, 1),
                         modes=(sp.Mode(p=2, mu=4.0, mult=1, tag="primitive-11"),),
                         constraints=(rec,))
 
 
 def test_schema_errors():
-    with pytest.raises(sp.SchemaError):
+    with pytest.raises(InputError, match="betti must be six"):
         sp.spectrum_from_dict({"betti": [1, 0, 0]})
-    with pytest.raises(sp.SchemaError):
+    with pytest.raises(InputError, match="malformed mode entry"):
         sp.spectrum_from_dict({"betti": [1, 0, 0, 0, 0, 1],
                                "coexact_modes": [{"p": 0}]})
-    with pytest.raises(sp.SchemaError):
+    with pytest.raises(InputError, match="must be a JSON object"):
         sp.spectrum_from_dict([1, 2, 3])
 
 
@@ -94,54 +95,6 @@ def test_implicit_harmonic_modes():
     spec = make_spec()
     modes = spec.coclosed(2)
     assert modes[0].mu == 0.0 and modes[0].mult == 1
-
-
-# ---------------------------------------------------------------------------
-# radial couplings
-
-
-def test_laplacian_coefficients_function_case():
-    c = sp.laplacian_coefficients(0, -1.3)
-    assert c.alpha_factor is None
-    assert c.beta_factor == pytest.approx((-1.3) * (-1.3 + 4.0))
-
-
-def test_laplacian_coefficients_p3_normal_form():
-    c = sp.laplacian_coefficients(3, -2.0)
-    assert c.alpha_factor == pytest.approx(-1.0)  # (lam+p-2)(lam-p+6) = -1
-    assert (c.hat_alpha_shift, c.hat_beta_shift) == (1, 1)
-    assert (c.alpha_cross, c.beta_cross) == (-2.0, -2.0)
-
-
-def test_laplacian_coefficients_beta_boundary():
-    # the slice coupling (lam+p)(lam-p+4) vanishes exactly on the pure-mode
-    # boundary rates lam = -p and lam = p-4 (both equal -2 at p = 2)
-    assert sp.laplacian_coefficients(2, -2.0).beta_factor == pytest.approx(0.0)
-    assert sp.laplacian_coefficients(1, -1.0).beta_factor == pytest.approx(0.0)
-    assert sp.laplacian_coefficients(1, -3.0).beta_factor == pytest.approx(0.0)
-    assert sp.laplacian_coefficients(2, 0.0).beta_factor == pytest.approx(4.0)
-
-
-def test_laplacian_coefficients_degree_range():
-    with pytest.raises(sp.DegreeOutOfRange):
-        sp.laplacian_coefficients(7, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# hat eigenvalues
-
-
-def test_hat_eigenvalues_examples():
-    spec = make_spec()
-    fam3 = [e for e in sp.hat_eigenvalues(spec, 3) if e[2] == 3]
-    assert fam3 == [(1.0, 1, 3)]  # (p-4)^2 = 1 with multiplicity h_2
-    spec8 = make_spec(modes=[(2, 8, 1)])
-    fam4 = sorted(e[0] for e in sp.hat_eigenvalues(spec8, 3) if e[2] == 4)
-    assert fam4 == pytest.approx([(2 * math.sqrt(2) - 1) ** 2,
-                                  (2 * math.sqrt(2) + 1) ** 2])
-    spec0 = make_spec(betti=(1, 0, 0, 0, 0, 1), modes=[(0, 7, 2)])
-    ev = sp.hat_eigenvalues(spec0, 0)
-    assert ev == [(4.0, 1, 2), (11.0, 2, 2)]  # mu + (p-2)^2 only
 
 
 def test_hat_pair_symmetry():
@@ -208,7 +161,7 @@ def test_t4_rates_match_exact_one_forms():
 
 def test_critical_endpoint_rejected():
     spec = make_spec()
-    with pytest.raises(sp.CriticalEndpoint):
+    with pytest.raises(InputError, match="ties the window endpoint"):
         sp.harmonic_rate_catalog(spec, 2, (-2.0, 1.0))
 
 
@@ -221,7 +174,7 @@ def test_tie_is_exact_equality():
     s5 = sp.load_spectrum(DATA / "s5.json").coclosed(0)
     rates = sp.function_rates(3, s5, (1e-10, 2.0 - 1e-10))
     assert [(r.lam, r.multiplicity) for r in rates] == [(1.0, 6)]
-    with pytest.raises(sp.CriticalEndpoint):
+    with pytest.raises(InputError, match="ties the window endpoint"):
         sp.function_rates(3, s5, (1e-10, 2.0))
 
 
@@ -271,17 +224,17 @@ def test_one_form_moving_family_rate():
 
 def test_one_form_constraint_violations():
     bad_obata = make_spec(modes=[(0, 4.5, 1)])
-    with pytest.raises(sp.ConstraintViolation):
+    with pytest.raises(InputError, match="Obata bound violated"):
         sp.one_form_catalog(bad_obata, (-3.0, 0.0))
     bad_killing = make_spec(modes=[(1, 7.0, 1)])
-    with pytest.raises(sp.ConstraintViolation):
+    with pytest.raises(InputError, match="Killing bound violated"):
         sp.one_form_catalog(bad_killing, (-3.0, 0.0))
     bad_h1 = sp.LinkSpectrum(betti=(1, 1, 1, 1, 1, 1))
-    with pytest.raises(sp.ConstraintViolation):
+    with pytest.raises(InputError, match="requires h_1 = 0"):
         sp.one_form_catalog(bad_h1, (-3.0, 0.0))
-    with pytest.raises(sp.WindowOutOfRange):
+    with pytest.raises(InputError, match="proved only inside"):
         sp.one_form_catalog(obata_spec(), (-4.0, 0.0))
-    with pytest.raises(sp.WindowOutOfRange):  # the range check is exact
+    with pytest.raises(InputError, match="proved only inside"):  # exact
         sp.one_form_catalog(obata_spec(), (-3.0 - 1e-10, 0.0))
 
 
@@ -306,9 +259,9 @@ def test_paired_moving_family():
 
 
 def test_paired_window_range():
-    with pytest.raises(sp.WindowOutOfRange):
+    with pytest.raises(InputError, match="proved only inside"):
         sp.paired_catalog(obata_spec(), (-2.0, 0.5))
-    with pytest.raises(sp.WindowOutOfRange):  # the range check is exact
+    with pytest.raises(InputError, match="proved only inside"):  # exact
         sp.paired_catalog(obata_spec(), (-2.0, 1e-10))
 
 
@@ -366,8 +319,7 @@ def test_function_rates_mu12():
 def test_function_rates_refuse_non_increasing_window(window):
     # (1, 0) has the rate 0 on an endpoint: the order is refused first
     spec = sp.load_spectrum(DATA / "s5.json")
-    with pytest.raises(sp.WindowOutOfRange,
-                       match="window must be an increasing pair"):
+    with pytest.raises(InputError, match="window must be an increasing pair"):
         sp.function_rates(3, spec.coclosed(0), window)
 
 
@@ -407,11 +359,11 @@ def test_index_change_empty():
 
 
 def test_index_change_errors():
-    with pytest.raises(sp.WeightOrderViolation):
+    with pytest.raises(InputError, match="need delta < delta'"):
         sp.index_change([[]], [], sp.WeightVector((1.0,), 0.0),
                         sp.WeightVector((0.0,), 1.0))
     rate = sp.CriticalRate(lam=0.5, degree=0, multiplicity=1, gen_type="x")
-    with pytest.raises(sp.CriticalEndpoint):
+    with pytest.raises(InputError, match="weight endpoint ties critical rate"):
         sp.index_change([[rate]], [], sp.WeightVector((0.5,), 0.0),
                         sp.WeightVector((1.0,), 1.0))
 
@@ -434,12 +386,6 @@ def test_index_change_window_additivity(entries, lo, gap1, gap2):
     assert full == split
     assert full >= 0
     assert full >= sp.index_change([cat], cat, wv(lo), wv(mid))
-
-
-def test_weight_vector_criticality():
-    cat = [sp.CriticalRate(lam=1.0, degree=0, multiplicity=1, gen_type="t")]
-    assert sp.WeightVector((1.0,), 5.0).is_critical([cat], [])
-    assert not sp.WeightVector((0.5,), 5.0).is_critical([cat], [])
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +447,8 @@ def _check_against_sympy(catalog, candidates, window, logs):
     want, tie = _sym_catalog(candidates, window, logs)
     try:
         got = catalog()
-    except sp.CriticalEndpoint:
-        assert tie
+    except InputError as exc:
+        assert tie and "ties" in str(exc)
         return
     assert not tie
     assert collections.Counter(
