@@ -25,18 +25,22 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from . import bessel as _bessel
-from . import edge as _edge
-from . import g2 as _g2
-from . import lattice as _lattice
-from . import spectra as _spectra
-from . import stenzel as _stenzel
 from .errors import InputError, NumericalFailure, VerificationFailed
-from .spectra import load_spectrum  # re-exported: the ingestion surface
 
+# numpy and the module of a command are imported inside its handler, so a
+# command loads only what it runs; a handler looks up each function on its
+# module when it runs, where a caller may have replaced it
 __all__ = ["RunConfig", "dispatch", "main", "load_spectrum"]
+
+
+def __getattr__(name):
+    # load_spectrum, the ingestion surface, is re-exported from spectra
+    # without importing spectra with this module
+    if name == "load_spectrum":
+        from .spectra import load_spectrum
+        return load_spectrum
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -59,7 +63,8 @@ class RunConfig:
         cfg = cls()
         source = path or os.environ.get("CONE_FORGE_CONFIG")
         if source:
-            doc = _spectra._read_json(source)
+            from .spectra import _read_json
+            doc = _read_json(source)
             if not isinstance(doc, dict):
                 raise InputError("config must be a JSON object")
             for key, val in doc.items():
@@ -77,6 +82,11 @@ class RunConfig:
                 except OverflowError:  # an integer beyond the float range
                     raise InputError(f"config key {key!r} must be positive "
                                      "and finite") from None
+            if "stenzel_steps" in doc:  # stenzel loads only when it is set
+                from .stenzel import MAX_STEPS
+                if cfg.stenzel_steps > MAX_STEPS:
+                    raise InputError(f"config key 'stenzel_steps' must be <= "
+                                     f"{MAX_STEPS}, not {cfg.stenzel_steps}")
         for key in ("g2_tol", "g2_step", "stenzel_cone_tol",
                     "stenzel_smoothing_tol", "kernel_tol", "stenzel_steps",
                     "stenzel_wmax"):
@@ -107,12 +117,12 @@ def _parsed(convert, value):
 def _plain(obj):
     """obj with numpy arrays and scalars as Python values and every
     non-finite float as None (JSON null)."""
+    if hasattr(obj, "tolist"):  # a numpy value; numpy need not be loaded
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {key: _plain(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return [_plain(val) for val in obj]
-    if isinstance(obj, np.generic):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
     return obj
@@ -139,15 +149,18 @@ def _emit_rows(header, rows, fmt):
 
 
 def _cmd_g2_lincheck(args, cfg: RunConfig) -> None:
+    import numpy as np
+    from . import g2
+
     rng = _parsed(np.random.default_rng,
                   args.seed if args.seed is not None else cfg.seed)
     h = args.step if args.step is not None else cfg.g2_step
     rows, residuals = [], []
     for k in range(args.samples):
-        gamma = _g2.random_unit_3form(rng)
-        dec = _g2.project_3form(_g2.PHI0, gamma)
+        gamma = g2.random_unit_3form(rng)
+        dec = g2.project_3form(g2.PHI0, gamma)
         # the three components of a sample are one stacked residual call
-        res = _g2.linearization_residual(
+        res = g2.linearization_residual(
             np.stack((dec.pi1, dec.pi7, dec.pi27)), h)
         for name, r in zip(("pi1", "pi7", "pi27"), res.tolist()):
             residuals.append(r)
@@ -162,11 +175,14 @@ def _cmd_g2_lincheck(args, cfg: RunConfig) -> None:
 
 
 def _cmd_bessel_eval(args, cfg: RunConfig) -> None:
+    import numpy as np
+    from . import bessel
+
     # an overflowed K gives 0 * inf in the Wronskian: reported as null and
     # failed by the gate below, so numpy's warning would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        ev = _bessel.bessel_eval(args.mu, args.x)
-        res = _bessel.wronskian_residual(args.mu, args.x)
+        ev = bessel.bessel_eval(args.mu, args.x)
+        res = bessel.wronskian_residual(args.mu, args.x)
     _emit_json({"mu": args.mu, "x": args.x, "i": ev.value_i,
                 "k": ev.value_k, "regime": ev.regime,
                 "wronskian_residual": res})
@@ -179,7 +195,10 @@ def _cmd_bessel_eval(args, cfg: RunConfig) -> None:
 
 
 def _cmd_stenzel_profile(args, cfg: RunConfig) -> None:
-    prof = _stenzel.solve_profile(
+    import numpy as np
+    from . import stenzel
+
+    prof = stenzel.solve_profile(
         args.n, args.wmax if args.wmax is not None else cfg.stenzel_wmax,
         args.steps if args.steps is not None else cfg.stenzel_steps)
     if args.verify and (prof.f[0] != 0.0 or prof.fprime[0] != 0.0
@@ -219,28 +238,36 @@ def _parse_eps(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected 're' or 're,im', "
                                          f"got {text!r}")
     vals = [float(v) for v in parts]
-    if not all(map(math.isfinite, vals)):
-        raise argparse.ArgumentTypeError(f"parts must be finite, got {text!r}")
+    # |eps| itself must be a float: abs(1e308+1e308j) raises OverflowError
+    if not math.isfinite(math.hypot(*vals)):
+        raise argparse.ArgumentTypeError(f"parts and modulus must be finite, "
+                                         f"got {text!r}")
     return complex(*vals)
 
 
 def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> None:
+    import numpy as np
+    from . import stenzel
+
     eps = args.eps if args.eps is not None else 0.0
     rng = _parsed(np.random.default_rng,
                   args.seed if args.seed is not None else cfg.seed)
     if eps == 0:
-        potential = _stenzel.cone_potential_fn(3)
+        potential = stenzel.cone_potential_fn(3)
         tol = cfg.stenzel_cone_tol
     else:
-        prof = _stenzel.solve_profile(3, cfg.stenzel_wmax, cfg.stenzel_steps)
-        potential = _stenzel.stenzel_potential_fn(prof, eps)
+        prof = stenzel.solve_profile(3, cfg.stenzel_wmax, cfg.stenzel_steps)
+        potential = stenzel.stenzel_potential_fn(prof, eps)
         tol = cfg.stenzel_smoothing_tol
     rows, residuals = [], []
-    for k in range(args.points):
-        pt = _stenzel.random_chart_point(eps, rng)
-        res = _stenzel.monge_ampere_residual(potential, pt, h=1e-3)
-        residuals.append(res)
-        rows.append((k, f"{res:.6e}"))
+    # at a huge |eps| the points' |z|^2 overflows and the residual is NaN,
+    # which the check below fails, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(args.points):
+            pt = stenzel.random_chart_point(eps, rng)
+            res = stenzel.monge_ampere_residual(potential, pt, h=1e-3)
+            residuals.append(res)
+            rows.append((k, f"{res:.6e}"))
     _emit_rows(("point", "residual"), rows, cfg.format)
     worst = float(np.max(residuals))  # NaN propagates, unlike max()
     print(f"max residual {worst:.3e} over {args.points} points "
@@ -258,23 +285,25 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _cmd_spectra_rates(args, cfg: RunConfig) -> None:
+    from . import spectra
+
     if args.verify and args.kind in ("one-form", "paired"):
         raise InputError(f"--verify has no check for --kind {args.kind}")
-    spec = load_spectrum(args.input)
+    spec = spectra.load_spectrum(args.input)
     window = _parse_window(args.window)
     if args.kind == "harmonic":
-        cat = _spectra.harmonic_rate_catalog(spec, args.p, window)
+        cat = spectra.harmonic_rate_catalog(spec, args.p, window)
         degrees = range(max(args.p - 2, 0), min(args.p, 5) + 1)
     elif args.kind == "one-form":
-        cat = _spectra.one_form_catalog(spec, window)
+        cat = spectra.one_form_catalog(spec, window)
         degrees = (0, 1)
     elif args.kind == "paired":
-        cat = _spectra.paired_catalog(spec, window)
+        cat = spectra.paired_catalog(spec, window)
         degrees = (0,)
     else:
-        cat = _spectra.function_rates(args.n, spec.coclosed(0), window)
+        cat = spectra.function_rates(args.n, spec.coclosed(0), window)
         degrees = (0,)
-        report = _spectra.function_gap_report(args.n, spec.coclosed(0))
+        report = spectra.function_gap_report(args.n, spec.coclosed(0))
         _emit_json(report, indent=None, file=sys.stderr)
     for p in degrees:
         print(f"catalog complete below mu = {spec.completeness(p)} "
@@ -287,7 +316,7 @@ def _cmd_spectra_rates(args, cfg: RunConfig) -> None:
         # hat-pair symmetry: rates -2 +- sqrt(mu_hat) carry equal dimension.
         # A rate is c + s sqrt(d) exactly, so |lam + 2| is the exact triple
         # side * (c + 2, s, d), with side the sign of lam + 2.
-        wide = _spectra.harmonic_rate_catalog(spec, args.p, (-8.01, 4.01))
+        wide = spectra.harmonic_rate_catalog(spec, args.p, (-8.01, 4.01))
         tally, where = {}, {}
         for r in wide:
             x = r.root
@@ -320,6 +349,8 @@ def _cmd_spectra_rates(args, cfg: RunConfig) -> None:
 def _parse_end_rates(text: str):
     """RATE:DIM pairs: a NaN rate would lie in no window and a negative
     dimension would subtract from N, so both are refused."""
+    from . import spectra
+
     out = []
     for part in text.split(","):
         lam, _, dim = part.partition(":")
@@ -327,13 +358,15 @@ def _parse_end_rates(text: str):
         if not math.isfinite(rate) or mult < 0:
             raise InputError(f"end rate {part!r} needs a finite rate and a "
                              "dimension >= 0")
-        out.append(_spectra.CriticalRate(lam=rate, degree=0,
-                                         multiplicity=mult, gen_type="end"))
+        out.append(spectra.CriticalRate(lam=rate, degree=0,
+                                        multiplicity=mult, gen_type="end"))
     return out
 
 
 def _cmd_spectra_index_change(args, cfg: RunConfig) -> None:
-    spec = load_spectrum(args.input)
+    from . import spectra
+
+    spec = spectra.load_spectrum(args.input)
     deltas = [_parsed(float, x) for x in args.delta.split(",")]
     dprimes = [_parsed(float, x) for x in args.delta_prime.split(",")]
     if len(deltas) != len(dprimes) or len(deltas) < 1:
@@ -343,15 +376,15 @@ def _cmd_spectra_index_change(args, cfg: RunConfig) -> None:
     cats = []
     for lo, hi in zip(cone_w, cone_wp):
         if args.functions:
-            cats.append(_spectra.function_rates(args.n, spec.coclosed(0),
-                                                (lo, hi)))
+            cats.append(spectra.function_rates(args.n, spec.coclosed(0),
+                                               (lo, hi)))
         else:
-            cats.append(_spectra.harmonic_rate_catalog(spec, args.p, (lo, hi)))
+            cats.append(spectra.harmonic_rate_catalog(spec, args.p, (lo, hi)))
     end_cat = _parse_end_rates(args.end_rates)
-    N = _spectra.index_change(
+    N = spectra.index_change(
         cats, end_cat,
-        _spectra.WeightVector(cone_w, end_w),
-        _spectra.WeightVector(cone_wp, end_wp))
+        spectra.WeightVector(cone_w, end_w),
+        spectra.WeightVector(cone_wp, end_wp))
     _emit_json({"N": N}, indent=None)
     if args.verify and N < 0:
         raise VerificationFailed("index change must be nonnegative")
@@ -368,6 +401,8 @@ def _read_rhs(path: str):
     a file that is not UTF-8 CSV, and a file without data rows, is an input
     error.
     """
+    import numpy as np
+
     rs, zs = [], []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -391,21 +426,27 @@ def _read_rhs(path: str):
     return np.array(rs), np.array(zs)
 
 
-def _mode_problem(args) -> _edge.ModeProblem:
+def _mode_problem(args):
+    import numpy as np
+    from . import edge
+
     grid, z = _read_rhs(args.rhs)
     support = args.support
     if support is None:
         nz = np.nonzero(z)[0]
         support = float(grid[nz[-1]]) if nz.size else float(grid[0])
         support = min(support, 0.999999)
-    return _edge.ModeProblem(n=args.n, mu=args.mu, grid=grid, rhs=z,
-                             support_max=support)
+    return edge.ModeProblem(n=args.n, mu=args.mu, grid=grid, rhs=z,
+                            support_max=support)
 
 
 def _cmd_edge_solve(args, cfg: RunConfig) -> None:
+    import numpy as np
+    from . import edge
+
     prob = _mode_problem(args)
-    y = _edge.solve_mode(prob)
-    res = _edge.operator_residual(prob, y)
+    y = edge.solve_mode(prob)
+    res = edge.operator_residual(prob, y)
     _emit_rows(("r", "y"), [(f"{r:.12g}", f"{v:.12g}")
                             for r, v in zip(prob.grid, y)], cfg.format)
     print(f"operator residual {res:.3e}", file=sys.stderr)
@@ -415,11 +456,14 @@ def _cmd_edge_solve(args, cfg: RunConfig) -> None:
 
 
 def _cmd_edge_split(args, cfg: RunConfig) -> None:
+    import numpy as np
+    from . import edge
+
     prob = _mode_problem(args)
-    sol = _edge.split_solution(prob, args.delta_p, args.delta_pp)
+    sol = edge.split_solution(prob, args.delta_p, args.delta_pp)
     lhs, rhs = (None, None)
     if prob.n != 0:
-        lhs, rhs = _edge.coefficient_bound_check(prob, args.delta_pp)
+        lhs, rhs = edge.coefficient_bound_check(prob, args.delta_pp)
     # checked after the bound pair, whose Gamma factors overflow first
     if not np.all(np.isfinite(sol.shell_norms)):
         raise NumericalFailure(
@@ -436,7 +480,10 @@ def _cmd_edge_split(args, cfg: RunConfig) -> None:
 
 
 def _cmd_edge_kernel(args, cfg: RunConfig) -> None:
-    modes = _edge.kernel_modes(args.nmax)
+    import numpy as np
+    from . import edge
+
+    modes = edge.kernel_modes(args.nmax)
     rows = [(m.n, f"{m.identity_residual:.6e}", f"{m.ode0_residual:.6e}",
              f"{m.ode1_residual:.6e}", f"{m.log_ratio:.8f}",
              f"{m.inverse_ratio:.8f}", m.normal_form) for m in modes]
@@ -453,29 +500,36 @@ def _cmd_edge_kernel(args, cfg: RunConfig) -> None:
 
 
 def _named_vectors():
-    L = _lattice.build_k3_lattice()
-    emb = _lattice.matching_embedding(L)
+    from . import lattice
+
+    L = lattice.build_k3_lattice()
+    emb = lattice.matching_embedding(L)
     return L, dict(zip(emb.labels, emb.images)), emb
 
 
 def _cmd_lattice_build(args, cfg: RunConfig) -> None:
-    L = _lattice.build_k3_lattice()
+    import numpy as np
+    from . import lattice
+
+    L = lattice.build_k3_lattice()
     _emit_json({"rank": L.rank, "determinant": L.determinant(),
                 "signature": L.signature(), "even": L.is_even()})
     if args.verify:
         rng = _parsed(np.random.default_rng, cfg.seed)
         for _ in range(200):
             v = rng.integers(-9, 10, L.rank)
-            if int(_lattice.pairing(L, v, v)) % 2 != 0:
+            if int(lattice.pairing(L, v, v)) % 2 != 0:
                 raise VerificationFailed("even-lattice square parity")
 
 
 def _cmd_lattice_match(args, cfg: RunConfig) -> None:
+    from . import lattice
+
     L, named, emb = _named_vectors()
     _emit_json({"labels": emb.labels, "gram": emb.source_gram,
                 "images": named})
     if args.verify:
-        got = [[int(_lattice.pairing(L, a, b)) for b in emb.images]
+        got = [[int(lattice.pairing(L, a, b)) for b in emb.images]
                for a in emb.images]
         if got != emb.source_gram.tolist():
             raise VerificationFailed("embedding Gram mismatch")
@@ -498,10 +552,12 @@ def _parse_dots(text, named):
 
 
 def _cmd_lattice_search(args, cfg: RunConfig) -> None:
+    from . import lattice
+
     L, named, emb = _named_vectors()
     dots = _parse_dots(args.dots, named)
-    res = _lattice.constrained_class_search(list(emb.images), args.square,
-                                            dots, args.bound, L=L)
+    res = lattice.constrained_class_search(list(emb.images), args.square,
+                                           dots, args.bound, L=L)
     cert = asdict(res.certificate) if res.certificate else None
     _emit_json({"solutions": res.solutions, "certificate": cert})
     if args.verify:
@@ -510,40 +566,45 @@ def _cmd_lattice_search(args, cfg: RunConfig) -> None:
                 "certificate contradicts a found solution")
         for sol in res.solutions:
             vec = sum(c * v for c, v in zip(sol, emb.images))
-            if int(_lattice.pairing(L, vec, vec)) != args.square or any(
-                    int(_lattice.pairing(L, vec, w)) != val
+            if int(lattice.pairing(L, vec, vec)) != args.square or any(
+                    int(lattice.pairing(L, vec, w)) != val
                     for w, val in dots):
                 raise VerificationFailed(
                     f"solution {sol} fails the exact constraints")
 
 
 def _cmd_lattice_complement(args, cfg: RunConfig) -> None:
+    from . import lattice
+
     L, named, emb = _named_vectors()
     names = args.of.split(",") if args.of else ["pi", "kplus", "kminus"]
     vecs = [_named_vector(named, n) for n in names]
-    basis = _lattice.orthogonal_complement(L, vecs)
+    basis = lattice.orthogonal_complement(L, vecs)
     _emit_rows(tuple(f"e{i}" for i in range(L.rank)), basis, cfg.format)
     print(f"complement rank {len(basis)}", file=sys.stderr)
     if args.verify:
         for b in basis:
-            if any(int(_lattice.pairing(L, b, v)) != 0 for v in vecs):
+            if any(int(lattice.pairing(L, b, v)) != 0 for v in vecs):
                 raise VerificationFailed("complement vector pairs nonzero")
 
 
 def _cmd_lattice_generic(args, cfg: RunConfig) -> None:
+    import numpy as np
+    from . import lattice
+
     L, named, emb = _named_vectors()
-    basis = _lattice.orthogonal_complement(L, list(emb.images))
+    basis = lattice.orthogonal_complement(L, list(emb.images))
     avoid = []
     for square, dots in ((-2, [(named["kplus"], 0)]),
                          (0, [(named["kplus"], 0), (named["kminus"], 2)])):
-        found = _lattice.constrained_class_search(
+        found = lattice.constrained_class_search(
             list(emb.images), square, dots, bound=args.avoid_bound, L=L)
         for coeffs in found.solutions:
             vec = sum(c * v for c, v in zip(coeffs, emb.images))
             avoid.append(vec)
-    gd = _lattice.generic_direction(L, basis, avoid,
-                                    seed=args.seed if args.seed is not None
-                                    else cfg.seed)
+    gd = lattice.generic_direction(L, basis, avoid,
+                                   seed=args.seed if args.seed is not None
+                                   else cfg.seed)
     _emit_json({
         "coords": [str(c) for c in gd.coords],
         "square": str(gd.square),

@@ -62,6 +62,10 @@ __all__ = [
 ]
 
 
+# the largest kernel_modes order: about 3 ms an order, so about 3 s at the cap
+MAX_NMAX = 1000
+
+
 def log_grid(r_min: float = 1e-8, r_max: float = 1.0, num: int = 2048) -> np.ndarray:
     return np.geomspace(r_min, r_max, num)
 
@@ -371,13 +375,16 @@ def _scaled_ode_residual(grid: np.ndarray, h: float, y: np.ndarray, a: float,
 
 
 def kernel_modes(n_max: int, r_grid: np.ndarray | None = None) -> list[ObstructionMode]:
-    """The 2 n_max obstruction modes for 0 < |n| <= n_max, each verified.
+    """The 2 n_max obstruction modes for 0 < |n| <= n_max, each verified;
+    n_max runs from 1 to MAX_NMAX.
 
     The count grows without bound with n_max: the assertable form of the
     infinite-dimensional obstruction space.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
+    if n_max > MAX_NMAX:
+        raise InputError(f"n_max must be <= {MAX_NMAX}, got {n_max}")
     grid = log_grid(num=4096) if r_grid is None else np.asarray(r_grid)
     u = np.log(grid)
     h = u[1] - u[0]

@@ -6,8 +6,8 @@ A k-form is stored as a coefficient vector over the increasing k-tuples of
     phi0 = e123 + e145 + e167 + e246 - e257 - e347 - e356
 
 induces a metric g through  g(u,v) Vol = (1/6) (u . phi) ^ (v . phi) ^ phi,
-a Hodge star, and the 1 + 7 + 27 splitting of 3-forms.  All operations are
-pure functions of dense numpy arrays.
+its Hodge dual theta(phi), and the 1 + 7 + 27 splitting of 3-forms.  All
+operations are pure functions of dense numpy arrays.
 
 The metric and theta(phi) = *_phi phi have one implementation, a stacked
 pass over an (s, 35) array of forms: the metrics of every row from batched
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, VerificationFailed
+from .errors import InputError
 
 __all__ = [
     "Metric7",
@@ -34,18 +33,11 @@ __all__ = [
     "PHI0",
     "form_dim",
     "combo_index",
-    "evaluate_form",
-    "wedge",
-    "contract",
-    "pullback",
     "induced_metric",
-    "hodge_star",
     "theta",
     "project_3form",
     "projector_matrices",
-    "linearization_candidate",
     "linearization_residual",
-    "g2_lie_algebra_basis",
     "random_unit_3form",
 ]
 
@@ -63,23 +55,14 @@ def combo_index(indices: tuple[int, ...]) -> int:
 
 
 def _perm_sign(seq) -> int:
+    """Sign of the permutation that sorts seq, whose entries are distinct."""
     seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return 0
     sign = 1
     for i in range(len(seq)):
         for j in range(i + 1, len(seq)):
             if seq[i] > seq[j]:
                 sign = -sign
     return sign
-
-
-def evaluate_form(coeffs: np.ndarray, k: int, indices) -> float:
-    """Value on an arbitrary index tuple via the antisymmetric extension."""
-    sign = _perm_sign(indices)
-    if sign == 0:
-        return 0.0
-    return sign * coeffs[combo_index(tuple(indices))]
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +84,6 @@ def _wedge_tensor(k: int, l: int) -> np.ndarray:
                 W[a, b, combo_index(ca + cb)] = _perm_sign(ca + cb)
     W.setflags(write=False)
     return W
-
-
-def wedge(a: np.ndarray, k: int, b: np.ndarray, l: int) -> np.ndarray:
-    """Wedge product of a k-form and an l-form."""
-    return np.einsum("a,b,abc->c", a, b, _wedge_tensor(k, l))
-
-
-def contract(u: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Interior product u . b of a vector with a k-form."""
-    return np.einsum("i,iab,b->a", u, _wedge_tensor(1, k - 1), b)
 
 
 def _compound(A: np.ndarray, k: int) -> np.ndarray:
@@ -202,25 +175,6 @@ def induced_metric(phi: np.ndarray, tol: float = 1e-12) -> Metric7:
     return Metric7(g=g[0], vol=float(vol[0]))
 
 
-def hodge_star(metric: Metric7, form: np.ndarray, k: int) -> np.ndarray:
-    """Hodge star of a k-form for the orientation e^{1..7} positive."""
-    g = metric.g
-    if not np.allclose(g, g.T):
-        raise InputError("metric is not symmetric")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise InputError("metric is not positive definite") from None
-    return _star(g, _compound(np.linalg.inv(g), k) @ form, k)
-
-
-def _star(g: np.ndarray, raised: np.ndarray, k: int) -> np.ndarray:
-    """Hodge star of a k-form given its raised coefficients
-    _compound(inv(g), k) @ form; g must be positive definite already."""
-    complement = _wedge_tensor(k, 7 - k)[:, :, 0]
-    return math.sqrt(np.linalg.det(g)) * raised @ complement
-
-
 @functools.cache
 def _dense_3() -> tuple[np.ndarray, np.ndarray]:
     """Signs S with (S @ phi).reshape(7, 7, 7) the antisymmetric tensor of
@@ -299,18 +253,10 @@ def _linearization_matrix() -> np.ndarray:
     return L
 
 
-def linearization_candidate(gamma: np.ndarray) -> np.ndarray:
-    """(4/3) * pi1(gamma) + * pi7(gamma) - * pi27(gamma) at the model point.
-
-    The star acts by the flat metric of phi0; this is the 4-form-valued
-    derivative of theta at phi0.
-    """
-    return _linearization_matrix() @ gamma
-
-
 def linearization_residual(gamma: np.ndarray,
                            h: float = 1e-4) -> float | np.ndarray:
-    """Norm of the central difference of theta at phi0 minus the candidate.
+    """Norm of the central difference of theta at phi0 minus the candidate
+    derivative *0 ((4/3) pi1 + pi7 - pi27) gamma, with the flat star *0.
 
     O(h**2) for every gamma; InputError if phi0 +- h*gamma leaves the
     positive cone.  gamma is one direction (a float is returned) or a
@@ -324,37 +270,6 @@ def linearization_residual(gamma: np.ndarray,
     diff = (th[:len(rows)] - th[len(rows):]) / (2.0 * h)
     res = np.linalg.norm(diff - rows @ _linearization_matrix().T, axis=1)
     return float(res[0]) if gammas.ndim == 1 else res
-
-
-def pullback(A: np.ndarray, form: np.ndarray, k: int) -> np.ndarray:
-    """Pullback of a k-form by the linear map A (A*e^j = sum_i A_ji e^i)."""
-    P = _compound(A.T, k)
-    return P.T @ form
-
-
-def g2_lie_algebra_basis() -> np.ndarray:
-    """Basis of the 14-dimensional space of 2-forms a with a ^ *phi0 = 0.
-
-    Exponentials of the corresponding antisymmetric matrices preserve phi0.
-    Returns an array of shape (14, 21).
-    """
-    star_phi = PHI0 @ _wedge_tensor(3, 4)[:, :, 0]
-    rows = np.einsum("abc,b->ac", _wedge_tensor(2, 4), star_phi)
-    _, s, vt = np.linalg.svd(rows.T, full_matrices=True)
-    null = vt[np.sum(s > 1e-10):]
-    if null.shape[0] != 14:
-        raise VerificationFailed(
-            f"g2 null space has dimension {null.shape[0]}, not 14")
-    return null
-
-
-def two_form_to_matrix(a: np.ndarray) -> np.ndarray:
-    """Antisymmetric matrix of a 2-form under the flat metric."""
-    X = np.zeros((7, 7))
-    for c, (i, j) in enumerate(COMBOS[2]):
-        X[i, j] = a[c]
-        X[j, i] = -a[c]
-    return X
 
 
 def random_unit_3form(rng: np.random.Generator) -> np.ndarray:

@@ -160,13 +160,26 @@ def _entries(doc: dict, key: str) -> list:
     return entries
 
 
+def _integer(value) -> int:
+    """value if it is a JSON integer; a float, a string or a bool is refused
+    rather than truncated, as the config loader refuses it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def spectrum_from_dict(doc: dict) -> LinkSpectrum:
     """Validate a spectrum document.  A number that is not finite, or beyond
-    the float range where a float is needed, is an input error."""
+    the float range where a float is needed, is an input error; so is a
+    Betti number, degree or multiplicity that is not a JSON integer, and a
+    `strict` that is not a JSON boolean."""
     if not isinstance(doc, dict):
         raise InputError("spectrum document must be a JSON object")
     try:
-        betti = tuple(int(h) for h in doc["betti"])
+        betti = doc["betti"]
+        if not isinstance(betti, list):
+            raise TypeError(f"betti {betti!r} is not a list")
+        betti = tuple(map(_integer, betti))
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError("missing or malformed 'betti'") from exc
     modes = []
@@ -176,8 +189,8 @@ def spectrum_from_dict(doc: dict) -> LinkSpectrum:
             if isinstance(mu, bool) or not isinstance(mu, (int, float, str)):
                 raise TypeError(f"bad eigenvalue {mu!r}")
             exact = mu if isinstance(mu, int) else Fraction(mu)
-            modes.append(Mode(p=int(entry["p"]), mu=float(exact),
-                              mult=int(entry["mult"]),
+            modes.append(Mode(p=_integer(entry["p"]), mu=float(exact),
+                              mult=_integer(entry["mult"]),
                               tag=entry.get("tag"), mu_exact=exact))
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise InputError(f"malformed mode entry {entry!r}") from exc
@@ -187,9 +200,11 @@ def spectrum_from_dict(doc: dict) -> LinkSpectrum:
             bound = float(entry["bound"])
             if math.isnan(bound):
                 raise ValueError("NaN bound")
+            strict = entry.get("strict", True)
+            if not isinstance(strict, bool):
+                raise TypeError(f"strict {strict!r} is not a boolean")
             constraints.append(ConstraintRecord(
-                p=int(entry["p"]), bound=bound,
-                strict=bool(entry.get("strict", True)),
+                p=_integer(entry["p"]), bound=bound, strict=strict,
                 tag=entry.get("tag")))
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise InputError(f"malformed constraint entry {entry!r}") from exc

@@ -80,6 +80,9 @@ class QuadricPoint:
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
+# the largest profile grid: about 1.1 KB and 2 us a step, so about 110 MB
+# and 0.2 s at the cap
+MAX_STEPS = 100_000
 
 
 def _gauss_legendre(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,30 +99,36 @@ def solve_profile(n: int, w_max: float, steps: int,
                   ode_tol: float = 1e-3) -> RadialProfile:
     """Solve (f'^n)' = n sinh^{n-1} w with f(0) = f'(0) = 0 by quadrature.
 
-    f' = (n * int_0^w sinh^{n-1})^(1/n), then f = int f'.  Raises
-    NumericalFailure when the central difference of f'^n misses n sinh^{n-1} w
-    by more than ode_tol relative.
+    f' = (n * int_0^w sinh^{n-1})^(1/n), then f = int f'.  steps runs from
+    100 to MAX_STEPS.  Raises NumericalFailure when the central difference
+    of f'^n misses n sinh^{n-1} w by more than ode_tol relative, or by a
+    non-finite amount (a profile beyond the float range).
     """
     if n < 2:
         raise InputError("complex dimension n must be >= 2")
     if w_max <= 0 or steps < 100:
         raise InputError("need w_max > 0 and steps >= 100")
-    w = np.linspace(0.0, w_max, steps + 1)
-    a, b = w[:-1], w[1:]
-    sinh_pow = lambda s: np.power(np.sinh(s, out=s), n - 1, out=s)
-    F = np.zeros(steps + 1)
-    np.cumsum(_gauss_legendre(sinh_pow, a, b), out=F[1:])
-    fprime = (n * F) ** (1.0 / n)
-    # f' at the (steps, 10) nodes x: F(w_k) plus the rule over [w_k, x]
-    fprime_nodes = lambda x: (n * (F[:-1, None] + _gauss_legendre(
-        sinh_pow, a[:, None], x))) ** (1.0 / n)
-    f = np.zeros(steps + 1)
-    np.cumsum(_gauss_legendre(fprime_nodes, a, b), out=f[1:])
+    if steps > MAX_STEPS:
+        raise InputError(f"steps must be <= {MAX_STEPS}, got {steps}")
+    # f'^n and sinh^{n-1} overflow for a large n or w_max; the residual is
+    # then NaN or inf, which the check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.linspace(0.0, w_max, steps + 1)
+        a, b = w[:-1], w[1:]
+        sinh_pow = lambda s: np.power(np.sinh(s, out=s), n - 1, out=s)
+        F = np.zeros(steps + 1)
+        np.cumsum(_gauss_legendre(sinh_pow, a, b), out=F[1:])
+        fprime = (n * F) ** (1.0 / n)
+        # f' at the (steps, 10) nodes x: F(w_k) plus the rule over [w_k, x]
+        fprime_nodes = lambda x: (n * (F[:-1, None] + _gauss_legendre(
+            sinh_pow, a[:, None], x))) ** (1.0 / n)
+        f = np.zeros(steps + 1)
+        np.cumsum(_gauss_legendre(fprime_nodes, a, b), out=f[1:])
 
-    rhs = n * np.sinh(w[1:-1]) ** (n - 1)
-    lhs = ((fprime[2:] ** n) - (fprime[:-2] ** n)) / (w[2] - w[0])
-    resid = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))
-    if resid > ode_tol:
+        rhs = n * np.sinh(w[1:-1]) ** (n - 1)
+        lhs = ((fprime[2:] ** n) - (fprime[:-2] ** n)) / (w[2] - w[0])
+        resid = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))
+    if not resid <= ode_tol:
         raise NumericalFailure(f"ODE residual {resid:.3e} > {ode_tol:.1e}")
     return RadialProfile(n=n, w=w, f=f, fprime=fprime)
 

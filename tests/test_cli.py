@@ -9,7 +9,7 @@ import pytest
 
 from _fresh_python import run_python
 from _manufactured import bump
-from cone_forge import cli, edge, spectra
+from cone_forge import bessel, cli, edge, g2, lattice, spectra, stenzel
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "cone_forge" / "data"
 
@@ -136,7 +136,8 @@ def test_config_format_must_be_csv_or_json(tmp_path):
                                  {"stenzel_steps": 0}, {"stenzel_steps": -5},
                                  {"stenzel_wmax": 0.0}, {"seed": True},
                                  {"g2_tol": float("nan")},
-                                 {"g2_tol": 10 ** 400}])
+                                 {"g2_tol": 10 ** 400},
+                                 {"stenzel_steps": stenzel.MAX_STEPS + 1}])
 def test_config_bad_value_exits_2(tmp_path, doc):
     # a fractional integer is refused, not truncated (1.9 is not seed 1),
     # and grid sizes are checked at load, whatever the command reads
@@ -166,7 +167,9 @@ def test_edge_empty_rhs_path_exits_2():
 
 
 @pytest.mark.parametrize("eps", ["1,2,3", "1,", "a", "", "nan", "inf",
-                                 "1,nan", "1e400"])
+                                 "1,nan", "1e400",
+                                 # |eps| overflowed: an OverflowError escaped
+                                 "1.3e308,1.3e308"])
 def test_stenzel_ma_check_bad_eps_exits_2(eps):
     code, out, err = run(["stenzel", "ma-check", "--eps", eps,
                           "--points", "1"])
@@ -209,6 +212,23 @@ def test_zero_sizes_refused_not_defaulted(argv, message):
     assert code == 2
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stenzel", "profile", f"--steps={stenzel.MAX_STEPS + 1}"],
+     f"steps must be <= {stenzel.MAX_STEPS}"),
+    (["stenzel", "profile", f"--steps={10 ** 30}"],
+     f"steps must be <= {stenzel.MAX_STEPS}"),
+    (["edge", "kernel", f"--nmax={edge.MAX_NMAX + 1}"],
+     f"n_max must be <= {edge.MAX_NMAX}"),
+    (["edge", "kernel", f"--nmax={10 ** 30}"],
+     f"n_max must be <= {edge.MAX_NMAX}"),
+], ids=["steps", "huge-steps", "nmax", "huge-nmax"])
+def test_sizes_beyond_cap_exit_2(argv, message):
+    # no upper bound: --steps 10000000 asked for about 10 GB, and --nmax
+    # 1000000000 ran for weeks; refused before any work
+    assert run(argv) == (2, "", f"error: {message}, got "
+                         f"{argv[-1].partition('=')[2]}\n")
 
 
 def test_bessel_eval_near_integer_order_verifies():
@@ -455,8 +475,8 @@ def test_spectra_functions_verify_catches_a_bad_rate(monkeypatch):
     # (0.5 + 2)^2 = mu + 4 gives mu = 2.25, which s5 does not list
     bad = spectra.CriticalRate(lam=0.5, degree=0, multiplicity=1,
                                gen_type="function")
-    real = cli._spectra.function_rates
-    monkeypatch.setattr(cli._spectra, "function_rates",
+    real = spectra.function_rates
+    monkeypatch.setattr(spectra, "function_rates",
                         lambda *a: real(*a) + [bad])
     code, out, err = run(["spectra", "rates", "--input", "s5",
                           "--window=-0.5:6.5", "--verify"])
@@ -466,8 +486,8 @@ def test_spectra_functions_verify_catches_a_bad_rate(monkeypatch):
 
 def test_spectra_functions_verify_checks_the_window(monkeypatch):
     # a true rate of the listed mode mu = 12 (multiplicity 20), but outside
-    real = cli._spectra.function_rates
-    monkeypatch.setattr(cli._spectra, "function_rates",
+    real = spectra.function_rates
+    monkeypatch.setattr(spectra, "function_rates",
                         lambda n, modes, w: real(n, modes, (-6.5, 6.5)))
     code, out, err = run(["spectra", "rates", "--input", "s5",
                           "--window=-0.5:6.5", "--verify"])
@@ -572,16 +592,16 @@ def _nan_first(real):
 
 
 def test_g2_lincheck_nan_residual_fails(monkeypatch):
-    monkeypatch.setattr(cli._g2, "linearization_residual",
-                        _nan_first(cli._g2.linearization_residual))
+    monkeypatch.setattr(g2, "linearization_residual",
+                        _nan_first(g2.linearization_residual))
     code, out, err = run(["g2", "lincheck", "--samples", "2", "--verify"])
     assert code == 1
     assert "linearization residual nan" in err
 
 
 def test_stenzel_ma_check_nan_residual_fails(monkeypatch):
-    monkeypatch.setattr(cli._stenzel, "monge_ampere_residual",
-                        _nan_first(cli._stenzel.monge_ampere_residual))
+    monkeypatch.setattr(stenzel, "monge_ampere_residual",
+                        _nan_first(stenzel.monge_ampere_residual))
     code, out, err = run(["stenzel", "ma-check", "--points", "2",
                           "--seed", "1"])
     assert code == 1
@@ -740,7 +760,7 @@ def test_failed_check_prints_one_verdict_line(tmp_path, monkeypatch, argv,
                                               name, tol, worst):
     cfg = tmp_path / "tight.json"
     cfg.write_text(json.dumps(_TIGHT))
-    monkeypatch.setattr(cli._edge, "operator_residual", lambda prob, y: 0.5)
+    monkeypatch.setattr(edge, "operator_residual", lambda prob, y: 0.5)
     argv = [_readme_rhs(tmp_path) if a == "RHS" else a for a in argv]
     code, out, err = run(["--config", str(cfg), *argv])
     assert code == 1
@@ -805,7 +825,7 @@ def test_program_fault_is_not_an_input_error(monkeypatch, fault):
     # it escapes dispatch rather than passing as a usage error (exit 2)
     def broken(mu, x):
         raise fault("boom")
-    monkeypatch.setattr(cli._bessel, "bessel_eval", broken)
+    monkeypatch.setattr(bessel, "bessel_eval", broken)
     with pytest.raises(fault):
         run(["bessel", "eval", "--mu", "1", "--x", "1"])
 
@@ -817,16 +837,31 @@ def test_program_fault_is_not_an_input_error(monkeypatch, fault):
     # StepTooLarge: at |eps| = 1e10 the h = 1e-3 stencil is rounding noise
     (["stenzel", "ma-check", "--eps", "1e10", "--points", "3", "--seed", "1"],
      "error: det -1.176e-11+3.26407e-28j vs 1.09475e-09+0j under halving"),
+    # a profile beyond the float range: inf rows and exit 0, since the NaN
+    # ODE residual passed "resid > tol" as false
+    (["stenzel", "profile", "--n", "200", "--steps", "100"],
+     "error: ODE residual nan > 1.0e-03"),
+    (["stenzel", "profile", "--n", "3", "--wmax", "800"],
+     "error: ODE residual nan > 1.0e-03"),
 ])
 def test_numerical_failure_exits_1(argv, message):
     code, out, err = run(argv)
     assert (code, out, err) == (1, "", message + "\n")
 
 
+def test_stenzel_ma_check_overflowing_points_fail_quietly():
+    # |z|^2 overflows at |eps| near the float range: numpy's overflow
+    # warnings (a RuntimeWarning fails this test) came before the error line
+    code, out, err = run(["stenzel", "ma-check", "--points", "1",
+                          "--eps=0,1.7976931348623155e308"])
+    assert (code, out, err) == (2, "", "error: arccosh argument inf beyond "
+                                "grid\n")
+
+
 def test_library_self_check_prints_one_verdict_line(monkeypatch):
     # build_k3_lattice's own invariant check raised a bare RuntimeError: a
     # traceback; now it is a failed verification like any other
-    monkeypatch.setattr(cli._lattice.GramLattice, "signature",
+    monkeypatch.setattr(lattice.GramLattice, "signature",
                         lambda self: (2, 20))
     code, out, err = run(["lattice", "build"])
     assert (code, out) == (1, "")
@@ -930,3 +965,72 @@ def test_double_dash_value_exits_2(argv):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert "error:" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# cold start: a command loads only the modules it runs
+
+# runs argv through dispatch in a fresh interpreter and reports its output
+# with the cone_forge modules and numpy that it left in sys.modules
+_COLD = """
+import contextlib, io, json, sys
+from cone_forge import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.dispatch(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), sorted(
+    m for m in sys.modules if m == "numpy" or m.startswith("cone_forge"))]))
+"""
+_BASE = ["cone_forge", "cone_forge.cli", "cone_forge.errors"]
+
+
+def _cold(argv):
+    proc = run_python(["-c", _COLD, *argv])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import cone_forge", ["cone_forge"]),
+    ("import cone_forge.cli", _BASE),
+])
+def test_package_import_loads_no_module(statement, loaded):
+    proc = run_python(["-c", f"import sys; {statement}; print(sorted(m for m "
+                       "in sys.modules if m == 'numpy' or "
+                       "m.startswith('cone_forge')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
+
+
+def test_spectra_command_runs_without_numpy():
+    argv = README_SPECTRA[0][0] + ["--verify"]
+    code, out, err, modules = _cold(argv)
+    assert modules == sorted(_BASE + ["cone_forge.spectra"])
+    assert [code, out, err] == list(run(argv))
+    assert out == README_SPECTRA[0][1]
+
+
+@pytest.mark.parametrize("argv, own", [
+    (["g2", "lincheck", "--samples", "1"], ["g2"]),
+    (["bessel", "eval", "--mu", "1", "--x", "1"], ["bessel"]),
+    (["stenzel", "profile", "--wmax", "5", "--steps", "200"],
+     ["stenzel", "_spline"]),
+    (["edge", "kernel", "--nmax", "1"], ["edge", "bessel", "_spline"]),
+    (["lattice", "build", "--verify"], ["lattice"]),
+], ids=["g2", "bessel", "stenzel", "edge", "lattice"])
+def test_command_loads_only_its_group(argv, own):
+    code, out, err, modules = _cold(argv)
+    assert code == 0, err
+    assert modules == sorted(_BASE + [f"cone_forge.{m}" for m in own]
+                             + ["numpy"])
+
+
+def test_lazy_package_attributes():
+    proc = run_python(["-c", "import cone_forge, cone_forge.cli as cli; "
+                       "from cone_forge import spectra; "
+                       "print(cone_forge.edge.__name__, "
+                       "cli.load_spectrum is spectra.load_spectrum)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "cone_forge.edge True\n"
+    with pytest.raises(AttributeError):
+        cli.no_such_name

@@ -1,16 +1,19 @@
 """Hypothesis fuzz of the cone-forge inputs: the argv of `g2 lincheck`,
-`bessel eval`, `edge solve`, `edge split`, `spectra rates`, `spectra
-index-change` and `lattice search`, the rhs CSV that the README `edge solve`
-and `edge split` read, spectrum and config JSON documents, and files that
-are not UTF-8.
+`bessel eval`, `stenzel profile`, `stenzel ma-check`, `edge solve`, `edge
+split`, `edge kernel`, `spectra rates`, `spectra index-change`, `lattice
+search`, `lattice complement` and `lattice generic`, the rhs CSV that the
+README `edge solve` and `edge split` read, spectrum and config JSON
+documents, and files that are not UTF-8.
 
 Each run goes through `cli.dispatch` in-process.  Whatever the numbers,
 finite, NaN, infinite, beyond the float range or negative, and whatever the
 JSON types, the exit code is one of the documented ones (0 ok, 1
 verification or numerical failure, 2 usage or input error), no exception
 escapes, and stdout holds no NaN or Infinity (except for `edge solve`,
-whose argv fuzz checks exit codes only); `g2 lincheck` raises no
-RuntimeWarning.
+whose argv fuzz checks exit codes only); `g2 lincheck` and the `stenzel`
+commands raise no RuntimeWarning.  Sizes are drawn small and past their
+caps (`stenzel.MAX_STEPS`, which is also drawn, and `edge.MAX_NMAX`), so
+no case allocates more than about 110 MB or runs for more than a second.
 """
 
 import contextlib
@@ -24,10 +27,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cone_forge import cli, edge
+from cone_forge import cli, edge, stenzel
 from _manufactured import bump
 
 _SPECIAL = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400"])
+_MALFORMED = st.sampled_from(["", "x", "1:2", "0x1", "1e", "--"])
 
 
 def _numbers(bound=None):
@@ -100,6 +104,40 @@ def test_g2_lincheck_fuzz(samples, step, seed, verify):
 @given(mu=_ORDERS, x=_numbers(), verify=_VERIFY)
 def test_bessel_eval_fuzz(mu, x, verify):
     _clean(["bessel", "eval", f"--mu={mu}", f"--x={x}", *verify])
+
+
+def _sizes(small, *edges):
+    """Integer option values as text: small ones, any integer, the given
+    edge values, and text that is no integer."""
+    return st.one_of(small, st.integers(), st.sampled_from(edges)).map(str) \
+        | _MALFORMED
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=_sizes(st.integers(-2, 12), 400, 10 ** 30), wmax=_numbers(),
+       steps=_sizes(st.integers(-2, 3000), stenzel.MAX_STEPS,
+                    stenzel.MAX_STEPS + 1, 10 ** 30), verify=_VERIFY)
+def test_stenzel_profile_fuzz(n, wmax, steps, verify):
+    code, out, err, runtime_warnings = _dispatch(
+        ["stenzel", "profile", f"--n={n}", f"--wmax={wmax}",
+         f"--steps={steps}", *verify])
+    assert not runtime_warnings, (n, wmax, steps, err)
+    assert "nan" not in out and "inf" not in out, (n, wmax, steps)
+
+
+_EPS = st.one_of(_numbers(), st.tuples(_numbers(), _numbers()).map(
+    ",".join), _MALFORMED, st.sampled_from(["1,2,3", "0,0", "nan,0"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.one_of(st.none(), _EPS), points=st.integers(-1, 4),
+       seed=_sizes(st.integers(-2, 2 ** 64), 2 ** 64))
+def test_stenzel_ma_check_fuzz(eps, points, seed):
+    extra = [] if eps is None else [f"--eps={eps}"]
+    code, out, err, runtime_warnings = _dispatch(
+        ["stenzel", "ma-check", *extra, f"--points={points}",
+         f"--seed={seed}"])
+    assert not runtime_warnings, (eps, err)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,7 +302,6 @@ def test_non_utf8_file_fuzz(tmp_path_factory, data, which):
 # ---------------------------------------------------------------------------
 # spectra and lattice argv
 
-_MALFORMED = st.sampled_from(["", "x", "1:2", "0x1", "1e", "--"])
 _NUMBER_TEXT = st.one_of(_numbers(100.0), _MALFORMED)
 _DIMENSIONS = st.one_of(st.integers(-3, 12), st.integers(), st.sampled_from(
     [2 ** 52, 2 ** 52 + 1, 10 ** 160, 10 ** 400])).map(str)
@@ -312,3 +349,30 @@ _DOT = st.tuples(
 def test_lattice_search_argv_fuzz(square, dots, bound, verify):
     _clean(["lattice", "search", f"--square={square}",
             f"--dots={','.join(dots)}", f"--bound={bound}", *verify])
+
+
+# the cap itself takes seconds; the README order is 10
+@settings(max_examples=40, deadline=None)
+@given(nmax=_sizes(st.integers(-2, 12), edge.MAX_NMAX + 1, 10 ** 30),
+       verify=_VERIFY)
+def test_edge_kernel_fuzz(nmax, verify):
+    _clean(["edge", "kernel", f"--nmax={nmax}", *verify])
+
+
+_NAMES = st.lists(st.sampled_from(["pi", "kplus", "kminus", "", "x", "PI"]),
+                  max_size=5).map(",".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(of=st.one_of(st.none(), _NAMES, _MALFORMED), verify=_VERIFY)
+def test_lattice_complement_argv_fuzz(of, verify):
+    _clean(["lattice", "complement", *([] if of is None else [f"--of={of}"]),
+            *verify])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_sizes(st.integers(-2, 2 ** 64), 2 ** 64),
+       avoid=_sizes(st.integers(-2, 60), 10 ** 30), verify=_VERIFY)
+def test_lattice_generic_argv_fuzz(seed, avoid, verify):
+    _clean(["lattice", "generic", f"--seed={seed}", f"--avoid-bound={avoid}",
+            *verify])

@@ -323,6 +323,8 @@ def test_kernel_mode_count_grows():
         assert len(edge.kernel_modes(nmax)) == 2 * nmax
     with pytest.raises(ValueError):
         edge.kernel_modes(0)
+    with pytest.raises(InputError, match="n_max must be <= 1000"):
+        edge.kernel_modes(edge.MAX_NMAX + 1)
 
 
 def test_kernel_mode_leading_behaviour():

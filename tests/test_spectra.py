@@ -68,6 +68,30 @@ def test_schema_errors():
         sp.spectrum_from_dict([1, 2, 3])
 
 
+_S5_BETTI = [1, 0, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("doc, message", [
+    # each loaded as data the file does not state: int() truncated the
+    # numbers, a string iterated as six 1s, and bool("false") is True
+    ({"betti": [1.9, 0, 0, 0, 0, 1.2]}, "missing or malformed 'betti'"),
+    ({"betti": "111111"}, "missing or malformed 'betti'"),
+    ({"betti": _S5_BETTI, "coexact_modes": [{"p": 0.7, "mu": 12, "mult": 2}]},
+     "malformed mode entry"),
+    ({"betti": _S5_BETTI, "coexact_modes": [{"p": 0, "mu": 12, "mult": 2.9}]},
+     "malformed mode entry"),
+    ({"betti": _S5_BETTI, "constraints": [{"p": 0.5, "bound": 5}]},
+     "malformed constraint entry"),
+    ({"betti": _S5_BETTI,
+      "constraints": [{"p": 0, "bound": 5, "strict": "false"}]},
+     "malformed constraint entry"),
+], ids=["betti-float", "betti-string", "mode-p", "mode-mult", "constraint-p",
+        "strict-string"])
+def test_non_integer_fields_refused(doc, message):
+    with pytest.raises(InputError, match=message):
+        sp.spectrum_from_dict(doc)
+
+
 def test_load_shipped_s5():
     spec = sp.load_spectrum(DATA / "s5.json")
     assert spec.betti == (1, 0, 0, 0, 0, 1)

@@ -96,6 +96,8 @@ def test_profile_input_validation():
         st.solve_profile(1, 5.0, 500)
     with pytest.raises(ValueError):
         st.solve_profile(3, 5.0, 50)
+    with pytest.raises(InputError, match="steps must be <= 100000"):
+        st.solve_profile(3, 5.0, st.MAX_STEPS + 1)
     with pytest.raises(NumericalFailure, match="ODE residual"):
         st.solve_profile(3, 5.0, 150, ode_tol=1e-12)
 
