@@ -26,10 +26,10 @@ bits there; where CF1's 2(mu + j)/x overflows, x^2 is far below an ulp and
 I_mu is its leading term (x/2)^mu / Gamma(mu + 1); from 2^54 on K_nu = 0 and
 r_nu = 1, as CF2 gives them until its q recurrence overflows.
 
-Since I is built from the Wronskian, wronskian_residual checks that I, I', K
-and K' are consistent; the scipy comparisons in the test suite are the
-independent accuracy oracle.  All functions accept scalars or numpy arrays
-in the argument x.
+As each pass builds I from the Wronskian, wronskian_residual compares the
+order-mu+1 pass (I_mu+1 in I') against the order-mu pass (I, K, K'): it
+shows that passes agree, and the scipy tests are the accuracy oracle.  All
+functions accept scalars or numpy arrays in the argument x.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "bessel_ik",
     "bessel_i",
     "bessel_k",
-    "bessel_i_prime",
     "bessel_k_prime",
     "wronskian_residual",
     "bessel_eval",
@@ -232,6 +231,8 @@ def _spans(loop, order: float, x: np.ndarray) -> list[slice]:
 
 def _pass(mu: float, x, with_i: bool):
     """(sorted flat x, I_mu or None, K_mu, K_mu+1/K_mu, map back to x's layout)."""
+    if with_i and mu < 0:  # I_mu is served for mu >= 0 only
+        raise InputError("order must be >= 0")
     if not math.isfinite(mu):
         raise InputError(f"order must be finite, got {mu}")
     xs = np.asarray(x, dtype=float)
@@ -287,8 +288,6 @@ def _pass(mu: float, x, with_i: bool):
 
 def bessel_ik(mu: float, x) -> tuple:
     """(I_mu(x), K_mu(x), K_mu+1(x)) from one pass, mu >= 0, x > 0."""
-    if mu < 0:
-        raise InputError("order must be >= 0")
     _, i, k, r, back = _pass(mu, x, True)
     with np.errstate(over="ignore"):
         return back(i), back(k), back(r * k)
@@ -305,31 +304,29 @@ def bessel_k(mu: float, x) -> float | np.ndarray:
     return back(k)
 
 
-def bessel_i_prime(mu: float, x) -> float | np.ndarray:
-    """dI_mu/dx via I_{mu+1} + (mu/x) I_mu (no negative orders needed)."""
-    return bessel_i(mu + 1.0, x) + (mu / np.asarray(x, dtype=float)) * bessel_i(mu, x)
+def _k_prime(mu: float, xs, k, r) -> np.ndarray:
+    """K' = K_mu (mu/x - K_mu+1/K_mu) from a pass at mu >= 0; where mu/x or
+    r overflows (subnormal x), K' ~ -mu K/x is its IEEE limit -inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = mu / xs
+        return np.where(np.isinf(slope) | np.isinf(r), -np.inf,
+                        k * (slope - r))
 
 
 def bessel_k_prime(mu: float, x) -> float | np.ndarray:
-    """dK_mu/dx = K_mu (mu/x - K_mu+1/K_mu); K_0' = -K_1 is the mu=0 case.
-
-    Where mu/x or K_mu+1/K_mu overflows (subnormal x), K' ~ -mu K/x is
-    beyond the float range and the value is its IEEE limit -inf.
-    """
+    """dK_mu/dx, x > 0, as bessel_k at the order |mu| (K_-mu = K_mu)."""
+    mu = abs(mu)
     xs, _, k, r, back = _pass(mu, x, False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        slope = mu / xs
-        return back(np.where(np.isinf(slope) | np.isinf(r), -np.inf,
-                             k * (slope - r)))
+    return back(_k_prime(mu, xs, k, r))
 
 
 def wronskian_residual(mu: float, x) -> float | np.ndarray:
-    """|I'K - K'I - 1/x|; the exact Wronskian of the pair is 1/x."""
-    xs = np.asarray(x, dtype=float)
-    w = (bessel_i_prime(mu, xs) * bessel_k(mu, xs)
-         - bessel_k_prime(mu, xs) * bessel_i(mu, xs))
-    out = np.abs(w - 1.0 / xs)
-    return float(out) if out.ndim == 0 else out
+    """|I'K - K'I - 1/x|, I' = I_mu+1 + (mu/x) I_mu; the exact Wronskian of
+    the pair is 1/x."""
+    xs, i, k, r, back = _pass(mu, x, True)
+    i_prime = bessel_i(mu + 1.0, xs) + (mu / xs) * i
+    w = i_prime * k - _k_prime(mu, xs, k, r) * i
+    return back(np.abs(w - 1.0 / xs))
 
 
 @dataclass(frozen=True)

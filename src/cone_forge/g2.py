@@ -127,16 +127,16 @@ def _phi0() -> np.ndarray:
 
 PHI0 = _phi0()
 PHI0.setflags(write=False)
+_DET_TOL = 1e-12  # the smallest det(B) that a metric is built from
 
 
-def _metrics(phis: np.ndarray, tol: float = 1e-12
-             ) -> tuple[np.ndarray, np.ndarray]:
+def _metrics(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Metrics (s, 7, 7) and volumes (s,) of an (s, 35) stack of 3-forms,
     one array pass for the whole stack.
 
     B_ij e^{1..7} = (1/6)(e_i . phi)^(e_j . phi)^phi is g * vol with
     det(B) = vol**9, so g = B / det(B)**(1/9).  InputError if any row
-    has a det(B) that is not finite and above tol (degenerate,
+    has a det(B) that is not finite and above _DET_TOL (degenerate,
     orientation-reversing, or a NaN or infinite coefficient), or else a B
     that is not positive definite.
     """
@@ -150,7 +150,7 @@ def _metrics(phis: np.ndarray, tol: float = 1e-12
         X = iota @ pair @ iota.transpose(0, 2, 1)
         B = (X + X.transpose(0, 2, 1)) / 12.0
         det = np.linalg.det(B)
-    bad = ~(np.isfinite(det) & (det > tol))
+    bad = ~(np.isfinite(det) & (det > _DET_TOL))
     if bad.any():
         raise InputError(
             f"det(B) = {det[bad][0]:.3e} is not finite and positive")
@@ -164,14 +164,10 @@ def _metrics(phis: np.ndarray, tol: float = 1e-12
     return g, vol
 
 
-def induced_metric(phi: np.ndarray, tol: float = 1e-12) -> Metric7:
-    """Metric and volume from  B_ij e^{1..7} = (1/6)(e_i . phi)^(e_j . phi)^phi.
-
-    B = g * vol with det(B) = vol**9, so g = B / det(B)**(1/9).  Inputs with
-    det(B) <= tol (degenerate or orientation-reversing), or with a det(B)
-    that is not finite (a NaN or infinite coefficient), are rejected.
-    """
-    g, vol = _metrics(np.asarray(phi, dtype=float)[None], tol)
+def induced_metric(phi: np.ndarray) -> Metric7:
+    """Metric and volume of phi, _metrics on a stack of one: InputError for
+    a degenerate, orientation-reversing, indefinite or non-finite phi."""
+    g, vol = _metrics(np.asarray(phi, dtype=float)[None])
     return Metric7(g=g[0], vol=float(vol[0]))
 
 

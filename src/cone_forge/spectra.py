@@ -22,13 +22,13 @@ and carries one extra log r solution), the degree-specific 1-form and paired
 2-/3-form catalogs, function rates for general complex dimension, and the
 index-change count N(delta, delta') between non-critical weights.
 
-Eigenvalues are rational: integers and "p/q" strings are read exactly, and
-a float is taken exactly.  So every rate is c +- sqrt(d) with c, d rational,
-and every decision on it is exact: window membership, a tie with a window
-or weight endpoint (an InputError, except at the closed right end of the
-1-form and paired catalogs, where the rate is kept), lambda = -2 (log_mode,
-T5's exclusion) and T7's exclusion of lambda = -p in favour of T6.  A tie
-is exact equality; CriticalRate.lam is a float for printing only.
+Eigenvalues and constraint bounds are rational and held exactly (_exact),
+so the zero test and every bound compare exactly, every rate is c +- sqrt(d)
+with c, d rational, and every decision on it is exact: window membership, a
+tie with a window or weight endpoint (an InputError, except at the closed
+right end of the 1-form and paired catalogs, where the rate is kept), lambda
+= -2 (log_mode, T5's exclusion) and T7's exclusion of lambda = -p.  A tie is
+exact equality; floats (CriticalRate.lam, float(mu)) are for output only.
 """
 
 from __future__ import annotations
@@ -65,21 +65,33 @@ LINK_DIM = 5
 # spectrum data
 
 
+def _exact(value) -> int | Fraction:
+    """An int, a float or a "p/q" string as the int or Fraction it equals;
+    NaN, an infinity or a value beyond the float range is refused."""
+    if isinstance(value, bool):  # Fraction reads it as 0 or 1
+        raise TypeError(f"{value!r} is not a number")
+    exact = value if isinstance(value, int) else Fraction(value)
+    float(exact)  # printed and rooted as a float, so it must be one
+    return exact
+
+
 @dataclass(frozen=True)
 class Mode:
-    """One coclosed eigenmode family on the link; mu_exact is mu exactly, an
-    int or a Fraction, and left unset it is the float mu taken exactly."""
+    """One coclosed eigenmode family on the link; mu, given as _exact takes
+    it, is held as an int or a Fraction.  InputError unless mult >= 1 and
+    mu >= 0."""
 
     p: int
-    mu: float
+    mu: int | Fraction
     mult: int
     tag: str | None = None
-    mu_exact: int | Fraction | None = None
 
     def __post_init__(self):
-        if self.mu_exact is not None:
-            return
-        object.__setattr__(self, "mu_exact", Fraction(self.mu))
+        object.__setattr__(self, "mu", _exact(self.mu))
+        if self.mult < 1:
+            raise InputError("multiplicity must be >= 1")
+        if self.mu < 0:
+            raise InputError("negative eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,7 @@ class ConstraintRecord:
     """Lower bound on nonzero eigenvalues of one degree (optionally tagged)."""
 
     p: int
-    bound: float
+    bound: int | Fraction | float
     strict: bool = True
     tag: str | None = None
 
@@ -119,10 +131,6 @@ class LinkSpectrum:
         for m in self.modes:
             if not 0 <= m.p <= LINK_DIM:
                 raise InputError(f"mode degree {m.p} outside 0..5")
-            if m.mult < 1:
-                raise InputError("multiplicity must be >= 1")
-            if m.mu < 0:
-                raise InputError("negative eigenvalue")
             if m.mu == 0 and m.mult != self.betti[m.p]:
                 raise InputError(
                     f"mu = 0 in degree {m.p} must have multiplicity h_p "
@@ -130,8 +138,8 @@ class LinkSpectrum:
             for rec in self.constraints:
                 if not rec.allows(m):
                     raise InputError(
-                        f"mode (p={m.p}, mu={m.mu}) violates bound "
-                        f"{'>' if rec.strict else '>='} {rec.bound}")
+                        f"mode (p={m.p}, mu={float(m.mu)}) violates bound "
+                        f"{'>' if rec.strict else '>='} {float(rec.bound)}")
 
     def coclosed(self, p: int) -> list[Mode]:
         """Modes of degree p; the harmonic family (mu = 0, mult h_p) implied
@@ -140,8 +148,7 @@ class LinkSpectrum:
             return []
         out = []
         if self.betti[p] > 0:
-            out.append(Mode(p=p, mu=0.0, mult=self.betti[p], tag="harmonic",
-                            mu_exact=0))
+            out.append(Mode(p=p, mu=0, mult=self.betti[p], tag="harmonic"))
         out.extend(m for m in self.modes if m.p == p and m.mu > 0)
         return sorted(out, key=lambda m: m.mu)
 
@@ -169,10 +176,10 @@ def _integer(value) -> int:
 
 
 def spectrum_from_dict(doc: dict) -> LinkSpectrum:
-    """Validate a spectrum document.  A number that is not finite, or beyond
-    the float range where a float is needed, is an input error; so is a
-    Betti number, degree or multiplicity that is not a JSON integer, and a
-    `strict` that is not a JSON boolean."""
+    """Validate a spectrum document.  An eigenvalue or bound that _exact
+    refuses, or a completeness bound that is not finite, is an input error;
+    so is a Betti number, degree or multiplicity that is not a JSON
+    integer, and a `strict` that is not a JSON boolean."""
     if not isinstance(doc, dict):
         raise InputError("spectrum document must be a JSON object")
     try:
@@ -185,27 +192,20 @@ def spectrum_from_dict(doc: dict) -> LinkSpectrum:
     modes = []
     for entry in _entries(doc, "coexact_modes"):
         try:
-            mu = entry["mu"]  # an int, a float or a "p/q" string
-            if isinstance(mu, bool) or not isinstance(mu, (int, float, str)):
-                raise TypeError(f"bad eigenvalue {mu!r}")
-            exact = mu if isinstance(mu, int) else Fraction(mu)
-            modes.append(Mode(p=_integer(entry["p"]), mu=float(exact),
-                              mult=_integer(entry["mult"]),
-                              tag=entry.get("tag"), mu_exact=exact))
+            p, mu = _integer(entry["p"]), _exact(entry["mu"])
+            mult, tag = _integer(entry["mult"]), entry.get("tag")
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise InputError(f"malformed mode entry {entry!r}") from exc
+        modes.append(Mode(p=p, mu=mu, mult=mult, tag=tag))
     constraints = []
     for entry in _entries(doc, "constraints"):
         try:
-            bound = float(entry["bound"])
-            if math.isnan(bound):
-                raise ValueError("NaN bound")
             strict = entry.get("strict", True)
             if not isinstance(strict, bool):
                 raise TypeError(f"strict {strict!r} is not a boolean")
             constraints.append(ConstraintRecord(
-                p=_integer(entry["p"]), bound=bound, strict=strict,
-                tag=entry.get("tag")))
+                p=_integer(entry["p"]), bound=_exact(entry["bound"]),
+                strict=strict, tag=entry.get("tag")))
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise InputError(f"malformed constraint entry {entry!r}") from exc
     raw_cb = doc.get("complete_below", {})
@@ -331,15 +331,15 @@ class WeightVector:
 
 def _quad_roots(center: int, shift_sq: int, mode: Mode):
     """Roots center +- sqrt(shift_sq + mu) as (float, _Surd) pairs; the float
-    is a rational root rounded, or center +- math.sqrt(shift_sq + mode.mu)."""
-    disc = shift_sq + mode.mu_exact
+    is a rational root rounded, or center +- math.sqrt(shift_sq + float(mu))."""
+    disc = shift_sq + mode.mu
     if disc < 0:
         return []
     # n/d in lowest terms is a rational square exactly when n*d is a square
     n, d = disc.numerator, disc.denominator
     s = math.isqrt(n * d)
     if s * s != n * d:
-        r = math.sqrt(shift_sq + mode.mu)
+        r = math.sqrt(shift_sq + float(mode.mu))
         return [(center + r, _Surd(center, disc, 1)),
                 (center - r, _Surd(center, disc, -1))]
     s = Fraction(s, d) if d > 1 else s
@@ -436,23 +436,23 @@ def one_form_catalog(spec: LinkSpectrum,
     if spec.betti[1] != 0:
         raise InputError("catalog requires h_1 = 0")
     for m in spec.nonzero(0):
-        if m.mu_exact <= 5:
+        if m.mu <= 5:
             raise InputError(
-                f"Obata bound violated: mu_0 = {m.mu} <= 5")
+                f"Obata bound violated: mu_0 = {float(m.mu)} <= 5")
     for m in spec.nonzero(1):
-        if m.mu_exact < 8:
+        if m.mu < 8:
             raise InputError(
-                f"Killing bound violated: mu_1 = {m.mu} < 8")
+                f"Killing bound violated: mu_1 = {float(m.mu)} < 8")
     cat = _Catalog(window, 1, closed_right=True)
     for m in spec.nonzero(0):
-        if 5 < m.mu_exact <= 12:
+        if 5 < m.mu <= 12:
             cat.add(*_quad_roots(-3, 4, m)[0], m.mult, "1F1")
-            if m.mu_exact == 12:
+            if m.mu == 12:
                 cat.rate(1, m.mult, "1F4")
     if spec.betti[0] > 0:
         cat.rate(1, spec.betti[0], "1F2")  # d(r^2) = 2 r dr
     for m in spec.nonzero(1):
-        if m.mu_exact == 8:
+        if m.mu == 8:
             cat.rate(1, m.mult, "1F3-killing")
     return cat.sorted()
 
@@ -473,7 +473,7 @@ def paired_catalog(spec: LinkSpectrum,
     for tag in ("P1-phi", "P2-6ReOmega+4dtheta^omega", "P3-6ImOmega"):
         cat.rate(0, 1, tag)
     for m in spec.nonzero(0):
-        if 5 < m.mu_exact <= 12:
+        if 5 < m.mu <= 12:
             cat.add(*_quad_roots(-4, 4, m)[0], m.mult, "P4")
     return cat.sorted()
 
@@ -498,8 +498,6 @@ def function_rates(n_complex: int, modes: Sequence[Mode],
     shift = _shift(n_complex)
     cat = _Catalog(window, 0)
     for m in modes:
-        if m.mu < 0:
-            raise InputError("negative eigenvalue")
         cat.roots(-shift, shift * shift, m, "function")
     return cat.sorted()
 
@@ -515,7 +513,7 @@ def function_gap_report(n_complex: int, modes: Sequence[Mode]) -> dict:
         root.cmp(-2 * shift) > 0 > root.cmp(0)
         for m in modes for _, root in _quad_roots(-shift, shift * shift, m))
     threshold = 2.0 * n_complex - 1.0
-    offenders = [m.mu for m in modes if 0 < m.mu_exact <= threshold]
+    offenders = [float(m.mu) for m in modes if 0 < m.mu <= threshold]
     return {
         "no_rate_in_negative_gap": gap_negative,
         "no_rate_in_zero_one": not offenders,

@@ -194,8 +194,8 @@ def test_criterion_6_spectra():
 
     from fractions import Fraction
     synth = sp.LinkSpectrum(betti=(1, 0, 1, 1, 0, 1), modes=(
-        sp.Mode(p=0, mu=7.25, mult=1, mu_exact=Fraction(29, 4)),
-        sp.Mode(p=0, mu=12.0, mult=1, mu_exact=Fraction(12)),
+        sp.Mode(p=0, mu=Fraction(29, 4), mult=1),
+        sp.Mode(p=0, mu=Fraction(12), mult=1),
         sp.Mode(p=1, mu=8.0, mult=1)))
     cat = sp.paired_catalog(synth, (-2.0, 0.0))
     got_pairs = sorted((round(r.lam, 10), r.gen_type[:2]) for r in cat)

@@ -288,7 +288,7 @@ def test_negative_order():
 def test_rejects_non_finite_order(mu):
     # inf overflowed int(mu + 0.5), and NaN failed it by accident
     for fn in (bs.bessel_ik, bs.bessel_i, bs.bessel_k, bs.bessel_k_prime,
-               bs.bessel_i_prime, bs.wronskian_residual, bs.bessel_eval):
+               bs.wronskian_residual, bs.bessel_eval):
         with pytest.raises(ValueError, match="order"):
             fn(mu, 1.0)
 
@@ -311,6 +311,15 @@ def test_k_prime_sign_past_the_recurrence_cutoff():
     assert np.all(bs.bessel_k_prime(5000.5, x) == -np.inf)
     kp = bs.bessel_k_prime(3000.25, np.array([2e4, 1e5]))
     assert np.all(kp == 0.0) and np.all(np.signbit(kp))
+
+
+def test_k_prime_at_negative_orders_matches_scipy():
+    # the signed order went into the pass: -2.1915 for K'_-2.3(1), where
+    # kvp gives -6.3309, and NaN for mu = -1 at x <= 1
+    x = np.geomspace(0.05, 40.0, 30)
+    for mu in (-0.3, -1.0, -2.3, -4.0, -7.25):
+        assert np.allclose(bs.bessel_k_prime(mu, x), special.kvp(mu, x),
+                           rtol=1e-11, atol=0.0), mu
 
 
 def test_k_prime_is_minus_inf_at_subnormal_arguments():

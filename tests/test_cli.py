@@ -223,10 +223,20 @@ def test_zero_sizes_refused_not_defaulted(argv, message):
      f"n_max must be <= {edge.MAX_NMAX}"),
     (["edge", "kernel", f"--nmax={10 ** 30}"],
      f"n_max must be <= {edge.MAX_NMAX}"),
-], ids=["steps", "huge-steps", "nmax", "huge-nmax"])
+    (["g2", "lincheck", f"--samples={cli.MAX_SAMPLES + 1}"],
+     f"samples must be <= {cli.MAX_SAMPLES}"),
+    (["g2", "lincheck", f"--samples={10 ** 30}"],
+     f"samples must be <= {cli.MAX_SAMPLES}"),
+    (["stenzel", "ma-check", f"--points={cli.MAX_POINTS + 1}"],
+     f"points must be <= {cli.MAX_POINTS}"),
+    (["stenzel", "ma-check", f"--points={10 ** 30}"],
+     f"points must be <= {cli.MAX_POINTS}"),
+], ids=["steps", "huge-steps", "nmax", "huge-nmax", "samples", "huge-samples",
+        "points", "huge-points"])
 def test_sizes_beyond_cap_exit_2(argv, message):
-    # no upper bound: --steps 10000000 asked for about 10 GB, and --nmax
-    # 1000000000 ran for weeks; refused before any work
+    # no upper bound: --steps 10000000 asked for about 10 GB, --nmax
+    # 1000000000 ran for weeks, and --samples or --points 1000000000 for
+    # about two days; refused before any work
     assert run(argv) == (2, "", f"error: {message}, got "
                          f"{argv[-1].partition('=')[2]}\n")
 
@@ -933,6 +943,9 @@ def test_rhs_field_beyond_csv_limit_exits_2(tmp_path):
      '"bound": NaN}]}', "malformed constraint entry"),
     ('{"betti": [1, 0, 0, 0, 0, 1], "coexact_modes": 5}',
      "'coexact_modes' must be a list"),
+    # an infinite bound was accepted, and every eigenvalue lay below it
+    ('{"betti": [1, 0, 0, 0, 0, 1], "constraints": [{"p": 0, '
+     '"bound": Infinity}]}', "malformed constraint entry"),
 ])
 def test_spectrum_huge_or_nan_value_exits_2(tmp_path, doc, message):
     f = tmp_path / "spec.json"

@@ -12,8 +12,9 @@ verification or numerical failure, 2 usage or input error), no exception
 escapes, and stdout holds no NaN or Infinity (except for `edge solve`,
 whose argv fuzz checks exit codes only); `g2 lincheck` and the `stenzel`
 commands raise no RuntimeWarning.  Sizes are drawn small and past their
-caps (`stenzel.MAX_STEPS`, which is also drawn, and `edge.MAX_NMAX`), so
-no case allocates more than about 110 MB or runs for more than a second.
+caps (`stenzel.MAX_STEPS`, which is also drawn, `edge.MAX_NMAX`,
+`cli.MAX_SAMPLES` and `cli.MAX_POINTS`), so no case allocates more than
+about 110 MB or runs for more than a second.
 """
 
 import contextlib
@@ -88,15 +89,17 @@ _STEPS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(samples=st.integers(1, 3), step=_STEPS,
-       seed=st.integers(0, 2 ** 32 - 1), verify=_VERIFY)
+@given(samples=st.integers(1, 3) | st.integers(cli.MAX_SAMPLES + 1),
+       step=_STEPS, seed=st.integers(0, 2 ** 32 - 1), verify=_VERIFY)
 def test_g2_lincheck_fuzz(samples, step, seed, verify):
     code, out, err, runtime_warnings = _dispatch(
         ["g2", "lincheck", f"--samples={samples}", f"--step={step}",
          f"--seed={seed}", *verify])
     assert "RuntimeWarning" not in err and not runtime_warnings
     assert "NaN" not in out and "Infinity" not in out
-    if code == 0:
+    if samples > cli.MAX_SAMPLES:
+        assert code == 2 and out == ""
+    elif code == 0:
         assert len(out.splitlines()) == 1 + 3 * samples
 
 
@@ -130,7 +133,8 @@ _EPS = st.one_of(_numbers(), st.tuples(_numbers(), _numbers()).map(
 
 
 @settings(max_examples=60, deadline=None)
-@given(eps=st.one_of(st.none(), _EPS), points=st.integers(-1, 4),
+@given(eps=st.one_of(st.none(), _EPS),
+       points=st.integers(-1, 4) | st.integers(cli.MAX_POINTS + 1),
        seed=_sizes(st.integers(-2, 2 ** 64), 2 ** 64))
 def test_stenzel_ma_check_fuzz(eps, points, seed):
     extra = [] if eps is None else [f"--eps={eps}"]
@@ -138,6 +142,8 @@ def test_stenzel_ma_check_fuzz(eps, points, seed):
         ["stenzel", "ma-check", *extra, f"--points={points}",
          f"--seed={seed}"])
     assert not runtime_warnings, (eps, err)
+    if points > cli.MAX_POINTS:
+        assert code == 2 and out == ""
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,9 +17,7 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "cone_forge" / "data"
 
 def make_spec(betti=(1, 0, 1, 1, 0, 1), modes=()):
     return sp.LinkSpectrum(betti=betti, modes=tuple(
-        sp.Mode(p=p, mu=float(mu), mult=mult,
-                mu_exact=Fraction(mu) if isinstance(mu, (int, Fraction)) else None)
-        for p, mu, mult in modes))
+        sp.Mode(p=p, mu=Fraction(mu), mult=mult) for p, mu, mult in modes))
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +54,61 @@ def test_tagged_constraint_scopes():
         sp.LinkSpectrum(betti=(1, 0, 1, 1, 0, 1),
                         modes=(sp.Mode(p=2, mu=4.0, mult=1, tag="primitive-11"),),
                         constraints=(rec,))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mu": 4, "mult": 0}, "multiplicity must be >= 1"),
+    ({"mu": -0.5, "mult": 1}, "negative eigenvalue"),
+], ids=["mult", "mu"])
+def test_bad_mode_refused_where_built(kwargs, message):
+    # checked only inside LinkSpectrum: function_rates took mult 0 as is
+    with pytest.raises(InputError, match=message):
+        sp.Mode(p=0, **kwargs)
+
+
+def test_mode_holds_one_exact_eigenvalue():
+    assert sp.Mode(p=0, mu=0.1, mult=1).mu == Fraction(0.1) != Fraction(1, 10)
+    assert sp.Mode(p=0, mu="33/4", mult=1).mu == Fraction(33, 4)
+    assert type(sp.Mode(p=0, mu=12, mult=1).mu) is int
+
+
+def _bounded(mu, strict):
+    return sp.spectrum_from_dict({
+        "betti": _S5_BETTI, "coexact_modes": [{"p": 0, "mu": mu, "mult": 1}],
+        "constraints": [{"p": 0, "bound": 5, "strict": strict}]})
+
+
+def test_eigenvalue_just_above_a_strict_bound_is_accepted():
+    # 5 + 1e-16 rounded to the float 5.0: "violates bound > 5.0", exit 2
+    mu = "50000000000000001/10000000000000000"
+    assert [m.mu for m in _bounded(mu, True).nonzero(0)] == [Fraction(mu)]
+
+
+def test_eigenvalue_just_below_a_bound_is_refused():
+    # 5 - 1e-18 rounded to the float 5.0, which met ">= 5": exit 0
+    with pytest.raises(InputError, match=r"mode \(p=0, mu=5.0\) violates "
+                       "bound >= 5.0"):
+        _bounded("4999999999999999999/1000000000000000000", False)
+
+
+@pytest.mark.parametrize("mult", [1, 2])
+def test_tiny_eigenvalue_is_not_harmonic(mult):
+    # 1e-400 rounded to 0.0: read as harmonic, so mult 1 was replaced by the
+    # Betti family and mult 2 refused ("must have multiplicity h_p = 1")
+    spec = sp.spectrum_from_dict({"betti": _S5_BETTI, "coexact_modes": [
+        {"p": 0, "mu": "1e-400", "mult": mult}]})
+    assert [m.mu for m in spec.nonzero(0)] == [Fraction("1e-400")]
+    rates = sp.function_rates(3, spec.coclosed(0), (-0.5, 6.5))
+    assert [(r.lam, r.multiplicity, r.root.cmp(0)) for r in rates] == [
+        (0.0, 1, 0), (0.0, mult, 1)]
+
+
+@pytest.mark.parametrize("bound", ["23/2", 11.5])
+def test_bound_read_exactly_like_mu(bound):
+    spec = sp.spectrum_from_dict({
+        "betti": _S5_BETTI, "coexact_modes": [{"p": 0, "mu": 12, "mult": 1}],
+        "constraints": [{"p": 0, "bound": bound}]})
+    assert spec.constraints[0].bound == Fraction(23, 2)
 
 
 def test_schema_errors():
@@ -326,15 +379,13 @@ def test_function_rates_round_sphere_oracle():
 
 
 def test_function_rates_zero_mode():
-    rates = sp.function_rates(3, [sp.Mode(p=0, mu=0.0, mult=1,
-                                          mu_exact=Fraction(0))],
+    rates = sp.function_rates(3, [sp.Mode(p=0, mu=Fraction(0), mult=1)],
                               (-5.0, 1.0))
     assert sorted(r.lam for r in rates) == [-4.0, 0.0]
 
 
 def test_function_rates_mu12():
-    rates = sp.function_rates(3, [sp.Mode(p=0, mu=12.0, mult=1,
-                                          mu_exact=Fraction(12))],
+    rates = sp.function_rates(3, [sp.Mode(p=0, mu=Fraction(12), mult=1)],
                               (-7.0, 3.0))
     assert sorted(r.lam for r in rates) == [-6.0, 2.0]
 
@@ -439,7 +490,7 @@ def _sym_catalog(candidates, window, logs):
 
 
 def _sym_roots(center, shift_sq, mode, tag, exclude=None):
-    disc = shift_sq + _sym(mode.mu_exact)
+    disc = shift_sq + _sym(mode.mu)
     roots = {center + sympy.sqrt(disc), center - sympy.sqrt(disc)}
     return [(tag, mode.mult, r) for r in roots
             if exclude is None or not (r - exclude).is_zero]
