@@ -32,7 +32,7 @@ res = [st.monge_ampere_residual(ufn, st.random_chart_point(eps, rng),
                                 h=1e-3) for _ in range(10)]
 print(f"smoothing eps = {eps}, 10 random points, max residual:", max(res))
 
-bad = lambda zz: float(np.sum(np.abs(zz) ** 2))
+bad = lambda zz: np.sum(np.abs(zz) ** 2, axis=-1)
 pt = st.QuadricPoint(z=np.array([1.0, 0, 0, 1j]), eps=0.0)
 print("negative control (plain |z|^2):",
       st.monge_ampere_residual(bad, pt, h=1e-3))

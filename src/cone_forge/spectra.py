@@ -159,11 +159,14 @@ class LinkSpectrum:
         return float(self.complete_below.get(p, 0.0))
 
 
-def _entries(doc: dict, key: str) -> list:
-    """The list doc[key], empty when the key is absent."""
+def _entries(doc: dict, key: str, kind: str) -> list:
+    """The list doc[key], empty when the key is absent, of JSON objects."""
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise InputError(f"{key!r} must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InputError(f"malformed {kind} entry {entry!r}")
     return entries
 
 
@@ -178,8 +181,9 @@ def _integer(value) -> int:
 def spectrum_from_dict(doc: dict) -> LinkSpectrum:
     """Validate a spectrum document.  An eigenvalue or bound that _exact
     refuses, or a completeness bound that is not finite, is an input error;
-    so is a Betti number, degree or multiplicity that is not a JSON
-    integer, and a `strict` that is not a JSON boolean."""
+    so is a mode or constraint entry that is not a JSON object, a Betti
+    number, degree or multiplicity that is not a JSON integer, and a
+    `strict` that is not a JSON boolean."""
     if not isinstance(doc, dict):
         raise InputError("spectrum document must be a JSON object")
     try:
@@ -190,7 +194,7 @@ def spectrum_from_dict(doc: dict) -> LinkSpectrum:
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InputError("missing or malformed 'betti'") from exc
     modes = []
-    for entry in _entries(doc, "coexact_modes"):
+    for entry in _entries(doc, "coexact_modes", "mode"):
         try:
             p, mu = _integer(entry["p"]), _exact(entry["mu"])
             mult, tag = _integer(entry["mult"]), entry.get("tag")
@@ -198,7 +202,7 @@ def spectrum_from_dict(doc: dict) -> LinkSpectrum:
             raise InputError(f"malformed mode entry {entry!r}") from exc
         modes.append(Mode(p=p, mu=mu, mult=mult, tag=tag))
     constraints = []
-    for entry in _entries(doc, "constraints"):
+    for entry in _entries(doc, "constraints", "constraint"):
         try:
             strict = entry.get("strict", True)
             if not isinstance(strict, bool):

@@ -16,9 +16,9 @@ which monge_ampere_residual checks by finite differences in one array pass:
 both steps' stencils (the centre, +-e_a and the four mixed points of each
 coordinate pair, 2 x 73 points) are built as one array, lifted to the
 quadric in one chart embedding, evaluated by one potential call, and read
-into both Hessians by index arrays.  The potentials of cone_potential_fn and
-stenzel_potential_fn take such a stack of points and say so with a true
-`accepts_stack` attribute; any other callable gets one call per point.
+into both Hessians by index arrays.  A potential takes a (..., 4) stack of
+points and returns one value per point, as those of cone_potential_fn and
+stenzel_potential_fn do.
 
 solve_profile runs its quadrature as array passes over the whole grid: one
 10-point Gauss-Legendre rule per segment for F = int_0^w sinh^{n-1}, on a
@@ -171,7 +171,6 @@ def stenzel_potential_fn(profile: RadialProfile, eps: complex):
                                     "beyond grid")
         return scale * spline(wval)
 
-    u.accepts_stack = True
     return u
 
 
@@ -180,7 +179,6 @@ def cone_potential_fn(n: int = 3):
     def u(zarr: np.ndarray):
         return cone_potential(n, zarr)
 
-    u.accepts_stack = True
     return u
 
 
@@ -227,10 +225,9 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
     |z_chart| < 10 h and NumericalFailure when the halved step disagrees
     badly.
 
-    Both steps' stencils are one (2, 73) stack of points.  A potential with
-    a true `accepts_stack` attribute (those of cone_potential_fn and
-    stenzel_potential_fn) is called once on the stack; any other callable
-    is called once per point, with one (4,) array.
+    Both steps' stencils are one (2, 73, 4) stack of points, and the
+    potential is called once on it: it takes a (..., 4) stack and returns
+    one value per point.
     """
     z0 = point.z
     if len(z0) != 4:
@@ -242,11 +239,7 @@ def monge_ampere_residual(potential, point: QuadricPoint, h: float = 1e-3,
     # (Re w1, Im w1, ..., Im w3) + each offset times each step
     x = np.delete(z0, chart).view(float) + offsets * steps
     z = _chart_embed(x.view(complex), point.eps, chart, complex(z0[chart]))
-    if getattr(potential, "accepts_stack", False):
-        vals = potential(z)
-    else:
-        vals = np.reshape([potential(row) for row in z.reshape(-1, 4)],
-                          (2, 73))
+    vals = potential(z)
     step2 = steps[:, :, 0] ** 2
     u0 = vals[:, :1]
     d2 = np.empty((2, 6, 6))

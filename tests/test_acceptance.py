@@ -75,7 +75,7 @@ def test_criterion_3_monge_ampere():
             worst_smooth = max(worst_smooth,
                                st.monge_ampere_residual(ufn, pt, h=1e-3))
     assert worst_smooth <= 1e-3, f"smoothing residual {worst_smooth:.3e}"
-    bad = lambda z: float(np.sum(np.abs(z) ** 2))
+    bad = lambda z: np.sum(np.abs(z) ** 2, axis=-1)
     control = st.monge_ampere_residual(
         bad, st.QuadricPoint(z=np.array([1.0, 0, 0, 1j]), eps=0.0), h=1e-3)
     assert control > 0.1, f"negative control {control:.3e}"

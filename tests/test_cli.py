@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -879,6 +880,58 @@ def test_library_self_check_prints_one_verdict_line(monkeypatch):
                    "evenness, |det| = 1 or signature (3, 19)\n")
 
 
+def test_lattice_search_verify_checks_each_solution():
+    code, out, err = run(["lattice", "search", "--square=-2", "--bound", "3",
+                          "--verify"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["solutions"]) == 6
+
+
+def test_lattice_search_verify_catches_a_wrong_solution(monkeypatch):
+    # (0, 0, 1) is -quarter-K_minus, of square 4, not -2
+    monkeypatch.setattr(lattice, "constrained_class_search",
+                        lambda *a, **k: lattice.SearchResult(
+                            solutions=((0, 0, 1),), certificate=None,
+                            reduced_quadratic=((), (), 0)))
+    code, out, err = run(["lattice", "search", "--square=-2", "--bound", "3",
+                          "--verify"])
+    assert code == 1
+    assert err == ("verification failed: solution (0, 0, 1) fails the exact "
+                   "constraints\n")
+
+
+def test_lattice_generic_verify_catches_a_null_direction(monkeypatch):
+    monkeypatch.setattr(lattice, "generic_direction",
+                        lambda *a, **k: lattice.GenericDirection(
+                            coords=(0,) * 22, t_coefficients=(),
+                            square=Fraction(0), normalized=False))
+    code, out, err = run(["lattice", "generic", "--verify"])
+    assert code == 1
+    assert err == ("verification failed: generic direction hits an avoid "
+                   "hyperplane\n")
+
+
+def test_stenzel_profile_verify_catches_a_decreasing_fprime(monkeypatch):
+    w = np.linspace(0.0, 1.0, 3)
+    monkeypatch.setattr(stenzel, "solve_profile",
+                        lambda *a: stenzel.RadialProfile(
+                            n=3, w=w, f=np.zeros(3),
+                            fprime=np.array([0.0, 1.0, 0.5])))
+    code, out, err = run(["stenzel", "profile", "--verify"])
+    assert (code, out) == (1, "")
+    assert err == ("verification failed: profile boundary/monotonicity "
+                   "invariant\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "build"], ["lattice", "match"], ["lattice", "complement"],
+    ["stenzel", "ma-check", "--points", "2"], ["edge", "kernel", "--nmax", "2"],
+], ids=["build", "match", "complement", "ma-check", "kernel"])
+def test_always_checked_command_ignores_verify(argv):
+    # each check of these commands runs on every call
+    assert run(argv + ["--verify"]) == run(argv)
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '"json"', "3", "null", "{not json",
                                   "[" * 100_000])
 def test_config_not_a_json_object_exits_2(tmp_path, text):
@@ -946,6 +999,13 @@ def test_rhs_field_beyond_csv_limit_exits_2(tmp_path):
     # an infinite bound was accepted, and every eigenvalue lay below it
     ('{"betti": [1, 0, 0, 0, 0, 1], "constraints": [{"p": 0, '
      '"bound": Infinity}]}', "malformed constraint entry"),
+    # a constraint that was not an object escaped as an AttributeError
+    ('{"betti": [1, 0, 0, 0, 0, 1], "constraints": [1]}',
+     "malformed constraint entry 1"),
+    ('{"betti": [1, 0, 0, 0, 0, 1], "constraints": [NaN]}',
+     "malformed constraint entry nan"),
+    ('{"betti": [1, 0, 0, 0, 0, 1], "coexact_modes": ["p"]}',
+     "malformed mode entry 'p'"),
 ])
 def test_spectrum_huge_or_nan_value_exits_2(tmp_path, doc, message):
     f = tmp_path / "spec.json"
@@ -1039,11 +1099,9 @@ def test_command_loads_only_its_group(argv, own):
 
 
 def test_lazy_package_attributes():
-    proc = run_python(["-c", "import cone_forge, cone_forge.cli as cli; "
-                       "from cone_forge import spectra; "
-                       "print(cone_forge.edge.__name__, "
-                       "cli.load_spectrum is spectra.load_spectrum)"])
+    proc = run_python(["-c", "import cone_forge; "
+                       "print(cone_forge.edge.__name__)"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "cone_forge.edge True\n"
+    assert proc.stdout == "cone_forge.edge\n"
     with pytest.raises(AttributeError):
         cli.no_such_name

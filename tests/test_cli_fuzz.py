@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cone_forge import cli, edge, stenzel
@@ -261,6 +261,9 @@ _KIND_WINDOW = {"functions": "-9:9", "harmonic": "-9:9", "one-form": "-3:1",
 @settings(max_examples=150, deadline=None)
 @given(doc=_SPECTRUM, kind=st.sampled_from(sorted(_KIND_WINDOW)),
        p=st.integers(0, 6), verify=_VERIFY)
+# a constraint that is not an object escaped as an AttributeError
+@example(doc={"betti": [1, 0, 0, 0, 0, 1], "constraints": [math.nan]},
+         kind="functions", p=0, verify=[])
 def test_spectrum_json_fuzz(tmp_path_factory, doc, kind, p, verify):
     path = tmp_path_factory.mktemp("spec") / "spec.json"
     path.write_text(_to_json(doc))
