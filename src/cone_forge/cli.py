@@ -7,11 +7,12 @@ code has one exception class in `errors.py`, and `dispatch` maps each class
 to its code and its one stderr line: `InputError` (and `OSError`) to 2,
 `NumericalFailure` and `VerificationFailed` to 1.  Results go to stdout,
 diagnostics to stderr.  `_check` holds the one pass rule (finite and at or
-below tolerance, so NaN fails).  `_emit_json` writes all JSON, a non-finite
-float as null.
-Configuration (tolerances, grid sizes, seed, output format) is read from
-the JSON file named by CONE_FORGE_CONFIG or --config; identical inputs and
-config produce byte-identical output.
+below tolerance, so NaN fails) and each gate's tolerance is a constant
+beside it.  `_emit_json` writes all JSON, a non-finite float as null.
+Every run parameter (grid, step, seed) is a flag with a fixed default.  The
+JSON file named by CONE_FORGE_CONFIG or --config sets the output format
+only, so no file moves a gate; identical inputs and config produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,18 +39,13 @@ VERIFY_ERROR = 1
 # the largest counts; each row is kept until it prints, so at the cap
 MAX_SAMPLES = 100_000  # 0.15 ms and 0.9 KB a g2 sample: 15 s and 90 MB
 MAX_POINTS = 100_000  # 0.12 ms and 0.35 KB a Monge-Ampere point: 12 s, 35 MB
+# the Stenzel profile grid of `stenzel profile` and of the smoothed potential
+PROFILE_WMAX = 20.0
+PROFILE_STEPS = 2000
 
 
 @dataclass
 class RunConfig:
-    g2_tol: float = 1e-6
-    g2_step: float = 1e-4
-    stenzel_cone_tol: float = 1e-4
-    stenzel_smoothing_tol: float = 1e-3
-    stenzel_steps: int = 2000
-    stenzel_wmax: float = 20.0
-    kernel_tol: float = 1e-8
-    seed: int = 0
     format: str = "csv"
 
     @classmethod
@@ -62,35 +58,22 @@ class RunConfig:
             if not isinstance(doc, dict):
                 raise InputError("config must be a JSON object")
             for key, val in doc.items():
-                if not hasattr(cfg, key):
+                if key != "format":
                     raise InputError(f"unknown config key {key!r}")
-                kind = type(getattr(cfg, key))
-                # an int key takes a JSON integer only, so 1.9 is refused
-                # rather than truncated; bool is an int subclass, refused too
-                if isinstance(val, bool) or not isinstance(
-                        val, (int, float) if kind is float else kind):
-                    raise InputError(f"config key {key!r} must be "
-                                     f"{kind.__name__}, not {val!r}")
-                try:
-                    setattr(cfg, key, kind(val))
-                except OverflowError:  # an integer beyond the float range
-                    raise InputError(f"config key {key!r} must be positive "
-                                     "and finite") from None
-            if "stenzel_steps" in doc:  # stenzel loads only when it is set
-                from .stenzel import MAX_STEPS
-                if cfg.stenzel_steps > MAX_STEPS:
-                    raise InputError(f"config key 'stenzel_steps' must be <= "
-                                     f"{MAX_STEPS}, not {cfg.stenzel_steps}")
-        for key in ("g2_tol", "g2_step", "stenzel_cone_tol",
-                    "stenzel_smoothing_tol", "kernel_tol", "stenzel_steps",
-                    "stenzel_wmax"):
-            if not 0 < getattr(cfg, key) < math.inf:
-                raise InputError(f"config key {key!r} must be positive and "
-                                 f"finite, not {getattr(cfg, key)!r}")
+                cfg.format = val
         if cfg.format not in ("csv", "json"):
             raise InputError(f"format must be 'csv' or 'json', "
                              f"not {cfg.format!r}")
         return cfg
+
+
+# the tolerance of each gate; README's Checks table names each one
+G2_TOL = 1e-6
+WRONSKIAN_TOL = 1e-9
+STENZEL_CONE_TOL = 1e-4
+STENZEL_SMOOTHING_TOL = 1e-3
+OPERATOR_TOL = 1e-6  # times 1 + sup|z|, the scale of the rhs
+KERNEL_TOL = 1e-8
 
 
 def _check(name: str, worst: float, tol: float) -> None:
@@ -150,22 +133,20 @@ def _cmd_g2_lincheck(args, cfg: RunConfig) -> None:
     import numpy as np
     from . import g2
 
-    rng = _parsed(np.random.default_rng,
-                  args.seed if args.seed is not None else cfg.seed)
-    h = args.step if args.step is not None else cfg.g2_step
+    rng = _parsed(np.random.default_rng, args.seed)
     rows, residuals = [], []
     for k in range(args.samples):
         gamma = g2.random_unit_3form(rng)
         dec = g2.project_3form(g2.PHI0, gamma)
         # the three components of a sample are one stacked residual call
         res = g2.linearization_residual(
-            np.stack((dec.pi1, dec.pi7, dec.pi27)), h)
+            np.stack((dec.pi1, dec.pi7, dec.pi27)), args.step)
         for name, r in zip(("pi1", "pi7", "pi27"), res.tolist()):
             residuals.append(r)
             rows.append((k, name, f"{r:.6e}"))
     _emit_rows(("sample", "component", "residual"), rows, cfg.format)
     if args.verify:  # np.max, unlike max(), propagates NaN
-        _check("linearization residual", np.max(residuals), cfg.g2_tol)
+        _check("linearization residual", np.max(residuals), G2_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +166,7 @@ def _cmd_bessel_eval(args, cfg: RunConfig) -> None:
                 "k": ev.value_k, "regime": ev.regime,
                 "wronskian_residual": res})
     if args.verify:
-        _check("Wronskian residual", res, 1e-9)
+        _check("Wronskian residual", res, WRONSKIAN_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +177,7 @@ def _cmd_stenzel_profile(args, cfg: RunConfig) -> None:
     import numpy as np
     from . import stenzel
 
-    prof = stenzel.solve_profile(
-        args.n, args.wmax if args.wmax is not None else cfg.stenzel_wmax,
-        args.steps if args.steps is not None else cfg.stenzel_steps)
+    prof = stenzel.solve_profile(args.n, args.wmax, args.steps)
     if args.verify and (prof.f[0] != 0.0 or prof.fprime[0] != 0.0
                         or not np.all(np.diff(prof.fprime) > 0)):
         raise VerificationFailed("profile boundary/monotonicity invariant")
@@ -248,22 +227,20 @@ def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> None:
     import numpy as np
     from . import stenzel
 
-    eps = args.eps if args.eps is not None else 0.0
-    rng = _parsed(np.random.default_rng,
-                  args.seed if args.seed is not None else cfg.seed)
-    if eps == 0:
+    rng = _parsed(np.random.default_rng, args.seed)
+    if args.eps == 0:
         potential = stenzel.cone_potential_fn(3)
-        tol = cfg.stenzel_cone_tol
+        tol = STENZEL_CONE_TOL
     else:
-        prof = stenzel.solve_profile(3, cfg.stenzel_wmax, cfg.stenzel_steps)
-        potential = stenzel.stenzel_potential_fn(prof, eps)
-        tol = cfg.stenzel_smoothing_tol
+        prof = stenzel.solve_profile(3, PROFILE_WMAX, PROFILE_STEPS)
+        potential = stenzel.stenzel_potential_fn(prof, args.eps)
+        tol = STENZEL_SMOOTHING_TOL
     rows, residuals = [], []
     # at a huge |eps| the points' |z|^2 overflows and the residual is NaN,
     # which the check below fails, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(args.points):
-            pt = stenzel.random_chart_point(eps, rng)
+            pt = stenzel.random_chart_point(args.eps, rng)
             res = stenzel.monge_ampere_residual(potential, pt, h=1e-3)
             residuals.append(res)
             rows.append((k, f"{res:.6e}"))
@@ -396,9 +373,9 @@ def _cmd_spectra_index_change(args, cfg: RunConfig) -> None:
 def _read_rhs(path: str):
     """(r, z) columns of an rhs CSV; only line 1 may be a header.
 
-    Blank lines are skipped.  Any other row that is short or does not parse,
-    a file that is not UTF-8 CSV, and a file without data rows, is an input
-    error.
+    Blank lines are skipped.  Any other row that is short, long or does not
+    parse, a file that is not UTF-8 CSV, and a file without data rows, is an
+    input error.
     """
     import numpy as np
 
@@ -414,6 +391,8 @@ def _read_rhs(path: str):
                 except (IndexError, ValueError):
                     if reader.line_num == 1:
                         continue  # header
+                    r = None
+                if r is None or len(row) > 2:  # a third field is not cut off
                     raise InputError(f"{path}: line {reader.line_num}: "
                                      f"expected two numbers 'r,z', got {row!r}")
                 rs.append(r)
@@ -451,7 +430,7 @@ def _cmd_edge_solve(args, cfg: RunConfig) -> None:
     print(f"operator residual {res:.3e}", file=sys.stderr)
     if args.verify:
         _check("operator residual", res,
-               1e-6 * (1.0 + float(np.max(np.abs(prob.rhs)))))
+               OPERATOR_TOL * (1.0 + float(np.max(np.abs(prob.rhs)))))
 
 
 def _cmd_edge_split(args, cfg: RunConfig) -> None:
@@ -491,7 +470,7 @@ def _cmd_edge_kernel(args, cfg: RunConfig) -> None:
     worst = float(np.max([(m.identity_residual, m.ode0_residual,
                            m.ode1_residual) for m in modes]))
     print(f"{len(modes)} modes, worst residual {worst:.3e}", file=sys.stderr)
-    _check("kernel residual", worst, cfg.kernel_tol)
+    _check("kernel residual", worst, KERNEL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -582,9 +561,7 @@ def _cmd_lattice_generic(args, cfg: RunConfig) -> None:
         for coeffs in found.solutions:
             vec = sum(c * v for c, v in zip(coeffs, emb.images))
             avoid.append(vec)
-    gd = lattice.generic_direction(L, basis, avoid,
-                                   seed=args.seed if args.seed is not None
-                                   else cfg.seed)
+    gd = lattice.generic_direction(L, basis, avoid, seed=args.seed)
     _emit_json({
         "coords": [str(c) for c in gd.coords],
         "square": str(gd.square),
@@ -615,8 +592,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g2p = sub.add_parser("g2").add_subparsers(dest="command", required=True)
     q = g2p.add_parser("lincheck")
     q.add_argument("--samples", type=_positive_int, default=100)
-    q.add_argument("--step", type=_positive_float)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--step", type=_positive_float, default=1e-4)
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_g2_lincheck)
 
@@ -630,15 +607,15 @@ def _build_parser() -> argparse.ArgumentParser:
     stp = sub.add_parser("stenzel").add_subparsers(dest="command", required=True)
     q = stp.add_parser("profile")
     q.add_argument("--n", type=int, default=3)
-    q.add_argument("--wmax", type=_positive_float)
-    q.add_argument("--steps", type=_positive_int)
+    q.add_argument("--wmax", type=_positive_float, default=PROFILE_WMAX)
+    q.add_argument("--steps", type=_positive_int, default=PROFILE_STEPS)
     q.add_argument("--out")
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_stenzel_profile)
     q = stp.add_parser("ma-check")
-    q.add_argument("--eps", type=_parse_eps, help="re or re,im")
+    q.add_argument("--eps", type=_parse_eps, default=0.0, help="re or re,im")
     q.add_argument("--points", type=_positive_int, default=50)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_stenzel_ma_check)
 
@@ -706,7 +683,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_lattice_complement)
     q = lp.add_parser("generic")
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--avoid-bound", type=int, default=50)
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_lattice_generic)

@@ -335,7 +335,8 @@ class WeightVector:
 
 def _quad_roots(center: int, shift_sq: int, mode: Mode):
     """Roots center +- sqrt(shift_sq + mu) as (float, _Surd) pairs; the float
-    is a rational root rounded, or center +- math.sqrt(shift_sq + float(mu))."""
+    is a rational root rounded, or formed from r = math.sqrt(shift_sq +
+    float(mu)).  Every caller has center < 0."""
     disc = shift_sq + mode.mu
     if disc < 0:
         return []
@@ -343,9 +344,11 @@ def _quad_roots(center: int, shift_sq: int, mode: Mode):
     n, d = disc.numerator, disc.denominator
     s = math.isqrt(n * d)
     if s * s != n * d:
-        r = math.sqrt(shift_sq + float(mode.mu))
-        return [(center + r, _Surd(center, disc, 1)),
-                (center - r, _Surd(center, disc, -1))]
+        minus = center - math.sqrt(shift_sq + float(mode.mu))
+        # center + r would cancel; (center^2 - disc) / (center - r) has an
+        # exact numerator, so a small mu keeps all its digits
+        return [(float(center * center - disc) / minus, _Surd(center, disc, 1)),
+                (minus, _Surd(center, disc, -1))]
     s = Fraction(s, d) if d > 1 else s
     if s == 0:
         return [(float(center), _Surd(center))]

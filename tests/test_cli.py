@@ -100,7 +100,7 @@ def test_ma_check_determinism_byte_identical():
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps({"seed": 5, "format": "json"}))
+    cfgf.write_text(json.dumps({"format": "json"}))
     code, out, err = run(["--config", str(cfgf), "g2", "lincheck",
                           "--samples", "1"])
     assert code == 0
@@ -133,31 +133,38 @@ def test_config_format_must_be_csv_or_json(tmp_path):
         assert code == 2 and "unknown config key" in err
 
 
-@pytest.mark.parametrize("doc", [{"seed": 1.9}, {"stenzel_steps": 150.7},
-                                 {"stenzel_steps": 0}, {"stenzel_steps": -5},
-                                 {"stenzel_wmax": 0.0}, {"seed": True},
-                                 {"g2_tol": float("nan")},
-                                 {"g2_tol": 10 ** 400},
-                                 {"stenzel_steps": stenzel.MAX_STEPS + 1}])
+@pytest.mark.parametrize("doc", [{"format": 1}, {"format": None},
+                                 {"format": "xml"}, {"format": "CSV"},
+                                 {"format": ""}, {"format": "csv "},
+                                 {"format": ["csv"]}, {"format": True},
+                                 {"format": {"csv": 1}}])
 def test_config_bad_value_exits_2(tmp_path, doc):
-    # a fractional integer is refused, not truncated (1.9 is not seed 1),
-    # and grid sizes are checked at load, whatever the command reads
+    # the one key takes "csv" or "json" exactly, whatever the command reads
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps(doc))
     code, out, err = run(["--config", str(cfgf), "lattice", "build"])
-    key = next(iter(doc))
     assert code == 2
-    assert out == "" and err.startswith("error:") and key in err
+    assert out == "" and err.startswith("error:") and "format" in err
 
 
-def test_config_integral_values_still_load(tmp_path):
+@pytest.mark.parametrize("doc", [{"g2_tol": 1e300}, {"kernel_tol": 1e300},
+                                 {"stenzel_steps": 150}, {"seed": 5}],
+                         ids=["g2_tol", "kernel_tol", "stenzel_steps", "seed"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_config_sets_no_gate_or_run_parameter(tmp_path, monkeypatch, doc, via):
+    # {"g2_tol": 1e300} turned this failed check into exit 0: a gate is a
+    # constant and a run parameter a flag, so the file holds the format only
     cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps({"seed": 3, "stenzel_steps": 150,
-                                "g2_tol": 1, "stenzel_wmax": 12}))
-    cfg = cli.RunConfig.load(str(cfgf))
-    assert (cfg.seed, cfg.stenzel_steps) == (3, 150)
-    assert cfg.g2_tol == 1.0 and isinstance(cfg.g2_tol, float)
-    assert cfg.stenzel_wmax == 12.0
+    cfgf.write_text(json.dumps(doc))
+    argv = ["g2", "lincheck", "--samples", "3", "--step", "0.05", "--verify"]
+    assert run(argv)[0] == 1
+    if via == "flag":
+        argv = ["--config", str(cfgf), *argv]
+    else:
+        monkeypatch.setenv("CONE_FORGE_CONFIG", str(cfgf))
+    key = next(iter(doc))
+    assert run(argv) == (2, "", f"error: unknown config key {key!r}\n")
+    assert vars(cli.RunConfig()) == {"format": "csv"}
 
 
 def test_edge_empty_rhs_path_exits_2():
@@ -387,11 +394,11 @@ def test_edge_rhs_without_data_rows_exits_2(tmp_path):
         assert err.startswith("error:") and "no data rows" in err
 
 
-@pytest.mark.parametrize("bad", ["oops,1.0", "0.3", "r,z"])
+@pytest.mark.parametrize("bad", ["oops,1.0", "0.3", "r,z", "0.3,0.0,7"])
 @pytest.mark.parametrize("cmd", ["solve", "split"])
 def test_edge_rhs_bad_row_after_line_1_exits_2(tmp_path, bad, cmd):
-    # a row after the header that is short or does not parse is an input
-    # error, never silently dropped
+    # a row after the header that is short, long or does not parse is an
+    # input error, never silently dropped or cut
     rows = _rhs_rows()
     rows.insert(100, bad)
     rhs = tmp_path / "rhs.csv"
@@ -747,36 +754,51 @@ def test_edge_split_shell_norms_finite_up_to_the_float_range(tmp_path):
 # ---------------------------------------------------------------------------
 # one verdict line and one JSON writer for every command
 
-_TIGHT = {"g2_tol": 1e-30, "stenzel_cone_tol": 1e-30, "kernel_tol": 1e-30}
 _README_RHS_TOL = 1e-6 * (1.0 + float(np.max(
     bump(0.25, 0.5)(edge.log_grid(1e-6, 1.0, 512)))))
 
 
-@pytest.mark.parametrize("argv, name, tol, worst", [
-    (["g2", "lincheck", "--samples", "2", "--verify"],
+@pytest.mark.parametrize("argv, tight, name, tol, worst", [
+    (["g2", "lincheck", "--samples", "2", "--verify"], "G2_TOL",
      "linearization residual", 1e-30,
      lambda out, err: max(float(row.split(",")[2])
                           for row in out.splitlines()[1:])),
     (["stenzel", "ma-check", "--points", "2", "--seed", "1"],
-     "Monge-Ampere residual", 1e-30,
+     "STENZEL_CONE_TOL", "Monge-Ampere residual", 1e-30,
      lambda out, err: float(err.split()[2])),  # max residual X over ...
-    (["edge", "kernel", "--nmax", "1"], "kernel residual", 1e-30,
+    (["edge", "kernel", "--nmax", "1"], "KERNEL_TOL", "kernel residual", 1e-30,
      lambda out, err: float(err.split()[4])),  # 2 modes, worst residual X
-    (["bessel", "eval", "--mu", "1000", "--x", "1", "--verify"],
+    (["bessel", "eval", "--mu", "1000", "--x", "1", "--verify"], None,
      "Wronskian residual", 1e-9, lambda out, err: math.nan),
     (["edge", "solve", "--n", "2", "--mu", "1.0", "--rhs", "RHS", "--verify"],
-     "operator residual", _README_RHS_TOL, lambda out, err: 0.5),
+     None, "operator residual", _README_RHS_TOL, lambda out, err: 0.5),
 ], ids=["g2", "stenzel", "kernel", "bessel", "edge-solve"])
 def test_failed_check_prints_one_verdict_line(tmp_path, monkeypatch, argv,
-                                              name, tol, worst):
-    cfg = tmp_path / "tight.json"
-    cfg.write_text(json.dumps(_TIGHT))
+                                              tight, name, tol, worst):
+    if tight:  # a gate no real residual meets
+        monkeypatch.setattr(cli, tight, 1e-30)
     monkeypatch.setattr(edge, "operator_residual", lambda prob, y: 0.5)
     argv = [_readme_rhs(tmp_path) if a == "RHS" else a for a in argv]
-    code, out, err = run(["--config", str(cfg), *argv])
+    code, out, err = run(argv)
     assert code == 1
     assert err.splitlines()[-1] == (
         f"verification failed: {name} {worst(out, err):.3e} > {tol:.1e}")
+
+
+def test_readme_checks_table_names_each_gate_constant():
+    # the tolerance column names each cli gate with its value; a gate the
+    # table leaves out, or a value that has drifted, fails here
+    import re
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Checks", 1)[1].split("\n## ", 1)[0]
+    named = {}
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            tol = row.split(" | ")[3]
+            named.update(re.findall(r"`cli\.([A-Z0-9_]+)` \(([^)]+)\)", tol))
+    assert named.keys() == {k for k in vars(cli) if k.endswith("_TOL")}
+    for key, val in named.items():
+        assert getattr(cli, key) == float(val), key
 
 
 @pytest.mark.parametrize("argv", [

@@ -271,8 +271,10 @@ def test_spectrum_json_fuzz(tmp_path_factory, doc, kind, p, verify):
             f"--window={_KIND_WINDOW[kind]}", f"--p={p}", *verify])
 
 
-_CONFIG_KEYS = st.sampled_from(sorted(vars(cli.RunConfig())) + ["bogus"])
-# commands that read the seed, the format or a tolerance, and no grid size
+# the one key, a gate and a run parameter that it no longer sets, and junk
+_CONFIG_KEYS = st.sampled_from(sorted(vars(cli.RunConfig()))
+                               + ["g2_tol", "seed", "bogus"])
+# commands that read the format, a gate or a seed, and no grid size
 _CONFIG_COMMANDS = st.sampled_from([
     ["lattice", "build", "--verify"], ["g2", "lincheck", "--samples", "1"],
     ["bessel", "eval", "--mu", "1", "--x", "1", "--verify"],

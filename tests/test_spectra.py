@@ -1,4 +1,5 @@
 import collections
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -101,6 +102,19 @@ def test_tiny_eigenvalue_is_not_harmonic(mult):
     rates = sp.function_rates(3, spec.coclosed(0), (-0.5, 6.5))
     assert [(r.lam, r.multiplicity, r.root.cmp(0)) for r in rates] == [
         (0.0, 1, 0), (0.0, mult, 1)]
+
+
+@pytest.mark.parametrize("mu", ["1e-8", "1e-17", "1e-310"])
+def test_small_eigenvalue_rate_keeps_its_digits(mu):
+    # -2 + sqrt(4 + mu) cancelled: 1e-8 printed 2.49999976276e-09 and 1e-17
+    # and 1e-310 printed 0, the row of the harmonic family
+    spec = sp.spectrum_from_dict({"betti": _S5_BETTI, "coexact_modes": [
+        {"p": 0, "mu": mu, "mult": 1}]})
+    rates = sp.function_rates(3, spec.coclosed(0), (-0.5, 6.5))
+    with decimal.localcontext(decimal.Context(prec=400)):
+        exact = (4 + decimal.Decimal(mu)).sqrt() - 2
+    assert [r.lam for r in rates] == [
+        0.0, pytest.approx(float(exact), rel=1e-12, abs=0)]
 
 
 @pytest.mark.parametrize("bound", ["23/2", 11.5])
