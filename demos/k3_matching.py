@@ -1,6 +1,6 @@
 """Exact lattice arithmetic for the matching problem: the rank-22 lattice,
-the rank-3 embedding, the two Diophantine impossibilities, and a generic
-direction avoiding the (vacuous) bad hyperplanes."""
+the rank-3 embedding, the two Diophantine impossibilities, and a
+positive-square direction in the orthogonal complement."""
 
 import numpy as np
 
@@ -36,6 +36,5 @@ print("enumeration:", res.solutions)
 print("\n== generic direction in the orthogonal complement ==")
 T = lat.orthogonal_complement(L, list(emb.images))
 print("complement rank:", len(T))
-gd = lat.generic_direction(L, T, [], seed=2)
+gd = lat.generic_direction(L, T)
 print("direction square:", gd.square, " normalized:", gd.normalized)
-print("both obstruction systems are UNSAT, so the avoid set is vacuous.")

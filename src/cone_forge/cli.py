@@ -9,10 +9,10 @@ to its code and its one stderr line: `InputError` (and `OSError`) to 2,
 diagnostics to stderr.  `_check` holds the one pass rule (finite and at or
 below tolerance, so NaN fails) and each gate's tolerance is a constant
 beside it.  `_emit_json` writes all JSON, a non-finite float as null.
-Every run parameter (grid, step, seed) is a flag with a fixed default.  The
-JSON file named by CONE_FORGE_CONFIG or --config sets the output format
-only, so no file moves a gate; identical inputs and config produce
-byte-identical output.
+Every run parameter (grid, step, seed) is a flag with a fixed default, and
+the one global flag, --format csv|json, picks how the row commands print;
+no file or environment variable is read for either, so identical argv and
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .errors import InputError, NumericalFailure, VerificationFailed
 
 # numpy and the module of a command are imported inside its handler, so a
 # command loads only what it runs; a handler looks up each function on its
 # module when it runs, where a caller may have replaced it
-__all__ = ["RunConfig", "dispatch", "main"]
+__all__ = ["dispatch", "main"]
 
 
 USAGE_ERROR = 2
@@ -42,29 +41,6 @@ MAX_POINTS = 100_000  # 0.12 ms and 0.35 KB a Monge-Ampere point: 12 s, 35 MB
 # the Stenzel profile grid of `stenzel profile` and of the smoothed potential
 PROFILE_WMAX = 20.0
 PROFILE_STEPS = 2000
-
-
-@dataclass
-class RunConfig:
-    format: str = "csv"
-
-    @classmethod
-    def load(cls, path: str | None) -> "RunConfig":
-        cfg = cls()
-        source = path or os.environ.get("CONE_FORGE_CONFIG")
-        if source:
-            from .spectra import _read_json
-            doc = _read_json(source)
-            if not isinstance(doc, dict):
-                raise InputError("config must be a JSON object")
-            for key, val in doc.items():
-                if key != "format":
-                    raise InputError(f"unknown config key {key!r}")
-                cfg.format = val
-        if cfg.format not in ("csv", "json"):
-            raise InputError(f"format must be 'csv' or 'json', "
-                             f"not {cfg.format!r}")
-        return cfg
 
 
 # the tolerance of each gate; README's Checks table names each one
@@ -127,7 +103,7 @@ def _emit_rows(header, rows, fmt, file=None):
 # g2
 
 
-def _cmd_g2_lincheck(args, cfg: RunConfig) -> None:
+def _cmd_g2_lincheck(args) -> None:
     if args.samples > MAX_SAMPLES:
         raise InputError(f"samples must be <= {MAX_SAMPLES}, got {args.samples}")
     import numpy as np
@@ -144,7 +120,7 @@ def _cmd_g2_lincheck(args, cfg: RunConfig) -> None:
         for name, r in zip(("pi1", "pi7", "pi27"), res.tolist()):
             residuals.append(r)
             rows.append((k, name, f"{r:.6e}"))
-    _emit_rows(("sample", "component", "residual"), rows, cfg.format)
+    _emit_rows(("sample", "component", "residual"), rows, args.format)
     if args.verify:  # np.max, unlike max(), propagates NaN
         _check("linearization residual", np.max(residuals), G2_TOL)
 
@@ -153,7 +129,7 @@ def _cmd_g2_lincheck(args, cfg: RunConfig) -> None:
 # bessel
 
 
-def _cmd_bessel_eval(args, cfg: RunConfig) -> None:
+def _cmd_bessel_eval(args) -> None:
     import numpy as np
     from . import bessel
 
@@ -173,7 +149,7 @@ def _cmd_bessel_eval(args, cfg: RunConfig) -> None:
 # stenzel
 
 
-def _cmd_stenzel_profile(args, cfg: RunConfig) -> None:
+def _cmd_stenzel_profile(args) -> None:
     import numpy as np
     from . import stenzel
 
@@ -189,7 +165,7 @@ def _cmd_stenzel_profile(args, cfg: RunConfig) -> None:
             _emit_rows(header, rows, "csv", file=fh)
         print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     else:
-        _emit_rows(header, rows, cfg.format)
+        _emit_rows(header, rows, args.format)
 
 
 def _positive_int(text: str) -> int:
@@ -221,7 +197,7 @@ def _parse_eps(text: str) -> complex:
     return complex(*vals)
 
 
-def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> None:
+def _cmd_stenzel_ma_check(args) -> None:
     if args.points > MAX_POINTS:
         raise InputError(f"points must be <= {MAX_POINTS}, got {args.points}")
     import numpy as np
@@ -244,7 +220,7 @@ def _cmd_stenzel_ma_check(args, cfg: RunConfig) -> None:
             res = stenzel.monge_ampere_residual(potential, pt, h=1e-3)
             residuals.append(res)
             rows.append((k, f"{res:.6e}"))
-    _emit_rows(("point", "residual"), rows, cfg.format)
+    _emit_rows(("point", "residual"), rows, args.format)
     worst = float(np.max(residuals))  # NaN propagates, unlike max()
     print(f"max residual {worst:.3e} over {args.points} points "
           f"(tolerance {tol:.1e})", file=sys.stderr)
@@ -260,7 +236,7 @@ def _parse_window(text: str) -> tuple[float, float]:
     return _parsed(float, a), _parsed(float, b)
 
 
-def _cmd_spectra_rates(args, cfg: RunConfig) -> None:
+def _cmd_spectra_rates(args) -> None:
     from . import spectra
 
     if args.verify and args.kind in ("one-form", "paired"):
@@ -287,7 +263,7 @@ def _cmd_spectra_rates(args, cfg: RunConfig) -> None:
     rows = [(f"{r.lam:.12g}", r.degree, r.multiplicity, r.gen_type,
              int(r.log_mode)) for r in cat]
     _emit_rows(("lambda", "degree", "mult", "type", "log_mode"), rows,
-               cfg.format)
+               args.format)
     if args.verify and args.kind == "harmonic":
         # hat-pair symmetry: rates -2 +- sqrt(mu_hat) carry equal dimension.
         # A rate is c + s sqrt(d) exactly, so |lam + 2| is the exact triple
@@ -339,7 +315,7 @@ def _parse_end_rates(text: str):
     return out
 
 
-def _cmd_spectra_index_change(args, cfg: RunConfig) -> None:
+def _cmd_spectra_index_change(args) -> None:
     from . import spectra
 
     spec = spectra.load_spectrum(args.input)
@@ -418,7 +394,7 @@ def _mode_problem(args):
                             support_max=support)
 
 
-def _cmd_edge_solve(args, cfg: RunConfig) -> None:
+def _cmd_edge_solve(args) -> None:
     import numpy as np
     from . import edge
 
@@ -426,14 +402,14 @@ def _cmd_edge_solve(args, cfg: RunConfig) -> None:
     y = edge.solve_mode(prob)
     res = edge.operator_residual(prob, y)
     _emit_rows(("r", "y"), [(f"{r:.12g}", f"{v:.12g}")
-                            for r, v in zip(prob.grid, y)], cfg.format)
+                            for r, v in zip(prob.grid, y)], args.format)
     print(f"operator residual {res:.3e}", file=sys.stderr)
     if args.verify:
         _check("operator residual", res,
                OPERATOR_TOL * (1.0 + float(np.max(np.abs(prob.rhs)))))
 
 
-def _cmd_edge_split(args, cfg: RunConfig) -> None:
+def _cmd_edge_split(args) -> None:
     import numpy as np
     from . import edge
 
@@ -457,7 +433,7 @@ def _cmd_edge_split(args, cfg: RunConfig) -> None:
         _check("coefficient bound", lhs, rhs)
 
 
-def _cmd_edge_kernel(args, cfg: RunConfig) -> None:
+def _cmd_edge_kernel(args) -> None:
     import numpy as np
     from . import edge
 
@@ -466,7 +442,8 @@ def _cmd_edge_kernel(args, cfg: RunConfig) -> None:
              f"{m.ode1_residual:.6e}", f"{m.log_ratio:.8f}",
              f"{m.inverse_ratio:.8f}", m.normal_form) for m in modes]
     _emit_rows(("n", "identity_residual", "ode0_residual", "ode1_residual",
-                "log_ratio", "inverse_ratio", "normal_form"), rows, cfg.format)
+                "log_ratio", "inverse_ratio", "normal_form"), rows,
+               args.format)
     worst = float(np.max([(m.identity_residual, m.ode0_residual,
                            m.ode1_residual) for m in modes]))
     print(f"{len(modes)} modes, worst residual {worst:.3e}", file=sys.stderr)
@@ -487,7 +464,7 @@ def _named_vectors():
 
 # the lattice module checks its own results on every call, so --verify adds
 # only the per-solution check of search and the check of generic
-def _cmd_lattice_build(args, cfg: RunConfig) -> None:
+def _cmd_lattice_build(args) -> None:
     from . import lattice
 
     L = lattice.build_k3_lattice()
@@ -495,7 +472,7 @@ def _cmd_lattice_build(args, cfg: RunConfig) -> None:
                 "signature": L.signature(), "even": L.is_even()})
 
 
-def _cmd_lattice_match(args, cfg: RunConfig) -> None:
+def _cmd_lattice_match(args) -> None:
     _, named, emb = _named_vectors()
     _emit_json({"labels": emb.labels, "gram": emb.source_gram,
                 "images": named})
@@ -517,7 +494,7 @@ def _parse_dots(text, named):
     return out
 
 
-def _cmd_lattice_search(args, cfg: RunConfig) -> None:
+def _cmd_lattice_search(args) -> None:
     from . import lattice
 
     L, named, emb = _named_vectors()
@@ -536,47 +513,33 @@ def _cmd_lattice_search(args, cfg: RunConfig) -> None:
                     f"solution {sol} fails the exact constraints")
 
 
-def _cmd_lattice_complement(args, cfg: RunConfig) -> None:
+def _cmd_lattice_complement(args) -> None:
     from . import lattice
 
     L, named, emb = _named_vectors()
     names = args.of.split(",") if args.of else ["pi", "kplus", "kminus"]
     vecs = [_named_vector(named, n) for n in names]
     basis = lattice.orthogonal_complement(L, vecs)
-    _emit_rows(tuple(f"e{i}" for i in range(L.rank)), basis, cfg.format)
+    _emit_rows(tuple(f"e{i}" for i in range(L.rank)), basis, args.format)
     print(f"complement rank {len(basis)}", file=sys.stderr)
 
 
-def _cmd_lattice_generic(args, cfg: RunConfig) -> None:
-    import numpy as np
+def _cmd_lattice_generic(args) -> None:
+    from fractions import Fraction
     from . import lattice
 
-    L, named, emb = _named_vectors()
-    basis = lattice.orthogonal_complement(L, list(emb.images))
-    avoid = []
-    for square, dots in ((-2, [(named["kplus"], 0)]),
-                         (0, [(named["kplus"], 0), (named["kminus"], 2)])):
-        found = lattice.constrained_class_search(
-            list(emb.images), square, dots, bound=args.avoid_bound, L=L)
-        for coeffs in found.solutions:
-            vec = sum(c * v for c, v in zip(coeffs, emb.images))
-            avoid.append(vec)
-    gd = lattice.generic_direction(L, basis, avoid, seed=args.seed)
-    _emit_json({
-        "coords": [str(c) for c in gd.coords],
-        "square": str(gd.square),
-        "normalized": gd.normalized,
-        "avoid_count": len(avoid),
-        "avoid_vacuous": not avoid,
-    })
-    if args.verify:
-        from fractions import Fraction
-        vec = np.array([Fraction(c) for c in gd.coords], dtype=object)
-        if gd.square <= 0 or any(
-                (vec @ L.gram @ np.asarray(C, dtype=object)) == 0
-                for C in avoid):
-            raise VerificationFailed(
-                "generic direction hits an avoid hyperplane")
+    L, _, emb = _named_vectors()
+    gd = lattice.generic_direction(
+        L, lattice.orthogonal_complement(L, list(emb.images)))
+    coords = [str(c) for c in gd.coords]
+    _emit_json({"coords": coords, "square": str(gd.square),
+                "normalized": gd.normalized})
+    if args.verify:  # recomputed from the printed coordinates
+        vec = [Fraction(c) for c in coords]
+        square = lattice.pairing(L, vec, vec)
+        if not 0 < square == gd.square:
+            raise VerificationFailed(f"generic direction coords give square "
+                                     f"{square}, printed {gd.square}")
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +548,8 @@ def _cmd_lattice_generic(args, cfg: RunConfig) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cone-forge", description=__doc__)
-    p.add_argument("--config", help="JSON config path "
-                   "(default: $CONE_FORGE_CONFIG)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output of the row commands (default: csv)")
     sub = p.add_subparsers(dest="group", required=True)
 
     g2p = sub.add_parser("g2").add_subparsers(dest="command", required=True)
@@ -683,8 +646,9 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_lattice_complement)
     q = lp.add_parser("generic")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--avoid-bound", type=int, default=50)
+    # accepted and ignored: perfbench/inputs.py still runs `lattice generic
+    # --seed 1`; it goes when that argv changes (ROADMAP item 1b)
+    q.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_lattice_generic)
     return p
@@ -704,8 +668,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:
-        cfg = RunConfig.load(args.config)
-        args.func(args, cfg)
+        args.func(args)
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR

@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import InputError, NumericalFailure, VerificationFailed
+from .errors import InputError, VerificationFailed
 
 __all__ = [
     "GramLattice",
@@ -622,58 +621,35 @@ def _quad_int_roots(a, b, c, lo, hi):
 
 @dataclass(frozen=True)
 class GenericDirection:
-    """A direction in span(T) avoiding the given hyperplanes."""
+    """A positive-square direction in span(T)."""
 
     coords: tuple  # coordinates in L (Fractions when normalized)
-    t_coefficients: tuple
     square: Fraction
     normalized: bool
 
 
-# candidate directions tried before generic_direction gives up: each block
-# of ten widens the random perturbation by one
-_GENERIC_TRIES = 500
+def generic_direction(L: GramLattice, T_basis) -> GenericDirection:
+    """Positive-square k in span(T_basis), found exactly.
 
-
-def generic_direction(L: GramLattice, T_basis, avoid,
-                      seed: int = 0) -> GenericDirection:
-    """Positive-square k in span(T_basis) with k . C != 0 for all C in avoid.
-
+    k is the P column of the first positive pivot of the diagonalization
+    P^T G P of the Gram of T_basis, times lcm(4, its denominators): so k is
+    an integer combination of T_basis and k . k = scale^2 * pivot > 0.
     Rescaled to square 1 when the square is a rational square, otherwise
-    returned unnormalized with its square.  Raises InputError if
-    some avoid-vector pairs to 0 with every basis vector.
+    returned unnormalized with its square.  Raises InputError when the span
+    holds no positive-square vector.
     """
     T = _rows(L, T_basis)
-    A = _rows(L, avoid)
-    if (_gram(L, T, A) == 0).all(axis=0).any():
-        raise InputError(
-            "an avoid-vector is orthogonal to the whole subspace")
-    # deterministic positive direction: the P column of the first positive
-    # pivot of the exact diagonalization
-    G = _gram(L, T, T)
-    base = next((col for piv, col in _congruence_diagonalization(G)
-                 if piv > 0), None)
+    base = next((col for piv, col in _congruence_diagonalization(
+        _gram(L, T, T)) if piv > 0), None)
     if base is None:
         raise InputError("span contains no positive-square vector")
-    rng = random.Random(seed)
-    for trial in range(_GENERIC_TRIES):
-        scale = 1 + trial // 10
-        t = [int(round(scale * 4 * c)) for c in base] if trial == 0 else [
-            int(round(scale * 4 * c)) + rng.randint(-scale, scale)
-            for c in base]
-        vec = np.array(t, dtype=object) @ T
-        sq = int(vec @ L.gram @ vec)
-        if sq <= 0:
-            continue
-        if (_gram(L, vec[None], A) == 0).any():
-            continue
-        root = _int_sqrt(sq)
-        if root is not None:
-            coords = tuple(Fraction(int(v), root) for v in vec)
-            return GenericDirection(coords=coords, t_coefficients=tuple(t),
-                                    square=Fraction(1), normalized=True)
-        return GenericDirection(coords=tuple(int(v) for v in vec),
-                                t_coefficients=tuple(t),
-                                square=Fraction(sq), normalized=False)
-    raise NumericalFailure(
-        "no generic direction found; avoid set too dense?")
+    scale = math.lcm(4, *(c.denominator for c in base))
+    vec = np.array([int(scale * c) for c in base], dtype=object) @ T
+    sq = int(vec @ L.gram @ vec)
+    root = _int_sqrt(sq)
+    if root is not None:
+        return GenericDirection(coords=tuple(Fraction(int(v), root)
+                                             for v in vec),
+                                square=Fraction(1), normalized=True)
+    return GenericDirection(coords=tuple(int(v) for v in vec),
+                            square=Fraction(sq), normalized=False)

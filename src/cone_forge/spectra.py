@@ -228,16 +228,6 @@ def spectrum_from_dict(doc: dict) -> LinkSpectrum:
                         name=str(doc.get("name", "")))
 
 
-def _read_json(path):
-    """The JSON document in a UTF-8 file; one that does not decode, does not
-    parse or nests too deeply is an input error."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"invalid JSON in {path}: {exc}") from exc
-
-
 def shipped_spectrum(name: str) -> LinkSpectrum:
     """One of the packaged spectra: "s5" or "s2xs3_partial"."""
     from importlib import resources
@@ -246,14 +236,23 @@ def shipped_spectrum(name: str) -> LinkSpectrum:
 
 
 def load_spectrum(path) -> LinkSpectrum:
-    """Read and validate a spectrum JSON file; bare shipped names work too."""
+    """Read and validate a spectrum JSON file; bare shipped names work too.
+
+    A file that does not decode as UTF-8, does not parse or nests too deeply
+    is an input error.
+    """
     import os
     if not os.path.exists(path) and str(path).isidentifier():
         try:
             return shipped_spectrum(str(path))
         except FileNotFoundError:
             pass
-    return spectrum_from_dict(_read_json(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from exc
+    return spectrum_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -99,52 +99,37 @@ def test_ma_check_determinism_byte_identical():
 
 
 def test_config_file_and_env(tmp_path, monkeypatch):
-    cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps({"format": "json"}))
-    code, out, err = run(["--config", str(cfgf), "g2", "lincheck",
-                          "--samples", "1"])
+    # --format json replaces the config file {"format": "json"}; the file
+    # and $CONE_FORGE_CONFIG are gone, and the variable is not read
+    argv = ["g2", "lincheck", "--samples", "1"]
+    code, out, err = run(["--format", "json", *argv])
     assert code == 0
     assert json.loads(out)[0]["component"] == "pi1"
+    cfgf = tmp_path / "cfg.json"
+    cfgf.write_text(json.dumps({"format": "json"}))
     monkeypatch.setenv("CONE_FORGE_CONFIG", str(cfgf))
-    code2, out2, err2 = run(["g2", "lincheck", "--samples", "1"])
-    assert code2 == 0 and json.loads(out2) == json.loads(out)
-    monkeypatch.delenv("CONE_FORGE_CONFIG")
+    plain = run(argv)
+    assert plain == run(["--format", "csv", *argv])
+    assert plain[1].startswith("sample,component,residual\n")
 
 
-def test_bad_config_exits_2(tmp_path):
-    cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps({"nonsense": 1}))
-    assert run(["--config", str(cfgf), "lattice", "build"])[0] == 2
-    cfgf.write_text(json.dumps({"g2_tol": -1}))
-    assert run(["--config", str(cfgf), "lattice", "build"])[0] == 2
+def test_config_format_must_be_csv_or_json():
+    for value in ("CSV", "", "csv ", "1", "null"):
+        code, out, err = run([f"--format={value}", "lattice", "build"])
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice" in err
 
 
-def test_config_format_must_be_csv_or_json(tmp_path):
-    cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps({"format": "xml"}))
-    code, out, err = run(["--config", str(cfgf), "g2", "lincheck",
-                          "--samples", "1"])
-    assert code == 2
-    assert out == "" and err.startswith("error:") and "xml" in err
-    # the edge grid fields are gone: no command read them
-    for key in ("edge_points", "edge_rmin"):
-        cfgf.write_text(json.dumps({key: 1}))
-        code, out, err = run(["--config", str(cfgf), "lattice", "build"])
-        assert code == 2 and "unknown config key" in err
-
-
-@pytest.mark.parametrize("doc", [{"format": 1}, {"format": None},
-                                 {"format": "xml"}, {"format": "CSV"},
-                                 {"format": ""}, {"format": "csv "},
-                                 {"format": ["csv"]}, {"format": True},
-                                 {"format": {"csv": 1}}])
-def test_config_bad_value_exits_2(tmp_path, doc):
-    # the one key takes "csv" or "json" exactly, whatever the command reads
-    cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(json.dumps(doc))
-    code, out, err = run(["--config", str(cfgf), "lattice", "build"])
-    assert code == 2
-    assert out == "" and err.startswith("error:") and "format" in err
+@pytest.mark.parametrize("argv", [
+    ["--config", "f.json", "lattice", "build"],
+    ["lattice", "generic", "--avoid-bound", "5"],
+    ["--format", "xml", "lattice", "build"],
+], ids=["config", "avoid-bound", "format-xml"])
+def test_removed_or_bad_option_exits_2(argv):
+    # --config and --avoid-bound are gone: each is a usage error now
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("doc", [{"g2_tol": 1e300}, {"kernel_tol": 1e300},
@@ -152,19 +137,19 @@ def test_config_bad_value_exits_2(tmp_path, doc):
                          ids=["g2_tol", "kernel_tol", "stenzel_steps", "seed"])
 @pytest.mark.parametrize("via", ["flag", "env"])
 def test_config_sets_no_gate_or_run_parameter(tmp_path, monkeypatch, doc, via):
-    # {"g2_tol": 1e300} turned this failed check into exit 0: a gate is a
-    # constant and a run parameter a flag, so the file holds the format only
+    # {"g2_tol": 1e300} once turned this failed check into exit 0: no file
+    # is read, so --config is a usage error and the variable changes nothing
     cfgf = tmp_path / "cfg.json"
     cfgf.write_text(json.dumps(doc))
     argv = ["g2", "lincheck", "--samples", "3", "--step", "0.05", "--verify"]
-    assert run(argv)[0] == 1
+    failed = run(argv)
+    assert failed[0] == 1
     if via == "flag":
-        argv = ["--config", str(cfgf), *argv]
+        code, out, err = run(["--config", str(cfgf), *argv])
+        assert (code, out) == (2, "") and err.startswith("usage:")
     else:
         monkeypatch.setenv("CONE_FORGE_CONFIG", str(cfgf))
-    key = next(iter(doc))
-    assert run(argv) == (2, "", f"error: unknown config key {key!r}\n")
-    assert vars(cli.RunConfig()) == {"format": "csv"}
+        assert run(argv) == failed
 
 
 def test_edge_empty_rhs_path_exits_2():
@@ -277,7 +262,8 @@ def test_module_entry_point_runs_commands():
 
 @pytest.mark.parametrize("argv", [
     ["edge", "solve", "--n", "2", "--mu", "1.0", "--rhs", "adir"],
-    ["--config", "adir", "lattice", "build"],
+    ["edge", "split", "--n", "2", "--mu", "1.0", "--rhs", "adir",
+     "--delta-pp", "1.5"],
     ["spectra", "rates", "--input", "adir", "--window=0:1"],
     ["stenzel", "profile", "--steps", "50", "--out", "adir"],
 ])
@@ -350,9 +336,19 @@ def test_lattice_cli_roundtrip():
     code, out, err = run(["lattice", "complement"])
     assert code == 0
     assert "complement rank 19" in err
-    code, out, err = run(["lattice", "generic", "--seed", "2"])
+    code, out, err = run(["lattice", "generic"])
     doc = json.loads(out)
-    assert doc["avoid_vacuous"] is True
+    assert (code, doc["square"], doc["normalized"]) == (0, "8", False)
+    assert doc["coords"][-6:] == ["2", "2", "4", "0", "-8", "0"]
+
+
+@pytest.mark.parametrize("seed", ["1", "99"])
+def test_lattice_generic_seed_changes_nothing(seed):
+    # --seed is accepted and ignored: the direction is exact and unique
+    assert run(["lattice", "generic", "--seed", seed]) == \
+        run(["lattice", "generic"])
+    assert run(["lattice", "generic", "--seed", seed, "--verify"]) == \
+        run(["lattice", "generic", "--verify"])
 
 
 def test_edge_solve_and_split_cli(tmp_path):
@@ -801,6 +797,38 @@ def test_readme_checks_table_names_each_gate_constant():
         assert getattr(cli, key) == float(val), key
 
 
+def _parser_options(parser):
+    """Every option string of parser and of all its subparsers."""
+    import argparse
+    opts = set()
+    for action in parser._actions:
+        opts.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                opts |= _parser_options(sub)
+    return opts
+
+
+def test_readme_names_only_real_flags():
+    # a flag the CLI has lost (--config, --avoid-bound) must leave README
+    # too; pip's --no-build-isolation is the one flag of another program
+    import re
+    import shlex
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = cli._build_parser()
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert flags - {"--no-build-isolation"} <= _parser_options(parser)
+    commands = [line for block in readme.split("```sh\n")[1:]
+                for line in block.split("```")[0].replace("\\\n", " ")
+                .splitlines() if line.startswith("cone-forge ")]
+    assert len(commands) == 15
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+
+
 @pytest.mark.parametrize("argv", [
     ["bessel", "eval", "--mu", "1000", "--x", "1"],
     ["edge", "split", "--n", "2", "--mu", "1.0", "--rhs", "RHS",
@@ -810,7 +838,7 @@ def test_readme_checks_table_names_each_gate_constant():
     ["lattice", "match"],
     ["lattice", "search", "--square=-2", "--dots", "kplus:0", "--bound", "200"],
     ["lattice", "complement"],
-    ["lattice", "generic", "--seed", "1"],
+    ["lattice", "generic"],
     ["g2", "lincheck", "--samples", "1"],
     ["stenzel", "profile", "--n", "3", "--wmax", "5", "--steps", "200"],
     ["stenzel", "ma-check", "--points", "1"],
@@ -820,11 +848,9 @@ def test_readme_checks_table_names_each_gate_constant():
 ])
 def test_json_output_is_strict(tmp_path, argv):
     # every JSON output parses without NaN or Infinity; the row commands
-    # print JSON under {"format": "json"}
-    cfg = tmp_path / "json.json"
-    cfg.write_text(json.dumps({"format": "json"}))
+    # print JSON under --format json
     argv = [_readme_rhs(tmp_path) if a == "RHS" else a for a in argv]
-    code, out, err = run(["--config", str(cfg), *argv])
+    code, out, err = run(["--format", "json", *argv])
     assert code == 0, err
     doc = json.loads(out, parse_constant=_refuse_constant)
     if argv[0] == "bessel":
@@ -925,12 +951,28 @@ def test_lattice_search_verify_catches_a_wrong_solution(monkeypatch):
 def test_lattice_generic_verify_catches_a_null_direction(monkeypatch):
     monkeypatch.setattr(lattice, "generic_direction",
                         lambda *a, **k: lattice.GenericDirection(
-                            coords=(0,) * 22, t_coefficients=(),
-                            square=Fraction(0), normalized=False))
+                            coords=(0,) * 22, square=Fraction(0),
+                            normalized=False))
     code, out, err = run(["lattice", "generic", "--verify"])
     assert code == 1
-    assert err == ("verification failed: generic direction hits an avoid "
-                   "hyperplane\n")
+    assert err == ("verification failed: generic direction coords give "
+                   "square 0, printed 0\n")
+
+
+def test_lattice_generic_verify_catches_a_wrong_square(monkeypatch):
+    # the direction is right, its printed square is not: the check reads
+    # the printed coordinates, not the library's own square
+    real = lattice.generic_direction
+
+    def wrong_square(*a, **k):
+        gd = real(*a, **k)
+        return lattice.GenericDirection(coords=gd.coords, square=gd.square + 1,
+                                        normalized=gd.normalized)
+    monkeypatch.setattr(lattice, "generic_direction", wrong_square)
+    code, out, err = run(["lattice", "generic", "--verify"])
+    assert (code, json.loads(out)["square"]) == (1, "9")
+    assert err == ("verification failed: generic direction coords give "
+                   "square 8, printed 9\n")
 
 
 def test_stenzel_profile_verify_catches_a_decreasing_fprime(monkeypatch):
@@ -954,18 +996,6 @@ def test_always_checked_command_ignores_verify(argv):
     assert run(argv + ["--verify"]) == run(argv)
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '"json"', "3", "null", "{not json",
-                                  "[" * 100_000])
-def test_config_not_a_json_object_exits_2(tmp_path, text):
-    # [1, 2] escaped RunConfig.load as an AttributeError traceback; a
-    # document nested too deeply as a RecursionError
-    cfgf = tmp_path / "cfg.json"
-    cfgf.write_text(text)
-    code, out, err = run(["--config", str(cfgf), "lattice", "build"])
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
 @pytest.mark.parametrize("argv", [
     ["g2", "lincheck", "--samples", "1", "--seed=-1"],
     ["stenzel", "ma-check", "--points", "1", "--seed=-1"],
@@ -979,12 +1009,11 @@ def test_negative_seed_exits_2(argv):
 _NOT_UTF8 = b"\xff\xfe r,z\n0.5,\xe9\n"
 
 
-@pytest.mark.parametrize("which", ["config", "spectrum", "rhs"])
+@pytest.mark.parametrize("which", ["spectrum", "rhs"])
 def test_non_utf8_file_exits_2(tmp_path, which):
     bad = tmp_path / "bad"
     bad.write_bytes(_NOT_UTF8)
-    argv = {"config": ["--config", str(bad), "lattice", "build"],
-            "spectrum": ["spectra", "rates", "--input", str(bad),
+    argv = {"spectrum": ["spectra", "rates", "--input", str(bad),
                          "--window=0:1"],
             "rhs": EDGE_ARGS["solve"] + ["--rhs", str(bad)]}[which]
     code, out, err = run(argv)
@@ -1052,7 +1081,7 @@ def test_function_rates_refuse_huge_dimension():
     ["spectra", "rates", "--input=--", "--window=0:1"],
     ["spectra", "rates", "--input", "s5", "--window=--"],
     ["lattice", "search", "--square=-2", "--dots=--"],
-    ["--config=--", "lattice", "build"],
+    ["--format=--", "lattice", "build"],
 ])
 def test_double_dash_value_exits_2(argv):
     # argparse before Python 3.12 reads "--opt=--" as [], which escaped as

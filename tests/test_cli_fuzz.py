@@ -2,8 +2,8 @@
 `bessel eval`, `stenzel profile`, `stenzel ma-check`, `edge solve`, `edge
 split`, `edge kernel`, `spectra rates`, `spectra index-change`, `lattice
 search`, `lattice complement` and `lattice generic`, the rhs CSV that the
-README `edge solve` and `edge split` read, spectrum and config JSON
-documents, and files that are not UTF-8.
+README `edge solve` and `edge split` read, spectrum JSON documents, the
+global `--format` value, and files that are not UTF-8.
 
 Each run goes through `cli.dispatch` in-process.  Whatever the numbers,
 finite, NaN, infinite, beyond the float range or negative, and whatever the
@@ -201,7 +201,7 @@ def test_edge_rhs_csv_fuzz(tmp_path_factory, rows, header, cmd, verify):
 
 
 # ---------------------------------------------------------------------------
-# spectrum and config JSON documents
+# spectrum JSON documents
 
 
 class _Raw(str):
@@ -271,25 +271,21 @@ def test_spectrum_json_fuzz(tmp_path_factory, doc, kind, p, verify):
             f"--window={_KIND_WINDOW[kind]}", f"--p={p}", *verify])
 
 
-# the one key, a gate and a run parameter that it no longer sets, and junk
-_CONFIG_KEYS = st.sampled_from(sorted(vars(cli.RunConfig()))
-                               + ["g2_tol", "seed", "bogus"])
-# commands that read the format, a gate or a seed, and no grid size
-_CONFIG_COMMANDS = st.sampled_from([
+# commands that print rows, and commands that print one JSON document
+_FORMAT_COMMANDS = st.sampled_from([
     ["lattice", "build", "--verify"], ["g2", "lincheck", "--samples", "1"],
     ["bessel", "eval", "--mu", "1", "--x", "1", "--verify"],
     ["edge", "kernel", "--nmax", "1"]])
 
 
 @settings(max_examples=80, deadline=None)
-@given(doc=_or_value(st.dictionaries(_CONFIG_KEYS, _or_value(st.one_of(
-           st.sampled_from(["csv", "json"]), st.integers(-2, 2 ** 64),
-           st.floats())), max_size=3)),
-       argv=_CONFIG_COMMANDS)
-def test_config_json_fuzz(tmp_path_factory, doc, argv):
-    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
-    path.write_text(_to_json(doc))
-    _clean(["--config", str(path), *argv])
+@given(value=st.one_of(st.sampled_from(["csv", "json"]), st.text(max_size=8),
+                       _MALFORMED),
+       argv=_FORMAT_COMMANDS)
+def test_format_flag_fuzz(value, argv):
+    # only csv and json are formats; anything else is a usage error
+    code = _clean([f"--format={value}", *argv])
+    assert code == (0 if value in ("csv", "json") else 2), (value, code)
 
 
 # bytes that occur nowhere in UTF-8, between arbitrary bytes
@@ -299,12 +295,11 @@ _NOT_UTF8 = st.tuples(st.binary(max_size=30),
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=_NOT_UTF8, which=st.sampled_from(["config", "spectrum", "rhs"]))
+@given(data=_NOT_UTF8, which=st.sampled_from(["spectrum", "rhs"]))
 def test_non_utf8_file_fuzz(tmp_path_factory, data, which):
     path = tmp_path_factory.mktemp("bytes") / "input"
     path.write_bytes(data)
-    argv = {"config": ["--config", str(path), "lattice", "build"],
-            "spectrum": ["spectra", "rates", "--input", str(path),
+    argv = {"spectrum": ["spectra", "rates", "--input", str(path),
                          "--window=0:1"],
             "rhs": _README_EDGE["solve"] + ["--rhs", str(path)]}[which]
     assert _clean(argv) == 2
@@ -382,8 +377,6 @@ def test_lattice_complement_argv_fuzz(of, verify):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=_sizes(st.integers(-2, 2 ** 64), 2 ** 64),
-       avoid=_sizes(st.integers(-2, 60), 10 ** 30), verify=_VERIFY)
-def test_lattice_generic_argv_fuzz(seed, avoid, verify):
-    _clean(["lattice", "generic", f"--seed={seed}", f"--avoid-bound={avoid}",
-            *verify])
+@given(seed=_sizes(st.integers(-2, 2 ** 64), 2 ** 64), verify=_VERIFY)
+def test_lattice_generic_argv_fuzz(seed, verify):
+    _clean(["lattice", "generic", f"--seed={seed}", *verify])
