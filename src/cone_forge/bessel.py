@@ -1,4 +1,4 @@
-"""Self-contained Gamma and modified Bessel functions I_mu, K_mu.
+"""Modified Bessel functions I_mu, K_mu.
 
 One method serves every order mu >= 0 and argument x > 0 (Temme 1975,
 J. Comput. Phys. 19:324; Numerical Recipes section 6.7, `bessik`).  With
@@ -46,7 +46,6 @@ from .errors import InputError
 
 __all__ = [
     "BesselEval",
-    "gamma_fn",
     "bessel_ik",
     "bessel_i",
     "bessel_k",
@@ -54,43 +53,6 @@ __all__ = [
     "wronskian_residual",
     "bessel_eval",
 ]
-
-
-# Lanczos approximation, g = 7, 9 coefficients (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_INTEGER_TOL = 1e-12
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction; exact zeros at integers."""
-    r = x - round(x)
-    return math.sin(math.pi * r) * (1.0 if round(x) % 2 == 0 else -1.0)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real non-pole arguments, ~1e-14 relative error."""
-    if x <= 0 and abs(x - round(x)) < _INTEGER_TOL:
-        raise InputError(f"Gamma has a pole at {x}")
-    if x < 0.5:
-        return math.pi / (_sinpi(x) * gamma_fn(1.0 - x))
-    x = x - 1.0
-    a = _LANCZOS[0]
-    t = x + _LANCZOS_G + 0.5
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (x + i)
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * a
 
 
 # 1/Gamma(1 + t) = sum_k _RGAMMA[k] t^k (A&S 6.1.34, to double precision);
@@ -333,8 +295,6 @@ def wronskian_residual(mu: float, x) -> float | np.ndarray:
 class BesselEval:
     """One evaluation point with the regime that produced K."""
 
-    order: float
-    arg: float
     value_i: float
     value_k: float
     regime: str  # temme (x < 2) | steed
@@ -342,5 +302,5 @@ class BesselEval:
 
 def bessel_eval(mu: float, x: float) -> BesselEval:
     i, k, _ = bessel_ik(mu, x)
-    return BesselEval(order=mu, arg=x, value_i=i, value_k=k,
+    return BesselEval(value_i=i, value_k=k,
                       regime="temme" if x < 2.0 else "steed")

@@ -5,7 +5,8 @@ verification fails (a residual above tolerance, an inequality violated) or
 a computation gives no usable result, 2 on usage or input errors.  Each
 code has one exception class in `errors.py`, and `dispatch` maps each class
 to its code and its one stderr line: `InputError` (and `OSError`) to 2,
-`NumericalFailure` and `VerificationFailed` to 1.  Results go to stdout,
+`NumericalFailure` and `VerificationFailed` to 1; a closed stdout
+(`BrokenPipeError`) exits 1 with no stderr line.  Results go to stdout,
 diagnostics to stderr.  `_check` holds the one pass rule (finite and at or
 below tolerance, so NaN fails) and each gate's tolerance is a constant
 beside it.  `_emit_json` writes all JSON, a non-finite float as null.
@@ -22,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -385,13 +387,10 @@ def _mode_problem(args):
     from . import edge
 
     grid, z = _read_rhs(args.rhs)
-    support = args.support
-    if support is None:
-        nz = np.nonzero(z)[0]
-        support = float(grid[nz[-1]]) if nz.size else float(grid[0])
-        support = min(support, 0.999999)
+    nz = np.nonzero(z)[0]  # the support ends at the last z != 0, below r = 1
+    last = float(grid[nz[-1]]) if nz.size else float(grid[0])
     return edge.ModeProblem(n=args.n, mu=args.mu, grid=grid, rhs=z,
-                            support_max=support)
+                            support_max=min(last, 0.999999))
 
 
 def _cmd_edge_solve(args) -> None:
@@ -610,14 +609,12 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--mu", type=float, required=True)
     q.add_argument("--rhs", required=True, help="CSV file with rows r,z")
-    q.add_argument("--support", type=float)
     q.add_argument("--verify", action="store_true")
     q.set_defaults(func=_cmd_edge_solve)
     q = ep.add_parser("split")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--mu", type=float, required=True)
     q.add_argument("--rhs", required=True)
-    q.add_argument("--support", type=float)
     q.add_argument("--delta-p", type=float, default=0.0)
     q.add_argument("--delta-pp", type=float, required=True)
     q.add_argument("--verify", action="store_true")
@@ -669,6 +666,9 @@ def dispatch(argv) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         args.func(args)
+    except BrokenPipeError:  # no stderr line; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return VERIFY_ERROR  # the checks after the print may not have run
     except VerificationFailed as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR

@@ -51,7 +51,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from ._spline import CubicHermite
-from .bessel import _CHUNK, bessel_ik, bessel_k, gamma_fn
+from .bessel import _CHUNK, bessel_ik, bessel_k
 from .errors import InputError, NumericalFailure
 
 __all__ = [
@@ -302,10 +302,15 @@ def _shell_norms(grid: np.ndarray, vals: np.ndarray, delta: float) -> np.ndarray
 
 
 def _bound_constant_sq(mu: float, delta_pp: float) -> float:
-    """C^2 in closed form (module docstring); needs dpp + 2 > mu."""
+    """C^2 in closed form (module docstring), finite only for lam > 2 mu."""
+    if 2.0 * delta_pp + 4.0 <= 2.0 * mu:
+        raise InputError(
+            f"2 dpp + 4 = {2 * delta_pp + 4} <= 2 mu = {2 * mu}")
     half = delta_pp + 2.0  # lam / 2
-    return (math.sqrt(math.pi) * gamma_fn(half + mu) * gamma_fn(half - mu)
-            * gamma_fn(half) / (4.0 * gamma_fn(half + 0.5)))
+    # the quotient first, so no partial product overflows before C^2 does
+    return (math.gamma(half + mu) / math.gamma(half + 0.5)
+            * math.gamma(half - mu) * math.gamma(half)
+            * (math.sqrt(math.pi) / 4.0))
 
 
 def coefficient_bound_check(problem: ModeProblem,
@@ -321,9 +326,10 @@ def coefficient_bound_check(problem: ModeProblem,
         raise InputError("the |n|-decay bound concerns n != 0")
     if not math.isfinite(delta_pp):
         raise InputError(f"delta'' must be finite, got {delta_pp}")
-    if 2.0 * delta_pp + 4.0 <= 2.0 * mu:
-        raise InputError(
-            f"2 dpp + 4 = {2 * delta_pp + 4} <= 2 mu = {2 * mu}")
+    try:
+        C = math.sqrt(_bound_constant_sq(mu, delta_pp))
+    except OverflowError:  # a Gamma factor beyond the float range
+        C = math.inf
     a = abs(problem.n)
     kz = np.zeros(problem.grid.size - 1)
     znorm_terms = np.empty((kz.size, _GL_NODES.size))
@@ -337,10 +343,6 @@ def coefficient_bound_check(problem: ModeProblem,
             znorm_terms[rows] = (weight * z) ** 2 * w
     c = abs(float(np.cumsum(kz[::-1])[-1])) / a
     znorm = math.sqrt(float(np.sum(znorm_terms)))  # one sum: the same floats
-    try:
-        C = math.sqrt(_bound_constant_sq(mu, delta_pp))
-    except OverflowError:  # a Gamma factor beyond the float range
-        C = math.inf
     bound = C * abs(problem.n) ** (-delta_pp - 2.0) * znorm
     if not (math.isfinite(c) and math.isfinite(bound)):
         raise NumericalFailure(f"non-finite bound pair ({c}, {bound})")
@@ -409,8 +411,7 @@ def kernel_modes(n_max: int, r_grid: np.ndarray | None = None) -> list[Obstructi
     return modes
 
 
-def no_decaying_kernel_check(mu_hat: float, delta: float,
-                             grid: np.ndarray | None = None) -> bool:
+def no_decaying_kernel_check(mu_hat: float, delta: float) -> bool:
     """True when no combination of I, K at order sqrt(mu_hat) decays two-sidedly.
 
     Certified on dyadic shells: the I branch has divergent delta-weighted
@@ -420,7 +421,7 @@ def no_decaying_kernel_check(mu_hat: float, delta: float,
     if delta <= -2.0:
         raise InputError("the statement concerns delta > -2")
     order = math.sqrt(mu_hat)
-    grid = np.geomspace(1e-6, 60.0, 4096) if grid is None else np.asarray(grid)
+    grid = np.geomspace(1e-6, 60.0, 4096)
     weight = delta + 2.0  # hat-modes carry the built-in r^-2
     i_vals, k_vals, _ = bessel_ik(order, grid)
     w = np.gradient(np.log(grid))

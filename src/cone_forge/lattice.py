@@ -65,7 +65,6 @@ __all__ = [
     "matching_embedding",
     "constrained_class_search",
     "orthogonal_complement",
-    "integer_kernel",
     "generic_direction",
 ]
 
@@ -311,18 +310,13 @@ def _hermite_form(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def integer_kernel(A: np.ndarray) -> list[np.ndarray]:
-    """Saturated basis of {x integer : A x = 0}, via HNF of [A^T | I]."""
-    A = _as_object_matrix(A)
-    return _solve_linear_system(A, [0] * A.shape[0])[1]
-
-
 def orthogonal_complement(L: GramLattice, vectors) -> list[np.ndarray]:
     """Saturated integer basis of the sublattice pairing to 0 with `vectors`."""
     if not vectors:
         return [row.copy() for row in np.eye(L.rank, dtype=object)]
     V = _rows(L, vectors)
-    basis = integer_kernel(V @ L.gram)
+    M = _as_object_matrix(V @ L.gram)
+    basis = _solve_linear_system(M, [0] * len(V))[1]
     if _gram(L, V, _rows(L, basis)).any():
         raise VerificationFailed("complement basis vector pairs nonzero")
     return basis

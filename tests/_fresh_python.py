@@ -6,10 +6,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(args, cwd=None):
-    """A fresh interpreter with this checkout's src/ on its path."""
+def run_python(args, cwd=None, stdout=subprocess.PIPE):
+    """A fresh interpreter with this checkout's src/ on its path; stdout
+    may be any file descriptor, stderr is captured."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], cwd=cwd or ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import special
 
 from cone_forge import bessel as bs
-from cone_forge.errors import InputError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -30,25 +29,6 @@ def k0_log_series(x):
     return acc
 
 
-def test_gamma_values():
-    assert bs.gamma_fn(1.0) == pytest.approx(1.0, rel=1e-14)
-    assert bs.gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert bs.gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-
-
-def test_gamma_pole():
-    for x in (0.0, -1.0, -2.0):
-        with pytest.raises(InputError, match="pole"):
-            bs.gamma_fn(x)
-
-
-def test_gamma_accuracy_sweep():
-    xs = np.linspace(0.5, 30.0, 500)
-    ours = np.array([bs.gamma_fn(float(x)) for x in xs])
-    ref = special.gamma(xs)
-    assert np.max(np.abs(ours / ref - 1.0)) <= 1e-12
-
-
 def test_i_half_integer_closed_form():
     assert bs.bessel_i(0.5, 1.0) == pytest.approx(
         math.sqrt(2.0 / math.pi) * math.sinh(1.0), rel=1e-12)
@@ -58,7 +38,7 @@ def test_i_small_argument_limit():
     x = 1e-6
     for mu in (0.0, 1.0, 2.3):
         lim = bs.bessel_i(mu, x) * x ** (-mu)
-        assert lim == pytest.approx(0.5 ** mu / bs.gamma_fn(mu + 1.0),
+        assert lim == pytest.approx(0.5 ** mu / math.gamma(mu + 1.0),
                                     rel=1e-9)
 
 

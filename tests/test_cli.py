@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -124,9 +125,11 @@ def test_config_format_must_be_csv_or_json():
     ["--config", "f.json", "lattice", "build"],
     ["lattice", "generic", "--avoid-bound", "5"],
     ["--format", "xml", "lattice", "build"],
-], ids=["config", "avoid-bound", "format-xml"])
+    ["edge", "solve", "--n", "2", "--mu", "1", "--rhs", "r.csv",
+     "--support", "0.5"],
+], ids=["config", "avoid-bound", "format-xml", "support"])
 def test_removed_or_bad_option_exits_2(argv):
-    # --config and --avoid-bound are gone: each is a usage error now
+    # --config, --avoid-bound and --support are gone: each is a usage error
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.startswith("usage:") and "Traceback" not in err
@@ -251,6 +254,22 @@ def test_import_leaves_out_scipy_integrate():
          "if m == 'scipy' or m.startswith('scipy.')))"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "[]"]
+
+
+@pytest.mark.parametrize("argv", [["lattice", "complement"],
+                                  ["edge", "kernel", "--nmax", "3"],
+                                  ["lattice", "generic", "--verify"]])
+def test_closed_stdout_exits_1_quietly(argv):
+    # a BrokenPipeError is an OSError, and exited 2 with the line
+    # "error: [Errno 32] Broken pipe"; the checks after the print may not
+    # have run, so it exits 1, and nothing reaches stderr
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = run_python(["-m", "cone_forge.cli", *argv], stdout=w)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_module_entry_point_runs_commands():
@@ -637,7 +656,7 @@ README_SPLIT = """{
   ],
   "coefficient_bound": {
     "lhs": 0.0023036938118918084,
-    "rhs": 0.047214824163804
+    "rhs": 0.04721482416380401
   }
 }
 """

@@ -147,12 +147,10 @@ def test_stenzel_ma_check_fuzz(eps, points, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=_MODES, mu=_ORDERS, support=st.one_of(st.none(), _numbers()),
-       verify=_VERIFY)
-def test_edge_solve_fuzz(rhs_csv, n, mu, support, verify):
-    extra = [] if support is None else [f"--support={support}"]
+@given(n=_MODES, mu=_ORDERS, verify=_VERIFY)
+def test_edge_solve_fuzz(rhs_csv, n, mu, verify):
     _exit_code(["edge", "solve", f"--n={n}", f"--mu={mu}", "--rhs", rhs_csv,
-                *extra, *verify])
+                *verify])
 
 
 @settings(max_examples=40, deadline=None)

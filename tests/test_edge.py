@@ -296,6 +296,9 @@ def test_coefficient_bound_divergent_constant():
     prob = make_problem(2, 1.0, bump(0.25, 0.5), support=0.5)
     with pytest.raises(InputError, match=r"2 dpp \+ 4"):
         edge.coefficient_bound_check(prob, -1.5)
+    # just below the threshold the closed form gave C^2 = -1.8e14
+    with pytest.raises(InputError, match=r"2 dpp \+ 4"):
+        edge._bound_constant_sq(3.5, 1.5 - 1e-12)
 
 
 @pytest.mark.parametrize("dpp", [math.inf, math.nan])
@@ -360,10 +363,31 @@ def test_bound_constant_closed_form_matches_quadrature(mu, dpp):
     assert edge._bound_constant_sq(mu, dpp) == pytest.approx(ref, rel=1e-9)
 
 
-def test_bound_constant_exact_value():
-    # mu = 0, dpp = 0: sqrt(pi) G(2)^3 / (4 G(5/2)) = 1/3
-    assert edge._bound_constant_sq(0.0, 0.0) == pytest.approx(1.0 / 3.0,
-                                                              rel=1e-14)
+def _bound_constant_sq_mp(mu, dpp):
+    """C^2 from the closed form in 40-digit mpmath, rounded to a float."""
+    import mpmath
+    with mpmath.workdps(40):
+        half = mpmath.mpf(dpp) + 2
+        return float(mpmath.sqrt(mpmath.pi) * mpmath.gamma(half + mu)
+                     * mpmath.gamma(half - mu) * mpmath.gamma(half)
+                     / (4 * mpmath.gamma(half + 0.5)))
+
+
+# mu = 0, dpp = 0 gives sqrt(pi) G(2)^3 / (4 G(5/2)) = 1/3
+_EXACT_CASES = [(0.0, 0.0)] + [
+    (mu, mu - 2.0 + t)
+    for mu in (0.0, 0.5, 1.0, 2.3, 3.5, 7.0, 15.0, 25.0, 40.5)
+    for t in (0.25, 1.0, 5.0, 20.0, 40.0, 60.0)
+    if math.isfinite(_bound_constant_sq_mp(mu, mu - 2.0 + t))]
+
+
+@pytest.mark.parametrize("mu,dpp", _EXACT_CASES)
+def test_bound_constant_exact_value(mu, dpp):
+    # the closed form against 40 digits wherever C^2 is a finite float; at
+    # (15, 73), (25, 83) and (40.5, 78.5) the numerator's product of Gamma
+    # factors alone overflows
+    ref = _bound_constant_sq_mp(mu, dpp)
+    assert abs(edge._bound_constant_sq(mu, dpp) / ref - 1.0) <= 2e-15
 
 
 @pytest.mark.parametrize("n,mu,dpp", [(3, 1.0, 40.0), (1, 40.5, 40.5)])
@@ -538,7 +562,9 @@ def test_recoveries_bit_identical_to_whole_grid_passes():
 
 def test_split_and_bound_bit_identical_to_whole_grid_passes():
     # seeded 2048-point split/bound instances, n = 0 included, with the rhs
-    # callable and from the sampled spline; digest as above
+    # callable and from the sampled spline; digest as above, but for the
+    # bound rhs, which moved by at most 1.7e-15 relative when C^2 took
+    # math.gamma
     rng = np.random.default_rng(16)
     parts = []
     for k in range(24):
@@ -556,4 +582,4 @@ def test_split_and_bound_bit_identical_to_whole_grid_passes():
         if n:
             parts.append(edge.coefficient_bound_check(prob, mu + 0.5))
     assert _digest(parts) == (
-        "42c336021d982c10e76ac238f63b35fa398237241b29310ae9716ee5442c1dd9")
+        "1d15d681f09ad7afb3b966346ef540000fcf6a875576d2040f100f4d6623ab7c")
